@@ -21,6 +21,7 @@ from .errors import (
     DivergentCoefficient,
     DivergentCrossMoment,
     DivergentExponent,
+    ExponentOverflow,
     FixedPointDivergence,
     HypothesisViolated,
     InvalidStep,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentExponent, InvalidStep, MassOverflow
+from .errors import DivergentExponent, ExponentOverflow, InvalidStep, MassOverflow
 from .measures import ZERO_MEASURE_1D, JumpMeasure1D
 
 DEFAULT_JUMP_CAP = 1e6
@@ -55,18 +55,25 @@ def levy_exponent(spec: LevyEnvSpec, n: int) -> float:
 
     beta(n) = a n + sigma1^2 n^2 / 2 + integral terms, with the spec's
     truncation applied to positive large jumps.  Raises DivergentExponent
-    when an untruncated tail makes the large-jump integral infinite.
+    when an untruncated tail makes the large-jump integral infinite, and
+    ExponentOverflow when the integral is finite but overflows a float.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0.0
-    jump = spec.nu.exp_integral(float(n), clip=spec.trunc_level)
+    try:
+        jump = spec.nu.exp_integral(float(n), clip=spec.trunc_level)
+    except OverflowError as e:
+        raise ExponentOverflow(f"beta({n}) leaves the float range") from e
     if math.isinf(jump):
         raise DivergentExponent(
             f"integral of e^({n}z) over the positive environment tail diverges"
         )
-    return spec.a * n + 0.5 * spec.sigma1**2 * n**2 + jump
+    beta = spec.a * n + 0.5 * spec.sigma1**2 * n**2 + jump
+    if not math.isfinite(beta):
+        raise ExponentOverflow(f"beta({n}) leaves the float range")
+    return beta
 
 
 def beta_tilde(spec: LevyEnvSpec) -> float:

@@ -9,6 +9,10 @@ class DivergentExponent(Cbre2Error):
     """An exponential moment of the environment is infinite at the requested order."""
 
 
+class ExponentOverflow(Cbre2Error):
+    """An exponential moment of the environment is finite but leaves the float range."""
+
+
 class DivergentCrossMoment(Cbre2Error):
     """A first cross-moment of a branching jump measure is infinite."""
 

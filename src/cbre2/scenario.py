@@ -66,7 +66,9 @@ class ScenarioConfig:
         if seed is not None:
             sc = replace(sc, seed=int(seed))
         if n_paths is not None:
-            sc = replace(sc, n_paths=int(n_paths))
+            if not _is_path_count(n_paths):
+                raise ConfigError(f"n_paths (--paths): expected an integer >= 1, got {n_paths!r}")
+            sc = replace(sc, n_paths=n_paths)
         if moment_degree is not None:
             sc = replace(sc, moment_degree=int(moment_degree))
         if out_dir is not None:
@@ -128,6 +130,25 @@ def _num(ctx, d, key, default=None):
         ctx.push(key)
         raise ctx.err("expected a number")
     return float(val)
+
+
+def _is_path_count(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+
+
+def _caps(ctx, ver, key, count=None):
+    """Positive finite truncation caps under verify.<key> (None when absent)."""
+    if key not in ver:
+        return None
+    ctx.push(key)
+    caps = ver[key]
+    if not isinstance(caps, list) or not caps or (count is not None and len(caps) != count):
+        raise ctx.err(f"expected a list of {count or 'one or more'} positive finite numbers")
+    for k in caps:
+        if isinstance(k, bool) or not isinstance(k, (int, float)) or not (0 < k < math.inf):
+            raise ctx.err(f"expected positive finite numbers, got {k!r}")
+    ctx.pop()
+    return tuple(float(k) for k in caps)
 
 
 def _component_1d(ctx, d):
@@ -339,8 +360,20 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
         ctx.pop()
 
     ver = data.get("verify", {}) or {}
-    coupling_k = tuple(ver["coupling_k"]) if "coupling_k" in ver else None
-    trunc_k_list = tuple(ver["trunc_k_list"]) if "trunc_k_list" in ver else None
+    ctx.push("verify")
+    if not isinstance(ver, dict):
+        raise ctx.err("expected an object")
+    coupling_k = _caps(ctx, ver, "coupling_k", count=2)
+    if coupling_k is not None and coupling_k[0] > coupling_k[1]:
+        ctx.push("coupling_k")
+        raise ctx.err("expected [k1, k2] with k1 <= k2")
+    trunc_k_list = _caps(ctx, ver, "trunc_k_list")
+    ctx.pop()
+
+    n_paths = data.get("n_paths", 1000)
+    if not _is_path_count(n_paths):
+        ctx.push("n_paths")
+        raise ctx.err(f"expected an integer >= 1, got {n_paths!r}")
 
     return ScenarioConfig(
         environment=env,
@@ -348,7 +381,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
         x0=(float(x0[0]), float(x0[1])),
         horizon=horizon,
         step=step,
-        n_paths=int(data.get("n_paths", 1000)),
+        n_paths=n_paths,
         seed=int(data.get("seed", 0)),
         truncation=pred,
         output=output,

@@ -6,10 +6,10 @@ Operator-splitting scheme per grid interval, in order:
    terms), applied exactly via a 2x2 matrix exponential;
 2. Euler diffusion increment sqrt(2 c_i X_i) dB_i with nonnegativity
    clamping;
-3. branching jumps at exact event times inside the interval, drawn by
-   adaptive thinning (the event stream is common across coupled variants,
-   with per-variant acceptance against the left limit of the relevant
-   coordinate);
+3. branching jumps at exact event times inside the interval (the
+   candidate stream is common across coupled variants and fires at the
+   max over variants, with per-variant acceptance against the left limit
+   of the relevant coordinate);
 4. exact multiplication of both coordinates by exp(increment of xi).
 
 Only the branching terms carry discretization error; the drift flow and
@@ -19,10 +19,26 @@ each truncated variant solves its own truncated equation.
 
 Two engines share these semantics: a per-path engine returning full
 `StatePath` objects on the jump-refined grid, and a vectorized batch
-engine that records states at requested times only (used for large Monte
-Carlo runs).  Pathwise ordering of coupled truncated variants is exact
-for pure-jump mechanisms whose kept-region compensator moments agree
-across variants; with diffusion on, ordering holds in expectation only.
+engine (used for large Monte Carlo runs).  The per-path engine draws the
+waiting time to each branching event directly.  The batch engine is
+event-driven:
+
+- branching uses integrated-intensity clocks (Gibson & Bruck 2000;
+  Anderson 2007): each path carries a unit-exponential budget that each
+  interval decreases by rate * h, and only paths whose budget runs out
+  enter the event loop;
+- environment jumps are drawn per path once per window of
+  floor(1 / (lambda_env * step)) intervals and pre-bucketed by grid
+  interval, so each step only adds its own slice;
+- records are streamed: `stream_states` yields the live states at each
+  record time, `simulate_states` stacks them, and reductions such as the
+  coupling report consume them without a full-grid record.
+
+Both are the same splitting scheme in law as per-step thinning and
+per-step Poisson counts; only the order of the random stream differs.
+Pathwise ordering of coupled truncated variants is exact for pure-jump
+mechanisms whose kept-region compensator moments agree across variants;
+with diffusion on, ordering holds in expectation only.
 """
 
 from __future__ import annotations
@@ -39,7 +55,6 @@ from .env import (
     effective_jump,
     realize_env_path,
     sample_env_skeleton,
-    segment_sums,
 )
 from .errors import MassOverflow, NegativeState
 from .truncation import IDENTITY, TruncationPredicate
@@ -245,7 +260,7 @@ def simulate_coupled_pair(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch engine (records states at selected times only)
+# Vectorized batch engine (streams states at selected times only)
 # ---------------------------------------------------------------------------
 
 def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, np.ndarray]:
@@ -265,6 +280,152 @@ def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, 
     return grid, rec_idx
 
 
+def _env_jump_buckets(nu, grid: np.ndarray, step: float, n_paths: int, rng):
+    """Yield the raw environment jumps of each grid interval as (paths, sizes).
+
+    Jumps are drawn per path once per window of floor(1 / (lambda * step))
+    intervals, so a path expects at most one jump per window and memory
+    stays O(n_paths); given its count, a path's jump times are uniform on
+    the window, which makes the per-interval counts exactly Poisson.
+    """
+    n_int = len(grid) - 1
+    lam = nu.total_mass()
+    if lam == 0.0:
+        none = (np.empty(0, dtype=np.intp), np.empty(0))
+        for _ in range(n_int):
+            yield none
+        return
+    width = max(1, min(n_int, math.floor(1.0 / (lam * step))))
+    for m0 in range(0, n_int, width):
+        m1 = min(m0 + width, n_int)
+        t0, t1 = grid[m0], grid[m1]
+        counts = rng.poisson(lam * (t1 - t0), n_paths)
+        n = int(counts.sum())
+        times = t0 + (t1 - t0) * rng.random(n)
+        sizes = nu.sample(rng, n)
+        interval = np.clip(np.searchsorted(grid, times, side="right") - 1, m0, m1 - 1)
+        order = np.argsort(interval, kind="stable")
+        paths = np.repeat(np.arange(n_paths), counts)[order]
+        sizes = sizes[order]
+        bounds = np.searchsorted(interval[order], np.arange(m0, m1 + 1))
+        for m in range(m1 - m0):
+            yield paths[bounds[m] : bounds[m + 1]], sizes[bounds[m] : bounds[m + 1]]
+
+
+def _max_over(xs: list, cols=slice(None)) -> np.ndarray:
+    """Componentwise max over the variants' (2, n) states, at columns `cols`."""
+    out = xs[0][:, cols]
+    for x in xs[1:]:
+        out = np.maximum(out, x[:, cols])
+    return out
+
+
+def stream_states(
+    env: LevyEnvSpec,
+    bspec: BranchingSpec,
+    x0,
+    horizon: float,
+    step: float,
+    n_paths: int,
+    rng: np.random.Generator,
+    record_times=None,
+    predicates=(IDENTITY,),
+    events_cap: float = DEFAULT_EVENTS_CAP,
+):
+    """Run the batch engine, yielding (t, states) at each record time.
+
+    `states` lists one (n_paths, 2) array per variant.  They are live views
+    of the engine's state, valid until the generator is resumed.  Record
+    times default to every grid time.
+
+    Branching uses integrated-intensity clocks: each path carries a unit
+    exponential budget that every interval decreases by rate * h, with
+    the rate taken at the max over variants; only paths whose budget runs
+    out enter the event loop, which carries their time left in the
+    interval so that several events per interval stay exact.  A candidate
+    event picks its type and jump from the shared stream, and each variant
+    accepts it with u * ownmax <= own plus its own keep rule.
+    """
+    variants = _make_variants(env, bspec, predicates)
+    grid, rec_idx = _batch_grid(horizon, step, record_times)
+    lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
+    branching = lam.any()
+    env_drift = env.a - env.nu.mean_small()
+    env_jumps = _env_jump_buckets(env.nu, grid, step, n_paths, rng)
+    max_events = events_cap * horizon
+
+    # states are kept as (2, n_paths): each coordinate is contiguous
+    xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in variants]
+    clock = rng.exponential(1.0, n_paths) if branching else None
+    events = np.zeros(n_paths)
+    rec_pos = set(int(g) for g in rec_idx)
+    if 0 in rec_pos:
+        yield grid[0], [x.T for x in xs]
+
+    for m in range(len(grid) - 1):
+        h = grid[m + 1] - grid[m]
+        # 1. exact linear drift flow
+        for v, var in enumerate(variants):
+            xs[v] = var.drift_matrix(bspec, h) @ xs[v]
+        # 2. diffusion with clamping (noise shared across variants)
+        sh = math.sqrt(h)
+        for i, c in enumerate((bspec.c1, bspec.c2)):
+            if c > 0:
+                g = rng.standard_normal(n_paths)
+                for x in xs:
+                    np.maximum(x[i] + np.sqrt(2.0 * c * x[i]) * sh * g, 0.0, out=x[i])
+        # 3. branching jumps where the integrated intensity exhausts a clock
+        if branching:
+            clock -= h * (lam @ _max_over(xs))
+            active = np.flatnonzero(clock < 0.0)
+            while active.size:
+                k = active.size
+                events[active] += 1.0
+                if events[active].max() > max_events:
+                    raise MassOverflow("branching event count exceeds the safety cap")
+                xm = _max_over(xs, active)
+                r1 = lam[0] * xm[0]
+                rate = r1 + lam[1] * xm[1]
+                left = -clock[active] / rate  # time from the event to the interval end
+                is1 = rng.random(k) * rate < r1
+                n1 = int(is1.sum())
+                z = np.zeros((k, 2))
+                if n1:
+                    z[is1] = bspec.m1.sample(rng, n1)
+                if k - n1:
+                    z[~is1] = bspec.m2.sample(rng, k - n1)
+                u_acc = rng.random(k)
+                own_row = np.where(is1, 0, 1)
+                ownmax = np.where(is1, xm[0], xm[1])
+                for x, var in zip(xs, variants):
+                    acc = u_acc * ownmax <= x[own_row, active]
+                    acc &= var.predicate.branching.keep(z)
+                    if acc.any():
+                        x[:, active[acc]] += z[acc].T
+                # a fresh budget, less what the rest of the interval consumes
+                clock[active] = rng.exponential(1.0, k) - left * (lam @ _max_over(xs, active))
+                active = active[clock[active] < 0.0]
+        # 4. exact environment multiplier (raw jumps shared across variants)
+        dxi = env_drift * h
+        if env.sigma1 > 0:
+            dxi = dxi + env.sigma1 * sh * rng.standard_normal(n_paths)
+        jump_paths, jump_sizes = next(env_jumps)
+        mults = {}  # variants with equal clip levels share one multiplier
+        for x, var in zip(xs, variants):
+            mult = mults.get(var.env_clip)
+            if mult is None:
+                d = dxi
+                if jump_paths.size:
+                    d = dxi + np.zeros(n_paths)
+                    np.add.at(d, jump_paths, effective_jump(jump_sizes, var.env_clip))
+                mult = mults[var.env_clip] = np.exp(d)
+            x *= mult
+            if x.min() < 0:
+                raise NegativeState("state went negative")  # pragma: no cover
+        if m + 1 in rec_pos:
+            yield grid[m + 1], [x.T for x in xs]
+
+
 def simulate_states(
     env: LevyEnvSpec,
     bspec: BranchingSpec,
@@ -279,105 +440,39 @@ def simulate_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized simulation of many paths, one state array per variant.
 
-    Environment jumps are aggregated per base-grid interval (their law at
-    grid points is exact); shared draws across variants implement the
-    monotone coupling.  Returns (record_times, states) with states shaped
+    Environment jumps are aggregated per grid interval (their law at grid
+    points is exact); shared draws across variants implement the monotone
+    coupling.  Stacks what `stream_states` yields and returns
+    (record_times, states) with states shaped
     (n_variants, n_paths, n_records, 2).
     """
-    variants = _make_variants(env, bspec, predicates)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
-    n_rec = len(rec_idx)
-    lam1, lam2 = bspec.m1.total_mass(), bspec.m2.total_mass()
-    lam_env = env.nu.total_mass()
-    env_drift = env.a - env.nu.mean_small()
-    n_var = len(variants)
+    out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
+    stream = stream_states(
+        env, bspec, x0, horizon, step, n_paths, rng,
+        record_times=record_times, predicates=predicates, events_cap=events_cap,
+    )
+    for r, (_, states) in enumerate(stream):
+        for v, x in enumerate(states):
+            out[v, :, r, :] = x
+    return grid[rec_idx], out
 
-    xs = [np.tile(np.asarray(x0, dtype=float), (n_paths, 1)) for _ in range(n_var)]
-    out = np.empty((n_var, n_paths, n_rec, 2))
-    rec_pos = {int(g): r for r, g in enumerate(rec_idx)}
-    if 0 in rec_pos:
-        for v in range(n_var):
-            out[v, :, rec_pos[0], :] = xs[v]
-    max_events = events_cap * horizon
-    events = np.zeros(n_paths)
 
-    for m in range(len(grid) - 1):
-        t0, t1 = grid[m], grid[m + 1]
-        h = t1 - t0
-        # 1. exact linear drift flow
-        for v, var in enumerate(variants):
-            xs[v] = xs[v] @ var.drift_matrix(bspec, h).T
-        # 2. diffusion with clamping (noise shared across variants)
-        sh = math.sqrt(h)
-        for i, c in enumerate((bspec.c1, bspec.c2)):
-            if c > 0:
-                g = rng.standard_normal(n_paths)
-                for x in xs:
-                    np.maximum(x[:, i] + np.sqrt(2.0 * c * x[:, i]) * sh * g, 0.0, out=x[:, i])
-        # 3. branching jumps by common-stream thinning
-        if lam1 > 0 or lam2 > 0:
-            tau = np.full(n_paths, t0)
-            active = np.arange(n_paths)
-            while active.size:
-                x1m = xs[0][active, 0].copy()
-                x2m = xs[0][active, 1].copy()
-                for v in range(1, n_var):
-                    np.maximum(x1m, xs[v][active, 0], out=x1m)
-                    np.maximum(x2m, xs[v][active, 1], out=x2m)
-                r1 = lam1 * x1m
-                rate = r1 + lam2 * x2m
-                alive = rate > 0
-                active, r1, rate = active[alive], r1[alive], rate[alive]
-                if not active.size:
-                    break
-                tau[active] += rng.exponential(1.0, active.size) / rate
-                ok = tau[active] <= t1
-                active, r1, rate = active[ok], r1[ok], rate[ok]
-                if not active.size:
-                    break
-                k = active.size
-                events[active] += 1.0
-                if events.max() > max_events:
-                    raise MassOverflow("branching event count exceeds the safety cap")
-                is1 = rng.random(k) * rate < r1
-                n1 = int(is1.sum())
-                z = np.zeros((k, 2))
-                if n1:
-                    z[is1] = bspec.m1.sample(rng, n1)
-                if k - n1:
-                    z[~is1] = bspec.m2.sample(rng, k - n1)
-                u_acc = rng.random(k)
-                own_col = np.where(is1, 0, 1)
-                ownmax = np.where(is1, x1m[alive][ok], x2m[alive][ok])
-                for v, var in enumerate(variants):
-                    own = xs[v][active, own_col]
-                    acc = u_acc * ownmax <= own
-                    acc &= var.predicate.branching.keep(z)
-                    if acc.any():
-                        xs[v][active[acc]] += z[acc]
-        # 4. exact environment multiplier (raw jumps shared across variants)
-        dxi_base = env_drift * h
-        g_env = rng.standard_normal(n_paths) * (env.sigma1 * sh) if env.sigma1 > 0 else 0.0
-        if lam_env > 0:
-            counts = rng.poisson(lam_env * h, n_paths)
-            sizes = env.nu.sample(rng, int(counts.sum()))
-            for v, var in enumerate(variants):
-                dxi = dxi_base + g_env + segment_sums(effective_jump(sizes, var.env_clip), counts)
-                xs[v] *= np.exp(dxi)[:, None]
-        else:
-            mult = np.exp(dxi_base + g_env)
-            for x in xs:
-                x *= mult if np.ndim(mult) == 0 else mult[:, None]
-        for x in xs:
-            if x.min() < 0:
-                raise NegativeState("state went negative")  # pragma: no cover
-        r = rec_pos.get(m + 1)
-        if r is not None:
-            for v in range(n_var):
-                out[v, :, r, :] = xs[v]
-
-    times = grid[rec_idx]
-    return times, out
+def _on_scenario(engine, scenario, n_paths, seed, record_times, predicates, events_cap):
+    if predicates is None:
+        predicates = (resolve_predicate(scenario.branching, scenario.truncation),)
+    return engine(
+        scenario.environment,
+        scenario.branching,
+        scenario.x0,
+        scenario.horizon,
+        scenario.step,
+        n_paths,
+        np.random.default_rng(seed),
+        record_times=record_times,
+        predicates=predicates,
+        events_cap=events_cap,
+    )
 
 
 def scenario_states(
@@ -389,18 +484,16 @@ def scenario_states(
     events_cap: float = DEFAULT_EVENTS_CAP,
 ):
     """Batch-engine wrapper taking a scenario object."""
-    if predicates is None:
-        predicates = (resolve_predicate(scenario.branching, scenario.truncation),)
-    rng = np.random.default_rng(seed)
-    return simulate_states(
-        scenario.environment,
-        scenario.branching,
-        scenario.x0,
-        scenario.horizon,
-        scenario.step,
-        n_paths,
-        rng,
-        record_times=record_times,
-        predicates=predicates,
-        events_cap=events_cap,
-    )
+    return _on_scenario(simulate_states, scenario, n_paths, seed, record_times, predicates, events_cap)
+
+
+def scenario_stream(
+    scenario,
+    n_paths: int,
+    seed: int,
+    record_times=None,
+    predicates=None,
+    events_cap: float = DEFAULT_EVENTS_CAP,
+):
+    """Generator form of `scenario_states`; yields what `stream_states` yields."""
+    return _on_scenario(stream_states, scenario, n_paths, seed, record_times, predicates, events_cap)

@@ -160,3 +160,12 @@ def test_trunc_level_below_one_rejected():
     with pytest.raises(ValueError):
         LevyEnvSpec(trunc_level=0.5)
     LevyEnvSpec(trunc_level=1.0)  # the restricted-environment configuration
+
+
+def test_levy_exponent_overflow_is_a_package_error():
+    from cbre2.errors import Cbre2Error, ExponentOverflow
+
+    spec = LevyEnvSpec(nu=JumpMeasure1D(atoms=[Atom1D(0.5, 1.3)]))
+    with pytest.raises(ExponentOverflow, match="float range") as info:
+        levy_exponent(spec, 600)
+    assert isinstance(info.value, Cbre2Error)

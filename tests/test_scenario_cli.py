@@ -203,3 +203,44 @@ def test_cli_seed_changes_output(tmp_path):
     a = (out1 / "simulate_summary.csv").read_text()
     b = (out2 / "simulate_summary.csv").read_text()
     assert a != b
+
+
+def _edited_config(tmp_path, name, edit):
+    data = json.loads(open(_scen(name)).read())
+    edit(data)
+    p = tmp_path / f"edited_{name}"
+    p.write_text(json.dumps(data, indent=2))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "command, edit, key",
+    [
+        pytest.param("couple", lambda d: d["verify"].__setitem__("coupling_k", [2.0, 5.0, 8.0]),
+                     "coupling_k", id="coupling_k-three"),
+        pytest.param("couple", lambda d: d["verify"].__setitem__("coupling_k", [5.0, 2.0]),
+                     "coupling_k", id="coupling_k-decreasing"),
+        pytest.param("couple", lambda d: d["verify"].__setitem__("coupling_k", [0.0, 2.0]),
+                     "coupling_k", id="coupling_k-zero"),
+        pytest.param("couple", lambda d: d.__setitem__("n_paths", -5), "n_paths", id="couple-n_paths"),
+        pytest.param("verify", lambda d: d.__setitem__("n_paths", -5), "n_paths", id="verify-n_paths"),
+        pytest.param("verify", lambda d: d.__setitem__("n_paths", "many"), "n_paths", id="n_paths-text"),
+        pytest.param("verify", lambda d: d["verify"].__setitem__("trunc_k_list", []),
+                     "trunc_k_list", id="trunc_k_list-empty"),
+        pytest.param("verify", lambda d: d["verify"].__setitem__("trunc_k_list", [2.0, -4.0]),
+                     "trunc_k_list", id="trunc_k_list-negative"),
+    ],
+)
+def test_cli_rejects_bad_verify_inputs(tmp_path, capsys, command, edit, key):
+    config = _edited_config(tmp_path, "verify.json", edit)
+    assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("paths", ["-5", "0"])
+def test_cli_rejects_bad_path_override(tmp_path, capsys, paths):
+    rc = main(["couple", "--config", _scen("coupling.json"), "--out", str(tmp_path), "--paths", paths])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "n_paths" in err

@@ -199,3 +199,52 @@ def test_per_path_substreams_are_stable():
     p5 = simulate_paths(sc, 5, 123)
     for a, b in zip(p3, p5[:3]):
         assert (a.states == b.states).all()
+
+
+@pytest.mark.parametrize("step", [0.5, 0.1])
+def test_pure_jump_mean_is_step_independent(step):
+    """With an identity drift flow the scheme is exact at any step.
+
+    b_ii = -mu_i cancels the compensator drift, so states only move at
+    jump times; several events per interval are then the rule at step
+    0.5, and the mean must match the closed form with no bias allowance.
+    """
+    from cbre2.measures import Atom2D, JumpMeasure
+
+    m1 = JumpMeasure(atoms=[Atom2D(1.5, 0.4, 0.2)])
+    m2 = JumpMeasure(atoms=[Atom2D(1.2, 0.1, 0.5)])
+    spec = BranchingSpec(b11=-0.6, b22=-0.6, m1=m1, m2=m2)
+    sc = _plain_scenario(LevyEnvSpec(), spec, (1.0, 1.0), 1.0, step)
+    target = first_moment_closed_form(sc.environment, spec, sc.x0, 1.0)
+    _, states = scenario_states(sc, 40_000, 2024, record_times=[1.0])
+    x = states[0, :, 0, :]
+    for i in (0, 1):
+        se = x[:, i].std(ddof=1) / math.sqrt(len(x))
+        assert abs(x[:, i].mean() - target[i]) <= 4 * se
+
+
+def test_environment_only_moments_at_off_grid_times():
+    """Branching off: E X^n(t) = x0^n e^{beta(n) t}, recorded between grid points.
+
+    The jump rate spans several pre-sampling windows of the horizon, and
+    0.3337 splits a grid interval, so both the windows and the bucketing
+    on the refined grid are exercised.
+    """
+    from cbre2.env import levy_exponent
+
+    env = LevyEnvSpec(
+        a=0.1,
+        sigma1=0.2,
+        nu=JumpMeasure1D(atoms=[Atom1D(2.0, 0.3), Atom1D(1.5, -0.4), Atom1D(0.2, 1.2)]),
+    )
+    x0 = np.array([1.5, 0.5])
+    sc = _plain_scenario(env, BranchingSpec(), tuple(x0), 1.0, 0.01)
+    times, states = scenario_states(sc, 40_000, 17, record_times=[0.3337, 1.0])
+    assert list(times) == [0.3337, 1.0]
+    for n in (1, 2):
+        beta = levy_exponent(env, n)
+        for k, t in enumerate(times):
+            x = states[0, :, k, :] ** n
+            target = x0**n * math.exp(beta * t)
+            se = x.std(axis=0, ddof=1) / math.sqrt(len(x))
+            assert (np.abs(x.mean(axis=0) - target) <= 4 * se).all(), (n, t)

@@ -134,3 +134,45 @@ def test_report_pass_flag_consistency():
     rep2.add(1.0, "s", 1.05, 0.1, 1.2)
     assert rep2.rows[-1].ok
     assert rep2.rows[-1].z == pytest.approx(-1.5)
+
+
+def _full_record_coupling_report(sc, k1, k2, paths, seed, tol=1e-12, se_multiple=3.0):
+    """The coupling report's reductions over a record of every grid time."""
+    import math
+
+    from cbre2.simulate import scenario_states
+    from cbre2.truncation import norm_cap
+    from cbre2.verify import EstimateRow
+    from cbre2._util import fsum_mean_se
+
+    times, states = scenario_states(sc, paths, seed, predicates=(norm_cap(k1), norm_cap(k2)))
+    gaps = states[0] - states[1]
+    report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}", se_multiple=se_multiple)
+    if sc.branching.c1 == 0 and sc.branching.c2 == 0:
+        for k, t in enumerate(times):
+            report.add(t, "ordering_violations", int((gaps[:, k, :] > tol).sum()), 0.0, 0.0)
+        report.add(times[-1], "max_signed_gap", float(gaps.max()), 0.0, math.nan)
+    else:
+        for i in (0, 1):
+            est, se = fsum_mean_se(gaps[:, -1, i])
+            z = est / se if se > 0 else 0.0
+            ok = est <= se_multiple * se + 1e-9
+            report.rows.append(EstimateRow(float(times[-1]), f"mean_gap_{i + 1}", est, se, 0.0, z, ok))
+    return report
+
+
+@pytest.mark.parametrize("name", ["verify", "mixed"])
+def test_streamed_coupling_report_equals_full_record(name):
+    import os
+
+    from cbre2.scenario import load_scenario
+
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json"))
+    streamed = coupling_monotonicity_report(sc, 2.0, 5.0, 1_500, 31)
+    full = _full_record_coupling_report(sc, 2.0, 5.0, 1_500, 31)
+    assert streamed.csv_lines() == full.csv_lines()
+    stats = {r.statistic for r in streamed.rows}
+    if name == "mixed":
+        assert stats == {"mean_gap_1", "mean_gap_2"}
+    else:
+        assert stats == {"ordering_violations", "max_signed_gap"}
