@@ -4,8 +4,9 @@ The n-th own-moment satisfies an integral identity: the initial term
 decays/grows like e^{(beta(n) - n b_ii) t} and lower moments enter
 through a convolution with coefficients built from binomials, jump
 moments, the diffusion coefficient and the cross drift.  Evaluating that
-right-hand side by adaptive quadrature against the ODE table is a
-genuine two-route consistency check; residuals sit at quadrature level.
+right-hand side from the recursion coefficients, with the convolution
+taken exactly by one block matrix exponential, against the closure's
+own row is a two-route consistency check; residuals sit at rounding level.
 """
 
 from cbre2 import moment_table, recursion_residual, recursion_coefficients

@@ -28,7 +28,6 @@ from .errors import (
     MassOverflow,
     NegativeState,
     RankDeficientGrid,
-    SolverTolerance,
     ZeroInitialState,
 )
 from .fmoment import (

@@ -60,19 +60,19 @@ def phi_eval(spec: BranchingSpec, lam) -> tuple[float, float]:
     lam1, lam2 = float(lam[0]), float(lam[1])
     if lam1 < 0 or lam2 < 0:
         raise ValueError("phi is defined for nonnegative arguments")
-    phi1 = (
-        spec.b11 * lam1
-        + spec.b12 * lam2
-        + spec.c1 * lam1**2
-        + spec.m1.phi_integral(lam1, lam2, own_axis=1)
-    )
-    phi2 = (
-        spec.b21 * lam1
-        + spec.b22 * lam2
-        + spec.c2 * lam2**2
-        + spec.m2.phi_integral(lam1, lam2, own_axis=2)
-    )
-    return phi1, phi2
+    phi1, phi2 = phi_eval_vec(spec, np.array([[lam1, lam2]]))[0]
+    return float(phi1), float(phi2)
+
+
+def phi_eval_vec(spec: BranchingSpec, lam: np.ndarray) -> np.ndarray:
+    """Vectorized mechanism evaluation for (n, 2) arrays of nonnegative rates."""
+    out = lam @ spec.b.T + lam**2 * (spec.c1, spec.c2)
+    l1, l2 = lam[:, 0], lam[:, 1]
+    if not spec.m1.is_zero:
+        out[:, 0] += spec.m1.phi_integral(l1, l2, own_axis=1)
+    if not spec.m2.is_zero:
+        out[:, 1] += spec.m2.phi_integral(l1, l2, own_axis=2)
+    return out
 
 
 def jump_moment(measure: JumpMeasure, r: int, s: int) -> float:

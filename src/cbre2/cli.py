@@ -137,17 +137,9 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
         for r, (v1, v2) in zip(ql.r_grid, ql.v)
     ]
     _write(os.path.join(out, "laplace.csv"), lines)
-    try:
-        ann, ann_se = annealed_laplace_mc(
-            sc.environment, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1
-        )
-    except NotImplementedError:
-        # vectorized annealing is atom-only; the quenched CSV stands alone
-        print(
-            f"laplace [{sc.name or 'scenario'}]: v0 = ({ql.v0[0]:.8g}, {ql.v0[1]:.8g}); "
-            f"annealed average skipped (tail components in the jump measures)"
-        )
-        return 0
+    ann, ann_se = annealed_laplace_mc(
+        sc.environment, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1
+    )
     _, states = scenario_states(sc, sc.n_paths, sc.seed + 2, record_times=[t])
     direct, direct_se = fsum_mean_se(
         np.exp(-(states[0, :, 0, 0] * lam[0] + states[0, :, 0, 1] * lam[1]))

@@ -37,10 +37,6 @@ class NegativeState(Cbre2Error):
     """Internal assertion: a simulated state went negative (should be unreachable)."""
 
 
-class SolverTolerance(Cbre2Error):
-    """ODE integrator failed to meet its tolerance."""
-
-
 class FixedPointDivergence(Cbre2Error):
     """Per-step fixed-point iteration of the backward Laplace equation did not converge."""
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .errors import DivergentCrossMoment
@@ -27,6 +28,31 @@ PARETO = "pareto"
 def _quad(f, lo, hi):
     val, _ = quad(f, lo, hi, **_QUAD_OPTS)
     return val
+
+
+def _exp_rem2(z):
+    """e^{-z} - 1 + z for z >= 0; a Taylor series below 0.5, where the terms cancel."""
+    zs = np.minimum(z, 0.5)
+    acc = np.ones_like(zs)
+    for k in range(18, 2, -1):  # z^2/2 (1 - z/3 (1 - z/4 (...)))
+        acc = 1.0 - zs * acc / k
+    return np.where(z < 0.5, 0.5 * zs * zs * acc, np.expm1(-z) + z)
+
+
+def _expint(p: float, z):
+    """E_p(z) = z^{p-1} Gamma(1-p, z), z > 0: from exp1 (integer p) or gammaincc at
+    1 - q in [1.5, 2.5), where it is fast, raised by E_{q+1} = (e^{-z} - z E_q) / q,
+    i.e. Gamma(s, z) = (Gamma(s+1, z) - z^s e^{-z}) / s stepped down and scaled."""
+    if p == int(p):
+        q, e = 1.0, special.exp1(z)
+    else:
+        q = p - math.ceil(p + 0.5)
+        e = z ** (q - 1.0) * special.gammaincc(1.0 - q, z) * special.gamma(1.0 - q)
+    ez = np.exp(-z)
+    while q < p:
+        e = (ez - z * e) / q
+        q += 1.0
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +320,27 @@ class AxisTail:
             return self.x0 + rng.exponential(1.0 / self.shape, size)
         return self.x0 * (1.0 + rng.pareto(self.shape, size))
 
+    def laplace_part(self, lam, compensated: bool):
+        """E[e^{-lam Y} - 1 (+ lam Y when compensated)] for the normalized magnitude Y.
+
+        Pareto, z = lam x0: alpha E_{alpha+1}(z) - 1 = expm1(-z) - z E_alpha(z),
+        plus lam E[Y] = g(z) + z (-expm1(-z) + z E_{alpha-1}(z)) / (alpha-1) with
+        g(z) = e^{-z} - 1 + z: like-signed terms, so the O(lam) parts never cancel.
+        """
+        z = lam * self.x0
+        if self.family == EXPONENTIAL:
+            th = self.shape
+            if compensated:
+                return (th * _exp_rem2(z) + lam**2 * (self.x0 + 1.0 / th)) / (th + lam)
+            return (th * np.expm1(-z) - lam) / (th + lam)
+        a = self.shape
+        zp = np.maximum(z, 1e-100)  # below that, the absolute error is under 1e-100
+        if compensated:
+            val = _exp_rem2(zp) + zp * (-np.expm1(-zp) + zp * _expint(a - 1.0, zp)) / (a - 1.0)
+        else:
+            val = np.expm1(-zp) - zp * _expint(a, zp)
+        return np.where(z > 0, val, 0.0)
+
 
 class JumpMeasure:
     """Branching jump measure: atoms plus axis-supported tail densities.
@@ -372,31 +419,22 @@ class JumpMeasure:
             not (t.family == PARETO and n >= t.shape) for t in self.tails
         )
 
-    def phi_integral(self, lam1: float, lam2: float, own_axis: int) -> float:
+    def phi_integral(self, lam1, lam2, own_axis: int):
         """Integral of (e^{-<lam, z>} - 1 + lam_own * z_own) over the measure.
 
         own_axis selects which coordinate carries the linear compensation
         term (1 for the first mechanism component, 2 for the second).
-        Atoms are exact; tails use adaptive quadrature.
+        Closed form for atoms and both tail families; rates may be arrays,
+        which broadcast, and scalar rates give a float.
         """
+        lown = lam1 if own_axis == 1 else lam2
         total = 0.0
         for a in self.atoms:
             zown = a.z1 if own_axis == 1 else a.z2
-            lown = lam1 if own_axis == 1 else lam2
-            total += a.mass * (
-                math.exp(-(lam1 * a.z1 + lam2 * a.z2)) - 1.0 + lown * zown
-            )
+            total = total + a.mass * (np.exp(-(lam1 * a.z1 + lam2 * a.z2)) - 1.0 + lown * zown)
         for t in self.tails:
-            lam_axis = lam1 if t.axis == 1 else lam2
-            if t.axis == own_axis:
-                lo = lam_axis
-                f = lambda y: math.exp(-lo * y) - 1.0 + lo * y
-            else:
-                la = lam_axis
-                f = lambda y: math.exp(-la * y) - 1.0
-            total += _quad(lambda y: f(y) * float(t.density_mag(y)), t.x0, math.inf)
-        return total
-
+            total = total + t.mass * t.laplace_part(lam1 if t.axis == 1 else lam2, t.axis == own_axis)
+        return total if np.ndim(total) else float(total)
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` jumps as an (size, 2) array from the normalized measure."""
         out = np.zeros((size, 2))

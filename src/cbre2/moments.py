@@ -15,24 +15,23 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from .branching import BranchingSpec, effective_drift_matrix, phi_eval
-from .env import EnvPath, LevyEnvSpec, beta_tilde, levy_exponent
+from .branching import BranchingSpec, effective_drift_matrix, phi_eval_vec
+from .env import (
+    EnvPath, LevyEnvSpec, _base_grid, beta_tilde, effective_jump, levy_exponent, segment_sums
+)
 from .errors import (
     DivergentCoefficient,
     DivergentExponent,
+    ExponentOverflow,
     FixedPointDivergence,
     HypothesisViolated,
     RankDeficientGrid,
-    SolverTolerance,
 )
 from .simulate import StatePath
 from .truncation import IDENTITY, TruncationPredicate
-from ._util import expm2
-
-_EXPM_NORM_LIMIT = 400.0
+from ._util import expm2, fsum_mean_se
 
 
 def monomial_basis(degree: int) -> tuple[tuple[int, int], ...]:
@@ -85,6 +84,7 @@ class MomentGenerator:
     degree: int
     basis: tuple[tuple[int, int], ...]
     matrix: np.ndarray
+    beta: tuple[float, ...] = ()  # beta(0), ..., beta(degree) of the (clipped) environment
 
     def index(self, p: int, q: int) -> int:
         return self.basis.index((p, q))
@@ -152,7 +152,7 @@ def build_moment_generator(
                     g[row, idx[(i, j + 1)]] += (
                         math.comb(p, i) * math.comb(q, j) * mu(spec.m2, p - i, q - j)
                     )
-    return MomentGenerator(n, basis, g)
+    return MomentGenerator(n, basis, g, tuple(beta))
 
 
 @dataclass
@@ -180,21 +180,7 @@ class MomentTable:
     def eval_vector(self, s: float) -> np.ndarray:
         if self.generator is None or self.m0 is None:
             raise ValueError("table carries no propagator")
-        return _propagate(self.generator.matrix, self.m0, s)
-
-
-def _propagate(g: np.ndarray, m0: np.ndarray, t: float) -> np.ndarray:
-    if t == 0.0:
-        return m0.copy()
-    nrm = np.linalg.norm(g, 1) * abs(t)
-    if nrm <= _EXPM_NORM_LIMIT:
-        return expm(g * t) @ m0
-    sol = solve_ivp(
-        lambda s, y: g @ y, (0.0, t), m0, method="DOP853", rtol=1e-10, atol=1e-12
-    )
-    if not sol.success:
-        raise SolverTolerance(f"moment ODE integration failed: {sol.message}")
-    return sol.y[:, -1]
+        return expm(self.generator.matrix * s) @ self.m0
 
 
 def initial_moment_vector(gen: MomentGenerator, x0) -> np.ndarray:
@@ -203,12 +189,26 @@ def initial_moment_vector(gen: MomentGenerator, x0) -> np.ndarray:
 
 
 def solve_moment_ode(gen: MomentGenerator, x0, t_grid) -> MomentTable:
-    """Propagate the closed moment system from a deterministic initial state."""
+    """Propagate the closed moment system from a deterministic initial state.
+
+    Steps the sorted times by expm(G dt), one exponential per distinct dt;
+    raises ExponentOverflow when a moment leaves the float range.
+    """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     m0 = initial_moment_vector(gen, x0)
+    order = np.argsort(t_grid, kind="stable")
+    dts, step_of = np.unique(np.diff(t_grid[order], prepend=0.0), return_inverse=True)
     vals = np.empty((len(t_grid), len(gen.basis)))
-    for k, t in enumerate(t_grid):
-        vals[k] = _propagate(gen.matrix, m0, float(t))
+    m = m0
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = [expm(gen.matrix * dt) for dt in dts]
+        for k, j in zip(order, step_of):
+            m = vals[k] = steps[j] @ m
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        beta = gen.beta[-1] if gen.beta else math.nan
+        raise ExponentOverflow(f"degree-{gen.degree} moments leave the float range by t = "
+                               f"{t_grid[bad].min():g}: beta({gen.degree}) = {beta:.6g}")
     vals = np.maximum(vals, 0.0)  # expm dust; true moments are nonnegative
     values = {pq: vals[:, j].copy() for j, pq in enumerate(gen.basis)}
     finite = {pq: True for pq in gen.basis}
@@ -313,8 +313,8 @@ def recursion_residual(
     """Relative gap between the recursion's right-hand side and the table.
 
     The right-hand side convolves lower moments from the table against
-    e^{(beta(n) - n b_ii)(t-s)} by adaptive quadrature and adds the
-    initial term; the residual is |RHS - m(t)| / max(1, m(t)).
+    e^{(beta(n) - n b_ii)(t-s)} and adds the initial term; the residual
+    is |RHS - m(t)| / max(1, m(t)).
     """
     return recursion_check(env, spec, table, n, type_index, t)[2]
 
@@ -327,7 +327,12 @@ def recursion_check(
     type_index: int,
     t: float,
 ) -> tuple[float, float, float]:
-    """(lhs, rhs, residual) of the n-th own-moment recursion identity."""
+    """(lhs, rhs, residual) of the n-th own-moment recursion identity.
+
+    Exact convolution (Van Loan 1978): with c the recursion coefficients on
+    their monomials and theta = beta(n) - n b_ii, expm([[G, 0], [c, theta]] t)
+    gives m(t) and rhs = w(t), where w' = theta w + c.m, w(0) = x0^n.
+    """
     if table.degree < n:
         raise ValueError("table degree is below the requested moment order")
     if table.generator is None:
@@ -337,27 +342,19 @@ def recursion_check(
         raise HypothesisViolated(f"moment {target} is flagged infinite in the table")
     a_coef, b_coef = recursion_coefficients(spec, n, type_index)
     b_ii = spec.b11 if type_index == 1 else spec.b22
-    theta = levy_exponent(env, n) - n * b_ii
     gen = table.generator
-    if type_index == 1:
-        own_idx = [gen.index(j + 1, 0) for j in range(n - 1)]
-        cross_idx = [gen.index(j, 1) for j in range(n)]
-        target_idx = gen.index(n, 0)
-    else:
-        own_idx = [gen.index(0, j + 1) for j in range(n - 1)]
-        cross_idx = [gen.index(1, j) for j in range(n)]
-        target_idx = gen.index(0, n)
-
-    def integrand(s):
-        m = table.eval_vector(s)
-        acc = math.fsum(a_coef[j] * m[own_idx[j]] for j in range(n - 1))
-        acc += math.fsum(b_coef[j] * m[cross_idx[j]] for j in range(n))
-        return acc * math.exp(theta * (t - s))
-
-    conv, _ = quad(integrand, 0.0, t, epsabs=1e-9, epsrel=1e-10, limit=200)
-    x0n = table.m0[target_idx]
-    rhs = x0n * math.exp(theta * t) + conv
-    lhs = float(table.eval_vector(t)[target_idx])
+    mono = gen.index if type_index == 1 else (lambda own, cross: gen.index(cross, own))
+    size = len(gen.basis)
+    aug = np.zeros((size + 1, size + 1))
+    aug[:size, :size] = gen.matrix
+    for j in range(n - 1):
+        aug[size, mono(j + 1, 0)] += a_coef[j]
+    for j in range(n):
+        aug[size, mono(j, 1)] += b_coef[j]
+    aug[size, size] = levy_exponent(env, n) - n * b_ii
+    target_idx = mono(n, 0)
+    out = expm(aug * t) @ np.append(table.m0, table.m0[target_idx])
+    lhs, rhs = float(out[target_idx]), float(out[size])
     return lhs, rhs, abs(rhs - lhs) / max(1.0, abs(lhs))
 
 
@@ -451,46 +448,39 @@ def quenched_laplace(
     it = int(np.argmin(np.abs(grid - t)))
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
-    v = np.empty((it + 1, 2))
-    v[it] = lam
-    for m in range(it - 1, -1, -1):
-        h = grid[m + 1] - grid[m]
-        mult = math.exp(env_path.xi_increments[m])
-        phi_next = np.array(phi_eval(spec, np.maximum(v[m + 1], 0.0)))
-        const = mult * v[m + 1] - 0.5 * h * mult * phi_next
-        cur = mult * v[m + 1]
+    dxi, dt = env_path.xi_increments[None, :it], np.diff(grid[: it + 1])
+    steps = list(_backward_steps(spec, lam, dxi, dt, fp_tol, max_iter))
+    v = np.concatenate(steps[::-1] + [lam[None, :]])
+    return QuenchedLaplace(env_path, tuple(lam), float(grid[it]), grid[: it + 1], v)
+
+
+def _backward_steps(spec, lam, dxi, dt, fp_tol, max_iter):
+    """Yield v (n_paths, 2) after each backward implicit-trapezoid step, last first.
+
+    dxi: (n_paths, n_int) environment increments; dt: interval lengths.  Each
+    step solves v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v) by fixed point.
+    """
+    v = np.tile(lam, (dxi.shape[0], 1))
+    for m in range(len(dt) - 1, -1, -1):
+        h = dt[m]
+        mult = np.exp(dxi[:, m])[:, None]
+        half_phi = 0.5 * h * phi_eval_vec(spec, np.maximum(v, 0.0))
+        const = mult * (v - half_phi)
+        cur = const - mult * half_phi  # explicit Euler predictor
         for _ in range(max_iter):
-            nxt = const - 0.5 * h * np.array(phi_eval(spec, np.maximum(cur, 0.0)))
-            if np.max(np.abs(nxt - cur)) <= fp_tol * (1.0 + np.max(np.abs(nxt))):
-                cur = nxt
-                break
+            nxt = const - 0.5 * h * phi_eval_vec(spec, np.maximum(cur, 0.0))
+            done = abs(nxt - cur).max() <= fp_tol * (1.0 + abs(nxt).max())
             cur = nxt
+            if done:
+                break
         else:
             raise FixedPointDivergence("per-step fixed point did not converge; reduce the step")
         # only the nonnegative root is meaningful; a clearly negative
         # iterate means the step is too coarse for this mechanism
-        if (cur < -1e-8 * (1.0 + np.max(np.abs(cur)))).any():
+        if (cur < -1e-8 * (1.0 + abs(cur).max())).any():
             raise FixedPointDivergence("backward step produced a negative rate; reduce the step")
-        v[m] = np.maximum(cur, 0.0)
-    return QuenchedLaplace(env_path, tuple(lam), float(grid[it]), grid[: it + 1], v)
-
-
-def phi_eval_vec(spec: BranchingSpec, lam: np.ndarray) -> np.ndarray:
-    """Vectorized mechanism evaluation for (n, 2) rate arrays.
-
-    Supports atom-only jump measures (tail components need per-point
-    quadrature; use `phi_eval` for those).
-    """
-    if spec.m1.tails or spec.m2.tails:
-        raise NotImplementedError("vectorized phi supports atom-only measures")
-    l1, l2 = lam[:, 0], lam[:, 1]
-    phi1 = spec.b11 * l1 + spec.b12 * l2 + spec.c1 * l1**2
-    phi2 = spec.b21 * l1 + spec.b22 * l2 + spec.c2 * l2**2
-    for a in spec.m1.atoms:
-        phi1 = phi1 + a.mass * (np.exp(-(l1 * a.z1 + l2 * a.z2)) - 1.0 + l1 * a.z1)
-    for a in spec.m2.atoms:
-        phi2 = phi2 + a.mass * (np.exp(-(l1 * a.z1 + l2 * a.z2)) - 1.0 + l2 * a.z2)
-    return np.stack([phi1, phi2], axis=1)
+        v = np.maximum(cur, 0.0)
+        yield v
 
 
 def annealed_laplace_mc(
@@ -511,9 +501,6 @@ def annealed_laplace_mc(
     in law at grid points) and the backward equation is solved for all
     paths at once.  Returns (estimate, standard error).
     """
-    from .env import _base_grid, segment_sums
-    from ._util import fsum_mean_se
-
     lam = np.asarray(lam, dtype=float)
     rng = np.random.default_rng(seed)
     grid = _base_grid(t, step)
@@ -526,29 +513,11 @@ def annealed_laplace_mc(
     if lam_nu > 0:
         counts = rng.poisson(lam_nu * dt[None, :].repeat(n_env_paths, axis=0))
         sizes = env.nu.sample(rng, int(counts.sum()))
-        from .env import effective_jump
-
         dxi += segment_sums(effective_jump(sizes, env.trunc_level), counts.ravel()).reshape(
             n_env_paths, n_int
         )
-    v = np.tile(lam, (n_env_paths, 1))
-    for m in range(n_int - 1, -1, -1):
-        h = dt[m]
-        mult = np.exp(dxi[:, m])[:, None]
-        phi_next = phi_eval_vec(spec, np.maximum(v, 0.0))
-        const = mult * (v - 0.5 * h * phi_next)
-        cur = mult * v
-        for _ in range(max_iter):
-            nxt = const - 0.5 * h * phi_eval_vec(spec, np.maximum(cur, 0.0))
-            if np.max(np.abs(nxt - cur)) <= fp_tol * (1.0 + np.max(np.abs(nxt))):
-                cur = nxt
-                break
-            cur = nxt
-        else:
-            raise FixedPointDivergence("vectorized fixed point did not converge")
-        if (cur < -1e-8 * (1.0 + np.max(np.abs(cur)))).any():
-            raise FixedPointDivergence("backward step produced a negative rate; reduce the step")
-        v = np.maximum(cur, 0.0)
+    for v in _backward_steps(spec, lam, dxi, dt, fp_tol, max_iter):
+        pass  # only the last step, v_{0,t}, is needed
     x0 = np.asarray(x0, dtype=float)
     vals = np.exp(-(v @ x0))
     return fsum_mean_se(vals)

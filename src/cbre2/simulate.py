@@ -56,7 +56,7 @@ from .env import (
     realize_env_path,
     sample_env_skeleton,
 )
-from .errors import MassOverflow, NegativeState
+from .errors import ConfigError, MassOverflow, NegativeState
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2
 
@@ -346,6 +346,8 @@ def stream_states(
     event picks its type and jump from the shared stream, and each variant
     accepts it with u * ownmax <= own plus its own keep rule.
     """
+    if n_paths < 1:
+        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
     variants = _make_variants(env, bspec, predicates)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
@@ -446,6 +448,8 @@ def simulate_states(
     (record_times, states) with states shaped
     (n_variants, n_paths, n_records, 2).
     """
+    if n_paths < 1:
+        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
     grid, rec_idx = _batch_grid(horizon, step, record_times)
     out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
     stream = stream_states(

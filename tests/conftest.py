@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cbre2.presets import mixed_scenario
 from cbre2.simulate import scenario_states
@@ -16,3 +19,42 @@ def mixed_big_run():
     sc = mixed_scenario(n_paths=100_000, step=1e-3)
     times, states = scenario_states(sc, sc.n_paths, sc.seed, record_times=RECORD_TIMES)
     return sc, times, states[0]
+
+
+def _rem2(w):
+    """e^{-w} - 1 + w, by its Taylor series where the terms cancel."""
+    if w < 0.1:
+        return w * w * math.fsum((-w) ** k / math.factorial(k + 2) for k in range(12))
+    return math.expm1(-w) + w
+
+
+def tail_phi_quad(tail, lam, compensated):
+    """mass * E[e^{-lam Y} - 1 (+ lam Y)] over an AxisTail's magnitude Y, by quad.
+
+    Pareto magnitudes are integrated in s = log(Y / x0), split where
+    lam * Y crosses 1; exponential ones in the excess E = theta (Y - x0).
+    """
+    if lam == 0.0:
+        return 0.0
+    f = _rem2 if compensated else (lambda w: math.expm1(-w))
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+    a = tail.shape
+    if tail.family == "pareto":
+        z = lam * tail.x0
+
+        def g(s):  # beyond s = 600 the integrand is below e^{-300}
+            return f(z * math.exp(s)) * a * math.exp(-a * s) if s < 600 else 0.0
+
+        cut = max(0.0, -math.log(z))
+        total = quad(g, cut, math.inf, **opts)[0]
+        if cut > 0:
+            total += quad(g, 0.0, cut, **opts)[0]
+    else:
+        total = quad(lambda e: f(lam * (tail.x0 + e / a)) * math.exp(-e), 0.0, math.inf, **opts)[0]
+    return tail.mass * total
+
+
+@pytest.fixture(scope="session")
+def phi_reference():
+    """Quadrature reference for one axis tail's term of phi, apart from cbre2."""
+    return tail_phi_quad

@@ -1,0 +1,22 @@
+"""The demos that exercise the exact layer run to completion."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+@pytest.mark.parametrize(
+    "demo", ["04_exact_moments.py", "05_recursion_crosscheck.py", "08_quenched_laplace.py"]
+)
+def test_demo_runs(demo, tmp_path):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

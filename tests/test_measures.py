@@ -154,3 +154,26 @@ def test_invalid_components_rejected():
         AxisTail(1, "pareto", 1.0, 2.0, 0.0)  # pareto needs x0 > 0
     with pytest.raises(ValueError):
         Tail1D("cauchy", 1.0, 1.0, 1.0)
+
+
+PHI_Z = [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 0.5, 1.0, 5.0, 50.0]
+
+
+@pytest.mark.parametrize("shape", [1.5, 2.0, 2.5, 3.0, 4.5])
+@pytest.mark.parametrize("family,x0", [("pareto", 1.0), ("pareto", 0.4), ("exponential", 1.0)])
+def test_phi_integral_closed_form_against_quad(phi_reference, family, x0, shape):
+    """Own-axis (compensated) and cross-axis tail terms of phi, lam * x0 from 0 to 50."""
+    tail = AxisTail(1, family, 0.6, shape, x0)
+    measure = JumpMeasure(tails=[tail])
+    lam = np.array(PHI_Z) / x0
+    other = np.full(len(lam), 0.9)  # the off-axis rate never enters an axis tail
+    for own_axis, compensated in ((1, True), (2, False)):
+        vec = measure.phi_integral(lam, other, own_axis)
+        for k, l1 in enumerate(lam):
+            ref = phi_reference(tail, float(l1), compensated)
+            got = measure.phi_integral(float(l1), 0.9, own_axis)
+            assert isinstance(got, float)
+            # relative even where the term is tiny: that is where the series branch works
+            for val in (got, vec[k]):
+                assert abs(val - ref) <= 1e-11 * abs(ref), (own_axis, l1, val, ref)
+        assert vec[0] == 0.0  # lam = 0 exactly

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,14 +10,17 @@ from cbre2.branching import BranchingSpec, effective_drift_matrix
 from cbre2.env import LevyEnvSpec, levy_exponent, sample_env_path
 from cbre2.errors import (
     DivergentCoefficient,
+    ExponentOverflow,
     HypothesisViolated,
     RankDeficientGrid,
 )
 from cbre2.measures import Atom1D, Atom2D, AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
 from cbre2.moments import (
+    _backward_steps,
     annealed_laplace_mc,
     build_moment_generator,
     first_moment_closed_form,
+    initial_moment_vector,
     martingale_transform,
     max_feasible_degree,
     moment_table,
@@ -25,7 +29,9 @@ from cbre2.moments import (
     phi_eval_vec,
     polynomial_degree_check,
     quenched_laplace,
+    recursion_check,
     recursion_coefficients,
+    solve_moment_ode,
 )
 from cbre2.presets import laplace_scenario, mixed_scenario
 from cbre2.simulate import simulate_paths
@@ -150,6 +156,65 @@ def test_recursion_residual_mixed_small():
         for ti in (1, 2):
             for t in (0.5, 1.0):
                 assert recursion_residual(ENV, BSPEC, table, n, ti, t) < 1e-8
+
+
+def test_recursion_residual_mixed_degree6_exact_convolution():
+    """The block-exponential convolution leaves only rounding in the residual."""
+    table = moment_table(ENV, BSPEC, X0, [0.5, 1.0], 6)
+    for n in range(2, 7):
+        for ti in (1, 2):
+            for t in (0.5, 1.0):
+                lhs, rhs, res = recursion_check(ENV, BSPEC, table, n, ti, t)
+                assert res < 1e-10
+                target = table.entry(*((n, 0) if ti == 1 else (0, n)), t)
+                assert abs(lhs - target) <= 1e-11 * target
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [0.7, 0.0, 0.25, 1.0, 0.25, 0.013, 0.7, 0.5],  # unsorted, duplicated, non-uniform
+        [1.0, 0.5, 0.0],
+        [0.3],
+        np.linspace(0.0, 1.0, 1001),
+    ],
+)
+def test_grid_stepping_matches_per_point_expm(grid):
+    # per-point expm is the looser side: against 30 digits it is 1.4e-12 off
+    # at degree 4 (t = 0.78) and 1.5e-11 at degree 6 (t = 1), where grid
+    # stepping is 6e-14 and 8e-14 off; so the 1e-12 comparison runs at degree 3
+    gen = build_moment_generator(ENV, BSPEC, 3)
+    table = solve_moment_ode(gen, X0, grid)
+    m0 = initial_moment_vector(gen, X0)
+    for k, t in enumerate(np.asarray(grid)):
+        got = np.array([table.values[pq][k] for pq in gen.basis])
+        np.testing.assert_allclose(got, expm(gen.matrix * t) @ m0, rtol=1e-12, atol=0)
+
+
+def test_grid_stepping_against_high_precision():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    gen = build_moment_generator(ENV, BSPEC, 6)
+    table = solve_moment_ode(gen, X0, np.linspace(0.0, 1.0, 1001))
+    m0 = initial_moment_vector(gen, X0)
+    ref = mp.expm(mp.matrix(gen.matrix.tolist())) * mp.matrix(m0.tolist())
+    got = [table.values[pq][-1] for pq in gen.basis]
+    np.testing.assert_allclose(got, [float(x) for x in ref], rtol=1e-12, atol=0)
+
+
+def test_grid_stepping_degree7_first_moments():
+    grid = np.linspace(0.0, 1.0, 1001)
+    table = moment_table(ENV, BSPEC, X0, grid, 7)
+    for k, t in enumerate(grid):
+        ref = first_moment_closed_form(ENV, BSPEC, X0, t)
+        got = (table.values[(1, 0)][k], table.values[(0, 1)][k])
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+
+def test_moment_overflow_names_degree_and_beta():
+    gen = build_moment_generator(ENV, BSPEC, 8)
+    with pytest.raises(ExponentOverflow, match=r"degree-8 .*beta\(8\) = 1651\.7"):
+        solve_moment_ode(gen, X0, [0.0, 0.5, 1.0])
 
 
 def test_moment_table_flags_infeasible_degrees():
@@ -294,17 +359,60 @@ def test_quenched_laplace_fixed_point_divergence():
         quenched_laplace(path, BranchingSpec(c1=80.0), (2.0, 0.0), 1.0, max_iter=30)
 
 
-def test_phi_eval_vec_matches_scalar():
+def test_phi_eval_vec_matches_scalar(phi_reference):
     from cbre2.branching import phi_eval
 
     lam = np.array([[0.3, 0.7], [1.2, 0.0], [0.0, 0.0]])
     out = phi_eval_vec(BSPEC, lam)
     for k in range(len(lam)):
         assert np.allclose(out[k], phi_eval(BSPEC, lam[k]), rtol=1e-12)
-    with pytest.raises(NotImplementedError):
-        phi_eval_vec(
-            BranchingSpec(m1=JumpMeasure(tails=[AxisTail(1, "exponential", 0.5, 2.0, 0.0)])), lam
-        )
+    # tail measures evaluate too, and match an independent quadrature
+    exp_tail = AxisTail(1, "exponential", 0.5, 2.0, 0.0)
+    par_tail = AxisTail(1, "pareto", 0.5, 2.5, 1.0)
+    tails = BranchingSpec(m1=JumpMeasure(tails=[exp_tail]), m2=JumpMeasure(tails=[par_tail]))
+    out = phi_eval_vec(tails, lam)
+    for k, (l1, _) in enumerate(lam):
+        assert tuple(out[k]) == phi_eval(tails, lam[k])
+        ref = (phi_reference(exp_tail, l1, True), phi_reference(par_tail, l1, False))
+        assert np.allclose(out[k], ref, rtol=1e-11, atol=1e-14)
+
+
+def _jumpy_path(seed, horizon=1.0, step=0.01):
+    env = LevyEnvSpec(
+        a=0.1, sigma1=0.3, nu=JumpMeasure1D(atoms=[Atom1D(4.0, 0.4), Atom1D(3.0, -1.5)])
+    )
+    return sample_env_path(env, horizon, step, np.random.default_rng(seed))
+
+
+TAIL_SPEC = BranchingSpec(
+    b11=0.2, b12=-0.1, b21=-0.05, b22=0.3, c1=0.1,
+    m1=JumpMeasure(atoms=[Atom2D(0.5, 0.4, 0.25)]),
+    m2=JumpMeasure(atoms=[Atom2D(0.3, 0.3, 0.5)], tails=[AxisTail(1, "pareto", 0.5, 2.5, 1.0)]),
+)
+
+
+def test_quenched_laplace_is_the_shared_solver_on_one_path():
+    path = _jumpy_path(4)
+    assert len(path.grid) > 105 and path.big_jump_marks  # several jumps, some large
+    lam = np.array([0.7, 0.4])
+    ql = quenched_laplace(path, TAIL_SPEC, lam, 1.0)
+    steps = _backward_steps(
+        TAIL_SPEC, lam, path.xi_increments[None, :], np.diff(path.grid), 1e-13, 100
+    )
+    shared = np.concatenate(list(steps)[::-1])
+    np.testing.assert_allclose(ql.v[:-1], shared, rtol=1e-15, atol=0)
+    assert tuple(ql.v[-1]) == (0.7, 0.4)
+
+
+def test_backward_solver_batches_paths():
+    """Solving paths together agrees with solving each alone (shared grid)."""
+    env = LevyEnvSpec(a=0.1, sigma1=0.3)
+    paths = [sample_env_path(env, 0.5, 0.01, np.random.default_rng(s)) for s in range(4)]
+    lam = np.array([0.9, 0.2])
+    dxi = np.stack([p.xi_increments for p in paths])
+    *_, v0 = _backward_steps(TAIL_SPEC, lam, dxi, np.diff(paths[0].grid), 1e-13, 100)
+    for k, p in enumerate(paths):
+        np.testing.assert_allclose(v0[k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
 
 
 def test_annealed_laplace_matches_quenched_average():

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import warnings
 
 import pytest
 
@@ -130,6 +132,31 @@ def test_cli_moments_csv_contract(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 11  # five monomials, eleven times
     row0 = lines[1].split(",")
     assert row0[:3] == ["0", "1", "0"] and float(row0[3]) == 1.5
+
+
+def test_cli_moments_overflow_names_degree_and_beta(tmp_path, capsys):
+    """beta(8) ~ 1652 sends degree-8 moments of mixed.json past the float range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail here
+        rc = main(["moments", "--config", _scen("mixed.json"), "--out", str(tmp_path), "--n", "8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ExponentOverflow" in err and "degree-8" in err and "beta(8) = 1651.7" in err
+
+
+def test_cli_laplace_on_tail_config(tmp_path, capsys):
+    """The annealed average runs on a Pareto-tail mechanism and agrees with direct MC."""
+    with open(_scen("pareto.json")) as f:
+        cfg = json.load(f)
+    cfg["laplace"] = {"lambda": [0.7, 0.4], "t": 0.5}
+    path = tmp_path / "pareto_laplace.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["laplace", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    z = float(re.search(r"z = ([-+]?[0-9.]+)", capsys.readouterr().out).group(1))
+    assert abs(z) < 4
+    last = (tmp_path / "out" / "laplace.csv").read_text().splitlines()[-1]
+    assert last == "0.5,0.7,0.4"
 
 
 def test_cli_recursion_check_pass(tmp_path, capsys):

@@ -5,13 +5,15 @@ import pytest
 
 from cbre2.branching import BranchingSpec
 from cbre2.env import LevyEnvSpec
-from cbre2.errors import MassOverflow
+from cbre2.errors import ConfigError, MassOverflow
 from cbre2.measures import Atom1D, JumpMeasure1D
 from cbre2.moments import first_moment_closed_form
 from cbre2.presets import coupling_scenario, mixed_scenario
 from cbre2.scenario import ScenarioConfig
 from cbre2.simulate import (
     scenario_states,
+    scenario_stream,
+    simulate_states,
     simulate_coupled_pair,
     simulate_paths,
 )
@@ -248,3 +250,17 @@ def test_environment_only_moments_at_off_grid_times():
             target = x0**n * math.exp(beta * t)
             se = x.std(axis=0, ddof=1) / math.sqrt(len(x))
             assert (np.abs(x.mean(axis=0) - target) <= 4 * se).all(), (n, t)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_batch_engine_rejects_empty_path_count(n_paths):
+    sc = mixed_scenario(n_paths=0)
+    with pytest.raises(ConfigError, match="n_paths"):
+        scenario_states(sc, n_paths, 0)
+    with pytest.raises(ConfigError, match="n_paths"):
+        next(scenario_stream(sc, n_paths, 0))
+    with pytest.raises(ConfigError, match="n_paths"):
+        simulate_states(
+            sc.environment, sc.branching, sc.x0, sc.horizon, sc.step, n_paths,
+            np.random.default_rng(0),
+        )
