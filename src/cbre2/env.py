@@ -41,10 +41,6 @@ class LevyEnvSpec:
         if not (self.trunc_level >= 1.0):
             raise ValueError("trunc_level must be >= 1 (or inf)")
 
-    @property
-    def is_deterministic(self) -> bool:
-        return self.sigma1 == 0.0 and self.nu.is_zero
-
     def driver_drift(self) -> float:
         """Drift of the multiplicative driver L implied by the xi drift a."""
         return self.a + 0.5 * self.sigma1**2 + self.nu.small_exp_integral(1.0)
@@ -104,9 +100,6 @@ class EnvPath:
         out[0] = 0.0
         np.cumsum(self.xi_increments, out=out[1:])
         return out
-
-    def multipliers(self) -> np.ndarray:
-        return np.exp(self.xi_increments)
 
 
 @dataclass
@@ -205,17 +198,54 @@ def sample_env_path(
     return realize_env_path(spec, skel)
 
 
-def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum `values` into len(counts) groups of the given sizes."""
-    out = np.zeros(len(counts))
-    if values.size == 0:
-        return out
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    nonzero = counts > 0
-    if nonzero.any():
-        sums = np.add.reduceat(values, offsets[nonzero])
-        out[nonzero] = sums
-    return out
+def env_increments(
+    spec: LevyEnvSpec,
+    grid: np.ndarray,
+    step: float,
+    n_paths: int,
+    rng: np.random.Generator,
+    clips,
+):
+    """Yield, per interval of `grid`, the increments of xi at each level in `clips`.
+
+    An increment is an (n_paths,) array, or a float when it is equal on every
+    path.  The Gaussian part is drawn per interval.  Jumps are drawn per path
+    once per window of floor(1 / (lambda * step)) intervals, after the window's
+    first Gaussian, with uniform times, which makes the per-interval counts
+    exactly Poisson; they are bucketed by interval with one sort, so memory
+    stays O(n_paths).  Jumps above a level are clipped as in `effective_jump`.
+    """
+    n_int = len(grid) - 1
+    lam = spec.nu.total_mass()
+    drift = spec.a - spec.nu.mean_small()
+    width = max(1, min(n_int, math.floor(1.0 / (lam * step)))) if lam > 0 else n_int
+    for m in range(n_int):
+        h = grid[m + 1] - grid[m]
+        dxi = drift * h
+        if spec.sigma1 > 0:
+            dxi = dxi + spec.sigma1 * math.sqrt(h) * rng.standard_normal(n_paths)
+        if lam > 0 and m % width == 0:
+            m0, m1 = m, min(m + width, n_int)
+            t0, t1 = grid[m0], grid[m1]
+            counts = rng.poisson(lam * (t1 - t0), n_paths)
+            n = int(counts.sum())
+            times = t0 + (t1 - t0) * rng.random(n)
+            sizes = spec.nu.sample(rng, n)
+            interval = np.clip(np.searchsorted(grid, times, side="right") - 1, m0, m1 - 1)
+            order = np.argsort(interval, kind="stable")
+            paths = np.repeat(np.arange(n_paths), counts)[order]
+            sizes = sizes[order]
+            bounds = np.searchsorted(interval[order], np.arange(m0, m1 + 1))
+        lo, hi = (bounds[m - m0], bounds[m - m0 + 1]) if lam > 0 else (0, 0)
+        if lo == hi:
+            yield [dxi] * len(clips)
+            continue
+        out = []
+        for clip in clips:
+            d = dxi + np.zeros(n_paths)
+            np.add.at(d, paths[lo:hi], effective_jump(sizes[lo:hi], clip))
+            out.append(d)
+        yield out
 
 
 def sample_xi_terminal(
@@ -226,14 +256,8 @@ def sample_xi_terminal(
     jump_cap: float = DEFAULT_JUMP_CAP,
 ) -> np.ndarray:
     """Vectorized exact-in-law sample of xi(horizon) for many paths."""
-    lam = spec.nu.total_mass()
-    if lam * horizon > jump_cap:
+    if spec.nu.total_mass() * horizon > jump_cap:
         raise MassOverflow("expected environment jump count exceeds cap")
-    xi = np.full(n_paths, (spec.a - spec.nu.mean_small()) * horizon)
-    if spec.sigma1 > 0:
-        xi += spec.sigma1 * math.sqrt(horizon) * rng.standard_normal(n_paths)
-    if lam > 0:
-        counts = rng.poisson(lam * horizon, n_paths)
-        sizes = spec.nu.sample(rng, int(counts.sum()))
-        xi += segment_sums(effective_jump(sizes, spec.trunc_level), counts)
-    return xi
+    grid = np.array([0.0, horizon])
+    (xi,) = next(env_increments(spec, grid, horizon, n_paths, rng, [spec.trunc_level]))
+    return xi + np.zeros(n_paths)

@@ -18,9 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .branching import BranchingSpec, effective_drift_matrix, phi_eval_vec
-from .env import (
-    EnvPath, LevyEnvSpec, _base_grid, beta_tilde, effective_jump, levy_exponent, segment_sums
-)
+from .env import EnvPath, LevyEnvSpec, _base_grid, beta_tilde, env_increments, levy_exponent
 from .errors import (
     DivergentCoefficient,
     DivergentExponent,
@@ -448,22 +446,23 @@ def quenched_laplace(
     it = int(np.argmin(np.abs(grid - t)))
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
-    dxi, dt = env_path.xi_increments[None, :it], np.diff(grid[: it + 1])
-    steps = list(_backward_steps(spec, lam, dxi, dt, fp_tol, max_iter))
+    dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
+    steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), fp_tol, max_iter))
     v = np.concatenate(steps[::-1] + [lam[None, :]])
     return QuenchedLaplace(env_path, tuple(lam), float(grid[it]), grid[: it + 1], v)
 
 
-def _backward_steps(spec, lam, dxi, dt, fp_tol, max_iter):
-    """Yield v (n_paths, 2) after each backward implicit-trapezoid step, last first.
+def _backward_steps(spec, lam, steps, fp_tol, max_iter):
+    """Yield v (n_paths, 2) after each backward implicit-trapezoid step.
 
-    dxi: (n_paths, n_int) environment increments; dt: interval lengths.  Each
-    step solves v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v) by fixed point.
+    steps: (h, dxi) per interval, last interval first, where dxi holds the
+    environment increments of the n_paths paths (or one float for all).
+    Each step solves v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v)
+    by fixed point, starting from v = lam.
     """
-    v = np.tile(lam, (dxi.shape[0], 1))
-    for m in range(len(dt) - 1, -1, -1):
-        h = dt[m]
-        mult = np.exp(dxi[:, m])[:, None]
+    v = np.asarray(lam, dtype=float)[None, :]
+    for h, dxi in steps:
+        mult = np.exp(dxi).reshape(-1, 1)
         half_phi = 0.5 * h * phi_eval_vec(spec, np.maximum(v, 0.0))
         const = mult * (v - half_phi)
         cur = const - mult * half_phi  # explicit Euler predictor
@@ -497,27 +496,17 @@ def annealed_laplace_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E exp(-<x0, v_{0,t}>) over environment paths.
 
-    Environment increments are aggregated per base-grid interval (exact
-    in law at grid points) and the backward equation is solved for all
-    paths at once.  Returns (estimate, standard error).
+    The environment increments come from `env_increments` on the base
+    grid reflected in t, so the backward solve meets the intervals last
+    first; the increments are stationary, so this is exact in law, and
+    all paths are solved at once in O(n_env_paths) memory.  Returns
+    (estimate, standard error).
     """
-    lam = np.asarray(lam, dtype=float)
     rng = np.random.default_rng(seed)
-    grid = _base_grid(t, step)
-    n_int = len(grid) - 1
-    dt = np.diff(grid)
-    dxi = (env.a - env.nu.mean_small()) * dt[None, :].repeat(n_env_paths, axis=0)
-    if env.sigma1 > 0:
-        dxi += env.sigma1 * np.sqrt(dt)[None, :] * rng.standard_normal((n_env_paths, n_int))
-    lam_nu = env.nu.total_mass()
-    if lam_nu > 0:
-        counts = rng.poisson(lam_nu * dt[None, :].repeat(n_env_paths, axis=0))
-        sizes = env.nu.sample(rng, int(counts.sum()))
-        dxi += segment_sums(effective_jump(sizes, env.trunc_level), counts.ravel()).reshape(
-            n_env_paths, n_int
-        )
-    for v in _backward_steps(spec, lam, dxi, dt, fp_tol, max_iter):
+    grid = t - _base_grid(t, step)[::-1]
+    incs = env_increments(env, grid, step, n_env_paths, rng, [env.trunc_level])
+    steps = ((h, dxi) for h, (dxi,) in zip(np.diff(grid), incs))
+    for v in _backward_steps(spec, lam, steps, fp_tol, max_iter):
         pass  # only the last step, v_{0,t}, is needed
-    x0 = np.asarray(x0, dtype=float)
-    vals = np.exp(-(v @ x0))
-    return fsum_mean_se(vals)
+    vals = np.exp(-(v @ np.asarray(x0, dtype=float)))
+    return fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic

@@ -1,18 +1,19 @@
 """Bundled reference scenarios used by the demos, tests and CLI configs.
 
-The coupling scenario is constructed so that truncation only removes
-jumps whose compensated coordinate is zero: the kept-region compensator
-moments then agree across truncation levels and the pathwise ordering of
-coupled variants is exact for the discrete scheme (see simulate module
-notes).
+Each scenario is defined once, by its JSON file in `SCENARIO_DIR`; the
+functions here load it and override the path count and step.
 """
 
 from __future__ import annotations
 
-from .branching import BranchingSpec
+import os
+from dataclasses import replace
+
 from .env import LevyEnvSpec
-from .measures import Atom1D, Atom2D, AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
-from .scenario import OutputSpec, ScenarioConfig
+from .measures import Atom1D, JumpMeasure1D
+from .scenario import ScenarioConfig, load_scenario
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
 
 
 def env_drift_spec() -> LevyEnvSpec:
@@ -27,87 +28,28 @@ def env_brownian_atom_spec() -> LevyEnvSpec:
     return LevyEnvSpec(a=0.1, sigma1=0.5, nu=JumpMeasure1D(atoms=[Atom1D(0.5, 0.4)]))
 
 
-def _mixed_env() -> LevyEnvSpec:
-    return LevyEnvSpec(
-        a=0.1,
-        sigma1=0.2,
-        nu=JumpMeasure1D(
-            atoms=[Atom1D(0.3, 0.4), Atom1D(0.2, -0.5), Atom1D(0.05, 1.3)]
-        ),
-    )
-
-
-def _mixed_branching() -> BranchingSpec:
-    return BranchingSpec(
-        b11=0.3,
-        b12=-0.2,
-        b21=-0.1,
-        b22=0.4,
-        c1=0.15,
-        c2=0.1,
-        m1=JumpMeasure(atoms=[Atom2D(0.4, 0.3, 0.2), Atom2D(0.1, 1.2, 0.5)]),
-        m2=JumpMeasure(atoms=[Atom2D(0.5, 0.25, 0.5), Atom2D(0.08, 0.4, 1.1)]),
-    )
+def _bundled(name: str, n_paths: int, step: float) -> ScenarioConfig:
+    """The scenario in `<name>.json`, with its path count and step replaced."""
+    sc = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    return replace(sc, n_paths=n_paths, step=step)
 
 
 def mixed_scenario(n_paths: int = 100_000, step: float = 1e-3) -> ScenarioConfig:
     """Environment and branching both active; all moments finite (atoms only)."""
-    return ScenarioConfig(
-        environment=_mixed_env(),
-        branching=_mixed_branching(),
-        x0=(1.5, 2.5),
-        horizon=1.0,
-        step=step,
-        n_paths=n_paths,
-        seed=20240811,
-        moment_degree=2,
-        name="mixed",
-    )
+    return _bundled("mixed", n_paths, step)
 
 
 def env_only_scenario(n_paths: int = 50_000, step: float = 1e-3) -> ScenarioConfig:
-    return ScenarioConfig(
-        environment=_mixed_env(),
-        branching=BranchingSpec(),
-        x0=(1.5, 2.5),
-        horizon=1.0,
-        step=step,
-        n_paths=n_paths,
-        seed=7021,
-        moment_degree=2,
-        name="env_only",
-    )
+    return _bundled("env_only", n_paths, step)
 
 
 def branching_only_scenario(n_paths: int = 50_000, step: float = 1e-3) -> ScenarioConfig:
-    return ScenarioConfig(
-        environment=LevyEnvSpec(),
-        branching=_mixed_branching(),
-        x0=(1.5, 2.5),
-        horizon=1.0,
-        step=step,
-        n_paths=n_paths,
-        seed=7022,
-        moment_degree=2,
-        name="branching_only",
-    )
+    return _bundled("branching_only", n_paths, step)
 
 
 def feller_scenario(n_paths: int = 20_000, step: float = 1e-3) -> ScenarioConfig:
     """Single-type square-root diffusion: the classical analytic test case."""
-    return ScenarioConfig(
-        environment=LevyEnvSpec(),
-        branching=BranchingSpec(c1=0.6),
-        x0=(1.4, 0.0),
-        horizon=1.0,
-        step=step,
-        n_paths=n_paths,
-        seed=7023,
-        moment_degree=2,
-        laplace_lambda=(1.0, 0.0),
-        laplace_t=1.0,
-        name="feller",
-    )
+    return _bundled("feller", n_paths, step)
 
 
 def coupling_scenario(n_paths: int = 10_000, step: float = 0.01) -> ScenarioConfig:
@@ -117,108 +59,19 @@ def coupling_scenario(n_paths: int = 10_000, step: float = 0.01) -> ScenarioConf
     compensated coordinate, so truncation at 2 vs 5 leaves the drift
     correction untouched and the coupled ordering is exact pathwise.
     """
-    return ScenarioConfig(
-        environment=LevyEnvSpec(
-            a=0.05,
-            sigma1=0.1,
-            nu=JumpMeasure1D(atoms=[Atom1D(0.4, 0.6), Atom1D(0.3, -0.8), Atom1D(0.1, 1.4)]),
-        ),
-        branching=BranchingSpec(
-            b11=0.2,
-            b12=-0.15,
-            b21=-0.1,
-            b22=0.25,
-            m1=JumpMeasure(atoms=[Atom2D(0.6, 0.5, 0.4), Atom2D(0.25, 0.0, 2.4)]),
-            m2=JumpMeasure(atoms=[Atom2D(0.5, 0.3, 0.3), Atom2D(0.3, 3.0, 0.0)]),
-        ),
-        x0=(1.0, 1.2),
-        horizon=1.0,
-        step=step,
-        n_paths=n_paths,
-        seed=7024,
-        coupling_k=(2.0, 5.0),
-        name="coupling",
-    )
+    return _bundled("coupling", n_paths, step)
 
 
 def pareto_scenario(n_paths: int = 10_000, step: float = 2e-3) -> ScenarioConfig:
     """Heavy-tailed cross jumps (Pareto index 2.5) for truncation convergence."""
-    return ScenarioConfig(
-        environment=LevyEnvSpec(a=0.0, sigma1=0.1, nu=JumpMeasure1D(atoms=[Atom1D(0.3, 0.5)])),
-        branching=BranchingSpec(
-            b11=0.2,
-            b12=-0.1,
-            b21=-0.05,
-            b22=0.3,
-            m1=JumpMeasure(atoms=[Atom2D(0.5, 0.4, 0.25)]),
-            m2=JumpMeasure(
-                atoms=[Atom2D(0.3, 0.3, 0.5)],
-                tails=[AxisTail(1, "pareto", 0.5, 2.5, 1.0)],
-            ),
-        ),
-        x0=(1.0, 1.0),
-        horizon=1.0,
-        step=step,
-        n_paths=n_paths,
-        seed=7025,
-        moment_degree=1,
-        coupling_k=(2.0, 5.0),
-        trunc_k_list=(2.0, 4.0, 8.0, 16.0),
-        name="pareto",
-    )
+    return _bundled("pareto", n_paths, step)
 
 
 def verify_scenario(n_paths: int = 20_000, step: float = 2e-3) -> ScenarioConfig:
     """Default target of the `verify` subcommand: every report is nontrivial."""
-    sc = pareto_scenario(n_paths=n_paths, step=step)
-    return ScenarioConfig(
-        **{
-            **sc.__dict__,
-            "name": "verify",
-            "seed": 7030,
-            "output": OutputSpec(directory="out", formats=("csv",), dump_paths=3),
-        }
-    )
+    return _bundled("verify", n_paths, step)
 
 
 def laplace_scenario(n_paths: int = 10_000, step: float = 2e-3) -> ScenarioConfig:
     """Moderate mixed scenario for the quenched/annealed transform identity."""
-    return ScenarioConfig(
-        environment=LevyEnvSpec(
-            a=0.05, sigma1=0.25, nu=JumpMeasure1D(atoms=[Atom1D(0.4, 0.5), Atom1D(0.2, -0.6)])
-        ),
-        branching=BranchingSpec(
-            b11=0.25,
-            b12=-0.1,
-            b21=-0.05,
-            b22=0.3,
-            c1=0.3,
-            c2=0.2,
-            m1=JumpMeasure(atoms=[Atom2D(0.4, 0.35, 0.2)]),
-            m2=JumpMeasure(atoms=[Atom2D(0.3, 0.2, 0.45)]),
-        ),
-        x0=(1.0, 1.0),
-        horizon=0.5,
-        step=step,
-        n_paths=n_paths,
-        seed=7026,
-        laplace_lambda=(0.7, 0.4),
-        laplace_t=0.5,
-        name="laplace",
-    )
-
-
-def env_tail_scenario() -> ScenarioConfig:
-    """Environment with an exponential positive tail (for f-moment demos)."""
-    return ScenarioConfig(
-        environment=LevyEnvSpec(
-            a=0.0, sigma1=0.1, nu=JumpMeasure1D(tails=[Tail1D("exponential", 0.4, 3.0, 1.0)])
-        ),
-        branching=_mixed_branching(),
-        x0=(1.0, 1.0),
-        horizon=1.0,
-        step=2e-3,
-        n_paths=5_000,
-        seed=7027,
-        name="env_tail",
-    )
+    return _bundled("laplace", n_paths, step)

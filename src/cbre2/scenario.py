@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import fmoment
 from .branching import BranchingSpec
 from .env import LevyEnvSpec
-from .errors import ConfigError
+from .errors import Cbre2Error, ConfigError
 from .measures import (
     Atom1D,
     Atom2D,
@@ -37,7 +38,6 @@ from .truncation import (
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
-    formats: tuple = ("csv",)
     dump_paths: int = 5
 
 
@@ -63,14 +63,12 @@ class ScenarioConfig:
 
     def with_overrides(self, seed=None, n_paths=None, out_dir=None, moment_degree=None):
         sc = self
-        if seed is not None:
-            sc = replace(sc, seed=int(seed))
-        if n_paths is not None:
-            if not _is_path_count(n_paths):
-                raise ConfigError(f"n_paths (--paths): expected an integer >= 1, got {n_paths!r}")
-            sc = replace(sc, n_paths=n_paths)
-        if moment_degree is not None:
-            sc = replace(sc, moment_degree=int(moment_degree))
+        for key, flag, val, low in (("seed", "--seed", seed, 0), ("n_paths", "--paths", n_paths, 1),
+                                    ("moment_degree", "--n", moment_degree, 1)):
+            if val is not None:
+                if not _is_int_at_least(val, low):
+                    raise ConfigError(f"{key} ({flag}): expected an integer >= {low}, got {val!r}")
+                sc = replace(sc, **{key: val})
         if out_dir is not None:
             sc = replace(sc, output=replace(sc.output, directory=str(out_dir)))
         return sc
@@ -117,23 +115,56 @@ def _need(ctx, d, key, kind=None):
     return val
 
 
-def _num(ctx, d, key, default=None):
-    if key not in d:
-        if default is None:
-            ctx.push(key)
-            raise ctx.err("missing required key")
-        return default
-    val = d[key]
-    if isinstance(val, str) and val in ("inf", "Infinity"):
+def _real(ctx, key, val, finite=True):
+    """A JSON number as a float; never NaN, and infinite ("inf") only if not `finite`."""
+    if not finite and val in ("inf", "Infinity", math.inf):
         return math.inf
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    # NaN, infinities and integers beyond the float range all fail the bound
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
         ctx.push(key)
-        raise ctx.err("expected a number")
+        raise ctx.err(f"expected a {'finite ' if finite else ''}number, got {val!r}")
     return float(val)
 
 
-def _is_path_count(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+def _num(ctx, d, key, default=None, finite=True):
+    if key not in d and default is not None:
+        return default
+    return _real(ctx, key, _need(ctx, d, key), finite)
+
+
+def _is_int_at_least(val, low: int) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= low
+
+
+def _int(ctx, d, key, default, low):
+    val = d.get(key, default)
+    if not _is_int_at_least(val, low):
+        ctx.push(key)
+        raise ctx.err(f"expected an integer >= {low}, got {val!r}")
+    return val
+
+
+def _obj(ctx, d, key, required=False):
+    """The object under `key`; unless required, absent or null reads as {}."""
+    val = d.get(key)
+    if val is None and not required:
+        return {}
+    if not isinstance(val, dict):
+        ctx.push(key)
+        raise ctx.err("missing required object" if val is None else "expected an object")
+    return val
+
+
+def _pair(ctx, key, val, what, nonneg=False):
+    """Two finite numbers (nonnegative if asked) at `key`, as a tuple."""
+    ctx.push(key)
+    if not (isinstance(val, list) and len(val) == 2):
+        raise ctx.err(f"expected {what}")
+    pair = tuple(_real(ctx, f"[{i}]", v) for i, v in enumerate(val))
+    if nonneg and min(pair) < 0:
+        raise ctx.err(f"expected nonnegative {what}")
+    ctx.pop()
+    return pair
 
 
 def _caps(ctx, ver, key, count=None):
@@ -144,74 +175,63 @@ def _caps(ctx, ver, key, count=None):
     caps = ver[key]
     if not isinstance(caps, list) or not caps or (count is not None and len(caps) != count):
         raise ctx.err(f"expected a list of {count or 'one or more'} positive finite numbers")
-    for k in caps:
-        if isinstance(k, bool) or not isinstance(k, (int, float)) or not (0 < k < math.inf):
-            raise ctx.err(f"expected positive finite numbers, got {k!r}")
+    out = tuple(_real(ctx, f"[{i}]", k) for i, k in enumerate(caps))
+    if min(out) <= 0:
+        raise ctx.err(f"expected positive finite numbers, got {caps!r}")
     ctx.pop()
-    return tuple(float(k) for k in caps)
+    return out
 
 
-def _component_1d(ctx, d):
+def _component(ctx, d, planar):
+    """One jump component: an atom or a tail (on an axis when `planar`, else on a side)."""
     kind = _need(ctx, d, "kind", str)
+    if kind == "atom":
+        if planar:
+            return Atom2D(_num(ctx, d, "mass"), *_pair(ctx, "z", _need(ctx, d, "z"), "[z1, z2]"))
+        return Atom1D(_num(ctx, d, "mass"), _num(ctx, d, "z"))
+    if kind not in ("exponential", "pareto"):
+        ctx.push("kind")
+        raise ctx.err(f"unknown component kind {kind!r}")
+    shape = _num(ctx, d, "rate" if kind == "exponential" else "alpha")
+    mass = _num(ctx, d, "mass")
+    x0 = _num(ctx, d, "x0", 0.0 if kind == "exponential" else None)
+    if planar:
+        axis = d.get("axis")
+        if isinstance(axis, bool) or axis not in (1, 2):
+            ctx.push("axis")
+            raise ctx.err("axis must be 1 or 2")
+        return AxisTail(axis, kind, mass, shape, x0)
     try:
-        if kind == "atom":
-            return Atom1D(_num(ctx, d, "mass"), _num(ctx, d, "z"))
-        if kind in ("exponential", "pareto"):
-            shape = _num(ctx, d, "rate" if kind == "exponential" else "alpha")
-            side = {"+": 1, "-": -1, 1: 1, -1: -1}.get(d.get("side", "+"))
-            if side is None:
-                ctx.push("side")
-                raise ctx.err("side must be '+' or '-'")
-            return Tail1D(kind, _num(ctx, d, "mass"), shape, _num(ctx, d, "x0", 0.0 if kind == "exponential" else None), side)
-    except ValueError as e:
-        raise ctx.err(str(e)) from e
-    ctx.push("kind")
-    raise ctx.err(f"unknown component kind {kind!r}")
+        side = {"+": 1, "-": -1, 1: 1, -1: -1}[d.get("side", "+")]
+    except (KeyError, TypeError):
+        ctx.push("side")
+        raise ctx.err("side must be '+' or '-'") from None
+    return Tail1D(kind, mass, shape, x0, side)
 
 
-def _component_2d(ctx, d):
-    kind = _need(ctx, d, "kind", str)
-    try:
-        if kind == "atom":
-            z = _need(ctx, d, "z", list)
-            if len(z) != 2:
-                ctx.push("z")
-                raise ctx.err("expected [z1, z2]")
-            return Atom2D(_num(ctx, d, "mass"), float(z[0]), float(z[1]))
-        if kind in ("exponential", "pareto"):
-            axis = d.get("axis")
-            if axis not in (1, 2):
-                ctx.push("axis")
-                raise ctx.err("axis must be 1 or 2")
-            shape = _num(ctx, d, "rate" if kind == "exponential" else "alpha")
-            return AxisTail(axis, kind, _num(ctx, d, "mass"), shape, _num(ctx, d, "x0", 0.0 if kind == "exponential" else None))
-    except ValueError as e:
-        raise ctx.err(str(e)) from e
-    ctx.push("kind")
-    raise ctx.err(f"unknown component kind {kind!r}")
-
-
-def _measure_1d(ctx, lst):
+def _measure(ctx, d, key, planar):
+    """The jump measure listed under `key` (absent reads as empty)."""
+    ctx.push(key)
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        raise ctx.err("expected a list of jump components")
     atoms, tails = [], []
-    for i, item in enumerate(lst):
+    for i, item in enumerate(items):
         ctx.push(f"[{i}]")
-        comp = _component_1d(ctx, item)
-        (atoms if isinstance(comp, Atom1D) else tails).append(comp)
-        ctx.pop()
-    return JumpMeasure1D(atoms, tails)
-
-
-def _measure_2d(ctx, lst):
-    atoms, tails = [], []
-    for i, item in enumerate(lst):
-        ctx.push(f"[{i}]")
-        comp = _component_2d(ctx, item)
-        (atoms if isinstance(comp, Atom2D) else tails).append(comp)
+        if not isinstance(item, dict):
+            raise ctx.err("expected an object")
+        try:
+            comp = _component(ctx, item, planar)
+        except ValueError as e:
+            raise ctx.err(str(e)) from e
+        (tails if isinstance(comp, (Tail1D, AxisTail)) else atoms).append(comp)
         ctx.pop()
     try:
-        return JumpMeasure(atoms, tails)
-    except Exception as e:
+        measure = (JumpMeasure if planar else JumpMeasure1D)(atoms, tails)
+    except (ArithmeticError, Cbre2Error) as e:  # mass overflow, divergent first moments
         raise ctx.err(str(e)) from e
+    ctx.pop()
+    return measure
 
 
 def _rule(ctx, val) -> BranchingRule:
@@ -226,7 +246,7 @@ def _rule(ctx, val) -> BranchingRule:
         if kind == "unit_square":
             return BranchingRule(UNIT_SQUARE)
         if kind == "norm_cap":
-            return BranchingRule(NORM_CAP, _num(ctx, val, "k"))
+            return BranchingRule(NORM_CAP, _num(ctx, val, "k", finite=False))
     raise ctx.err(f"unknown branching rule {val!r}")
 
 
@@ -234,7 +254,7 @@ def _env_rule(ctx, val) -> float:
     if val in (None, "none"):
         return math.inf
     if isinstance(val, dict) and val.get("kind") == "clip_positive":
-        return _num(ctx, val, "k")
+        return _num(ctx, val, "k", finite=False)
     raise ctx.err(f"unknown env rule {val!r}")
 
 
@@ -258,54 +278,47 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
     if not isinstance(data, dict):
         raise ctx.err("config root must be an object")
 
-    envd = data.get("environment")
-    if not isinstance(envd, dict):
-        ctx.push("environment")
-        raise ctx.err("missing required object")
+    envd = _obj(ctx, data, "environment", required=True)
     ctx.push("environment")
-    ctx.push("nu")
-    nu = _measure_1d(ctx, envd.get("nu", []))
-    ctx.pop()
+    nu = _measure(ctx, envd, "nu", planar=False)
     try:
         env = LevyEnvSpec(
             a=_num(ctx, envd, "a", 0.0),
             sigma1=_num(ctx, envd, "sigma1", 0.0),
             nu=nu,
-            trunc_level=_num(ctx, envd, "trunc_level", math.inf),
+            trunc_level=_num(ctx, envd, "trunc_level", math.inf, finite=False),
         )
     except ValueError as e:
         raise ctx.err(str(e)) from e
     ctx.pop()
 
+    trd = _obj(ctx, data, "truncation")
     ctx.push("truncation")
-    trd = data.get("truncation", {}) or {}
-    pred = TruncationPredicate(
-        branching=_rule(ctx, trd.get("branching_rule", "none")),
-        env_clip=_env_rule(ctx, trd.get("env_rule", "none")),
-    )
+    try:
+        pred = TruncationPredicate(
+            branching=_rule(ctx, trd.get("branching_rule", "none")),
+            env_clip=_env_rule(ctx, trd.get("env_rule", "none")),
+        )
+    except ValueError as e:
+        raise ctx.err(str(e)) from e
     ctx.pop()
 
-    brd = data.get("branching")
-    if not isinstance(brd, dict):
-        ctx.push("branching")
-        raise ctx.err("missing required object")
+    brd = _obj(ctx, data, "branching", required=True)
     ctx.push("branching")
     b = brd.get("b", [[0.0, 0.0], [0.0, 0.0]])
-    if not (isinstance(b, list) and len(b) == 2 and all(len(r) == 2 for r in b)):
-        ctx.push("b")
+    ctx.push("b")
+    if not (isinstance(b, list) and len(b) == 2):
         raise ctx.err("expected a 2x2 matrix [[b11,b12],[b21,b22]]")
-    ctx.push("m1")
-    m1 = _measure_2d(ctx, brd.get("m1", []))
+    (b11, b12), (b21, b22) = (_pair(ctx, f"[{i}]", row, "a row [bi1, bi2]") for i, row in enumerate(b))
     ctx.pop()
-    ctx.push("m2")
-    m2 = _measure_2d(ctx, brd.get("m2", []))
-    ctx.pop()
+    m1 = _measure(ctx, brd, "m1", planar=True)
+    m2 = _measure(ctx, brd, "m2", planar=True)
     try:
         branching = BranchingSpec(
-            b11=float(b[0][0]),
-            b12=float(b[0][1]),
-            b21=float(b[1][0]),
-            b22=float(b[1][1]),
+            b11=b11,
+            b12=b12,
+            b21=b21,
+            b22=b22,
             c1=_num(ctx, brd, "c1", 0.0),
             c2=_num(ctx, brd, "c2", 0.0),
             m1=m1,
@@ -316,13 +329,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
         raise ctx.err(str(e)) from e
     ctx.pop()
 
-    x0 = data.get("x0")
-    if not (isinstance(x0, list) and len(x0) == 2):
-        ctx.push("x0")
-        raise ctx.err("expected [x1, x2]")
-    if x0[0] < 0 or x0[1] < 0:
-        ctx.push("x0")
-        raise ctx.err("initial state must be nonnegative")
+    x0 = _pair(ctx, "x0", data.get("x0"), "[x1, x2]", nonneg=True)
 
     horizon = _num(ctx, data, "horizon")
     step = _num(ctx, data, "step")
@@ -333,36 +340,33 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
         ctx.push("step")
         raise ctx.err("must satisfy 0 < step <= horizon")
 
-    out = data.get("output", {}) or {}
+    out = _obj(ctx, data, "output")
+    ctx.push("output")
     output = OutputSpec(
-        directory=str(out.get("directory", "out")),
-        formats=tuple(out.get("formats", ["csv"])),
-        dump_paths=int(out.get("dump_paths", 5)),
+        directory=_need(ctx, out, "directory", str) if "directory" in out else "out",
+        dump_paths=_int(ctx, out, "dump_paths", 5, 0),
     )
+    ctx.pop()
 
-    lap = data.get("laplace")
-    lam = t_lap = None
-    if lap is not None:
+    lam = t_lap = fm_fn = None
+    if data.get("laplace") is not None:
+        lap = _obj(ctx, data, "laplace")
         ctx.push("laplace")
-        lamv = _need(ctx, lap, "lambda", list)
-        if len(lamv) != 2 or lamv[0] < 0 or lamv[1] < 0:
-            ctx.push("lambda")
-            raise ctx.err("expected nonnegative [l1, l2]")
-        lam = (float(lamv[0]), float(lamv[1]))
+        lam = _pair(ctx, "lambda", _need(ctx, lap, "lambda"), "[l1, l2]", nonneg=True)
         t_lap = _num(ctx, lap, "t", horizon)
+        if not (0 < t_lap <= horizon):
+            ctx.push("t")
+            raise ctx.err("must satisfy 0 < t <= horizon")
         ctx.pop()
 
-    fm = data.get("fmoment")
-    fm_fn = None
-    if fm is not None:
+    if data.get("fmoment") is not None:
+        fm = _obj(ctx, data, "fmoment")
         ctx.push("fmoment")
         fm_fn = _fmoment_fn(ctx, fm)
         ctx.pop()
 
-    ver = data.get("verify", {}) or {}
+    ver = _obj(ctx, data, "verify")
     ctx.push("verify")
-    if not isinstance(ver, dict):
-        raise ctx.err("expected an object")
     coupling_k = _caps(ctx, ver, "coupling_k", count=2)
     if coupling_k is not None and coupling_k[0] > coupling_k[1]:
         ctx.push("coupling_k")
@@ -370,23 +374,23 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
     trunc_k_list = _caps(ctx, ver, "trunc_k_list")
     ctx.pop()
 
-    n_paths = data.get("n_paths", 1000)
-    if not _is_path_count(n_paths):
-        ctx.push("n_paths")
-        raise ctx.err(f"expected an integer >= 1, got {n_paths!r}")
+    recursion_tol = _num(ctx, data, "recursion_tol", 1e-6)
+    if recursion_tol <= 0:
+        ctx.push("recursion_tol")
+        raise ctx.err("must be > 0")
 
     return ScenarioConfig(
         environment=env,
         branching=branching,
-        x0=(float(x0[0]), float(x0[1])),
+        x0=x0,
         horizon=horizon,
         step=step,
-        n_paths=n_paths,
-        seed=int(data.get("seed", 0)),
+        n_paths=_int(ctx, data, "n_paths", 1000, 1),
+        seed=_int(ctx, data, "seed", 0, 0),
         truncation=pred,
         output=output,
-        moment_degree=int(data.get("moment_degree", 2)),
-        recursion_tol=float(data.get("recursion_tol", 1e-6)),
+        moment_degree=_int(ctx, data, "moment_degree", 2, 1),
+        recursion_tol=recursion_tol,
         laplace_lambda=lam,
         laplace_t=t_lap,
         fmoment_function=fm_fn,
@@ -463,7 +467,6 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
         },
         "output": {
             "directory": sc.output.directory,
-            "formats": list(sc.output.formats),
             "dump_paths": sc.output.dump_paths,
         },
     }

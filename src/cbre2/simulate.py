@@ -27,9 +27,10 @@ event-driven:
   Anderson 2007): each path carries a unit-exponential budget that each
   interval decreases by rate * h, and only paths whose budget runs out
   enter the event loop;
-- environment jumps are drawn per path once per window of
-  floor(1 / (lambda_env * step)) intervals and pre-bucketed by grid
-  interval, so each step only adds its own slice;
+- environment increments come from `env.env_increments`, which draws
+  jumps per path once per window of floor(1 / (lambda_env * step))
+  intervals and pre-buckets them by grid interval, so each step only
+  adds its own slice;
 - records are streamed: `stream_states` yields the live states at each
   record time, `simulate_states` stacks them, and reductions such as the
   coupling report consume them without a full-grid record.
@@ -52,7 +53,8 @@ from .branching import BranchingSpec, compensator_moments
 from .env import (
     EnvSkeleton,
     LevyEnvSpec,
-    effective_jump,
+    _base_grid,
+    env_increments,
     realize_env_path,
     sample_env_skeleton,
 )
@@ -82,10 +84,6 @@ class StatePath:
         out[0] = 0.0
         np.cumsum(self.xi_increments, out=out[1:])
         return out
-
-    def state_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.grid, t - 1e-12))
-        return self.states[idx]
 
 
 def resolve_predicate(bspec: BranchingSpec, explicit: TruncationPredicate | None):
@@ -264,8 +262,6 @@ def simulate_coupled_pair(
 # ---------------------------------------------------------------------------
 
 def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, np.ndarray]:
-    from .env import _base_grid
-
     base = _base_grid(horizon, step)
     if record_times is None:
         grid = base
@@ -278,38 +274,6 @@ def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, 
         rec = np.unique(rec)
     rec_idx = np.searchsorted(grid, rec)
     return grid, rec_idx
-
-
-def _env_jump_buckets(nu, grid: np.ndarray, step: float, n_paths: int, rng):
-    """Yield the raw environment jumps of each grid interval as (paths, sizes).
-
-    Jumps are drawn per path once per window of floor(1 / (lambda * step))
-    intervals, so a path expects at most one jump per window and memory
-    stays O(n_paths); given its count, a path's jump times are uniform on
-    the window, which makes the per-interval counts exactly Poisson.
-    """
-    n_int = len(grid) - 1
-    lam = nu.total_mass()
-    if lam == 0.0:
-        none = (np.empty(0, dtype=np.intp), np.empty(0))
-        for _ in range(n_int):
-            yield none
-        return
-    width = max(1, min(n_int, math.floor(1.0 / (lam * step))))
-    for m0 in range(0, n_int, width):
-        m1 = min(m0 + width, n_int)
-        t0, t1 = grid[m0], grid[m1]
-        counts = rng.poisson(lam * (t1 - t0), n_paths)
-        n = int(counts.sum())
-        times = t0 + (t1 - t0) * rng.random(n)
-        sizes = nu.sample(rng, n)
-        interval = np.clip(np.searchsorted(grid, times, side="right") - 1, m0, m1 - 1)
-        order = np.argsort(interval, kind="stable")
-        paths = np.repeat(np.arange(n_paths), counts)[order]
-        sizes = sizes[order]
-        bounds = np.searchsorted(interval[order], np.arange(m0, m1 + 1))
-        for m in range(m1 - m0):
-            yield paths[bounds[m] : bounds[m + 1]], sizes[bounds[m] : bounds[m + 1]]
 
 
 def _max_over(xs: list, cols=slice(None)) -> np.ndarray:
@@ -352,8 +316,8 @@ def stream_states(
     grid, rec_idx = _batch_grid(horizon, step, record_times)
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
     branching = lam.any()
-    env_drift = env.a - env.nu.mean_small()
-    env_jumps = _env_jump_buckets(env.nu, grid, step, n_paths, rng)
+    clips = list(dict.fromkeys(var.env_clip for var in variants))
+    env_incs = env_increments(env, grid, step, n_paths, rng, clips)
     max_events = events_cap * horizon
 
     # states are kept as (2, n_paths): each coordinate is contiguous
@@ -407,21 +371,10 @@ def stream_states(
                 # a fresh budget, less what the rest of the interval consumes
                 clock[active] = rng.exponential(1.0, k) - left * (lam @ _max_over(xs, active))
                 active = active[clock[active] < 0.0]
-        # 4. exact environment multiplier (raw jumps shared across variants)
-        dxi = env_drift * h
-        if env.sigma1 > 0:
-            dxi = dxi + env.sigma1 * sh * rng.standard_normal(n_paths)
-        jump_paths, jump_sizes = next(env_jumps)
-        mults = {}  # variants with equal clip levels share one multiplier
+        # 4. exact environment multiplier (variants with equal clips share one)
+        mults = [np.exp(d) for d in next(env_incs)]
         for x, var in zip(xs, variants):
-            mult = mults.get(var.env_clip)
-            if mult is None:
-                d = dxi
-                if jump_paths.size:
-                    d = dxi + np.zeros(n_paths)
-                    np.add.at(d, jump_paths, effective_jump(jump_sizes, var.env_clip))
-                mult = mults[var.env_clip] = np.exp(d)
-            x *= mult
+            x *= mults[clips.index(var.env_clip)]
             if x.min() < 0:
                 raise NegativeState("state went negative")  # pragma: no cover
         if m + 1 in rec_pos:

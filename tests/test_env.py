@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cbre2.env import (
     LevyEnvSpec,
     beta_tilde,
+    env_increments,
     levy_exponent,
     realize_env_path,
     sample_env_path,
@@ -169,3 +170,32 @@ def test_levy_exponent_overflow_is_a_package_error():
     with pytest.raises(ExponentOverflow, match="float range") as info:
         levy_exponent(spec, 600)
     assert isinstance(info.value, Cbre2Error)
+
+
+def test_env_increments_law_and_clips_on_an_uneven_grid():
+    """E e^{dxi} = e^{beta(1) h} per interval at each clip; clips remove whole big jumps."""
+    nu = JumpMeasure1D(atoms=[Atom1D(0.6, 0.4), Atom1D(0.4, -0.5), Atom1D(0.5, 1.3)])
+    spec = LevyEnvSpec(a=0.1, sigma1=0.3, nu=nu)
+    clipped = LevyEnvSpec(a=0.1, sigma1=0.3, nu=nu, trunc_level=1.0)
+    grid = np.array([0.0, 0.3, 0.35, 0.9, 1.0])
+    n = 40_000
+    # jump windows of one interval (step 0.5) and of the whole grid (step 0.1)
+    for step in (0.5, 0.1):
+        incs = list(env_increments(spec, grid, step, n, np.random.default_rng(5), [math.inf, 1.0]))
+        assert len(incs) == len(grid) - 1
+        for h, pair in zip(np.diff(grid), incs):
+            for s, d in zip((spec, clipped), pair):
+                vals = np.exp(d)
+                se = vals.std(ddof=1) / math.sqrt(n)
+                assert abs(vals.mean() - math.exp(levy_exponent(s, 1) * h)) <= 4 * se
+            removed = (pair[0] - pair[1]) / 1.3
+            assert np.allclose(removed, np.round(removed), atol=1e-9) and removed.min() > -1e-9
+
+
+def test_env_increments_deterministic_environment_draws_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    grid = np.array([0.0, 0.25, 1.0])
+    incs = list(env_increments(LevyEnvSpec(a=0.2), grid, 0.25, 7, rng, [math.inf, 1.0]))
+    assert incs == [[0.2 * 0.25] * 2, [0.2 * 0.75] * 2]
+    assert rng.bit_generator.state == state

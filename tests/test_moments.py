@@ -396,9 +396,8 @@ def test_quenched_laplace_is_the_shared_solver_on_one_path():
     assert len(path.grid) > 105 and path.big_jump_marks  # several jumps, some large
     lam = np.array([0.7, 0.4])
     ql = quenched_laplace(path, TAIL_SPEC, lam, 1.0)
-    steps = _backward_steps(
-        TAIL_SPEC, lam, path.xi_increments[None, :], np.diff(path.grid), 1e-13, 100
-    )
+    increments = zip(np.diff(path.grid)[::-1], path.xi_increments[::-1])
+    steps = _backward_steps(TAIL_SPEC, lam, increments, 1e-13, 100)
     shared = np.concatenate(list(steps)[::-1])
     np.testing.assert_allclose(ql.v[:-1], shared, rtol=1e-15, atol=0)
     assert tuple(ql.v[-1]) == (0.7, 0.4)
@@ -410,7 +409,8 @@ def test_backward_solver_batches_paths():
     paths = [sample_env_path(env, 0.5, 0.01, np.random.default_rng(s)) for s in range(4)]
     lam = np.array([0.9, 0.2])
     dxi = np.stack([p.xi_increments for p in paths])
-    *_, v0 = _backward_steps(TAIL_SPEC, lam, dxi, np.diff(paths[0].grid), 1e-13, 100)
+    increments = zip(np.diff(paths[0].grid)[::-1], dxi.T[::-1])
+    *_, v0 = _backward_steps(TAIL_SPEC, lam, increments, 1e-13, 100)
     for k, p in enumerate(paths):
         np.testing.assert_allclose(v0[k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
 

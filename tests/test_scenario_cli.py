@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbre2.cli import main
+from cbre2.cli import SUBCOMMANDS, main
 from cbre2.errors import ConfigError
+from cbre2.presets import SCENARIO_DIR
 from cbre2.scenario import (
     dump_scenario,
     load_scenario,
@@ -271,3 +275,103 @@ def test_cli_rejects_bad_path_override(tmp_path, capsys, paths):
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error" in err and "n_paths" in err
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "command, name, path, value, key",
+    [
+        pytest.param("simulate", "mixed.json", ("x0",), ["a", 1], "x0", id="x0-text"),
+        pytest.param("simulate", "mixed.json", ("x0",), [math.nan, 1], "x0", id="x0-nan"),
+        pytest.param("simulate", "mixed.json", ("environment", "nu"), 5, "environment.nu",
+                     id="nu-number"),
+        pytest.param("simulate", "mixed.json", ("environment", "nu"),
+                     [{"kind": "atom", "mass": 1e308, "z": z} for z in (0.4, 0.5)], "environment.nu",
+                     id="nu-mass-overflow"),
+        pytest.param("simulate", "mixed.json", ("branching", "b"), [1, 2], "branching.b",
+                     id="b-flat"),
+        pytest.param("laplace", "laplace.json", ("laplace", "lambda"), ["a", 1], "laplace.lambda",
+                     id="lambda-text"),
+        pytest.param("moments", "mixed.json", ("moment_degree",), "x", "moment_degree",
+                     id="moment_degree-text"),
+        pytest.param("moments", "mixed.json", ("moment_degree",), 0, "moment_degree",
+                     id="moment_degree-zero"),
+        pytest.param("simulate", "mixed.json", ("seed",), "abc", "seed", id="seed-text"),
+        pytest.param("recursion-check", "mixed.json", ("recursion_tol",), "x", "recursion_tol",
+                     id="recursion_tol-text"),
+        pytest.param("simulate", "mixed.json", ("output", "dump_paths"), "x", "output.dump_paths",
+                     id="dump_paths-text"),
+        pytest.param("simulate", "mixed.json", ("output", "dump_paths"), -1, "output.dump_paths",
+                     id="dump_paths-negative"),
+        pytest.param("simulate", "mixed.json", ("output",), [1], "output", id="output-list"),
+        pytest.param("simulate", "mixed.json", ("truncation",), [1], "truncation",
+                     id="truncation-list"),
+        pytest.param("simulate", "mixed.json", ("horizon",), "inf", "horizon", id="horizon-inf"),
+    ],
+)
+def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, name, path, value, key):
+    """Each input once crashed with a traceback or loaded silently; now exit 1 naming the key."""
+    with open(_scen(name)) as f:
+        data = json.load(f)
+    _set(data, path, value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data))
+    args = [command, "--config", str(config), "--out", str(tmp_path / "o"), "--paths", "50"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _bundled_json(name):
+    with open(os.path.join(SCENARIO_DIR, name)) as f:
+        return json.load(f)
+
+
+BUNDLED = {name: _bundled_json(name) for name in sorted(os.listdir(SCENARIO_DIR))}
+KEY_PATHS = [(name, path) for name, data in BUNDLED.items() for path in _key_paths(data)]
+NEAR_MISSES = st.sampled_from(
+    ["inf", "Infinity", "-inf", "+", "-", "atom", "pareto", "exponential", "none", "norm_cap",
+     "unit_square", "clip_positive", "power", "", 0, 1, 2, -1, 0.5, 1e308, 10**400]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | NEAR_MISSES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | NEAR_MISSES.map(str), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(target=st.sampled_from(KEY_PATHS), value=JSON_VALUES)
+def test_scenario_from_dict_loads_or_raises_config_error(target, value):
+    """Any JSON value at any key path of a bundled scenario loads or raises ConfigError."""
+    name, path = target
+    data = json.loads(json.dumps(BUNDLED[name]))
+    _set(data, path, value)
+    try:
+        sc = scenario_from_dict(data)
+    except ConfigError:
+        return
+    back = scenario_from_dict(json.loads(dump_scenario(sc)))
+    assert dump_scenario(back) == dump_scenario(sc)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+def test_cli_contract_on_bundled_scenarios(tmp_path, command, name):
+    """Every subcommand on every bundled scenario exits 0, 1 or 2 and raises nothing."""
+    config = os.path.join(SCENARIO_DIR, name)
+    assert main([command, "--config", config, "--paths", "200", "--out", str(tmp_path)]) in (0, 1, 2)
