@@ -14,7 +14,6 @@ from cbre2 import (
     BranchingSpec,
     JumpMeasure,
     effective_drift_matrix,
-    jump_moment,
     phi_eval,
 )
 
@@ -39,7 +38,7 @@ for lam in [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (2.0, 1.0)]:
 
 print("\nmixed moments of m2 (Pareto index 3.5 on the first coordinate):")
 for r, s in [(1, 0), (2, 0), (3, 0), (4, 0), (1, 1)]:
-    print(f"  mu2({r},{s}) = {jump_moment(spec.m2, r, s)}")
+    print(f"  mu2({r},{s}) = {spec.m2.moment(r, s)}")
 # orders >= 3.5 on the Pareto axis diverge: reported as inf, not an error
 
 print("\neffective drift matrix (off-diagonals corrected by cross-moments):")

@@ -3,9 +3,9 @@
 The splitting scheme treats the linear drift exactly (2x2 exponential),
 adds a clamped square-root diffusion increment, simulates branching
 jumps at exact event times inside each interval, and multiplies both
-coordinates by e^{dxi} exactly.  Two engines share these semantics: a
-per-path engine returning full paths on the jump-refined grid, and a
-vectorized batch engine for large Monte Carlo runs.
+coordinates by e^{dxi} exactly.  One vectorized engine runs all paths at
+once: `simulate_paths` keeps a few full paths on the base grid, and
+`scenario_states` records many paths at selected times only.
 """
 
 import math
@@ -23,15 +23,13 @@ from cbre2.scenario import ScenarioConfig
 
 sc = mixed_scenario()
 
-# a handful of full paths (per-path engine; path i is driven by the
-# substream keyed by (seed, i), so prefixes are stable across budgets)
+# a handful of full paths (one batch run; path i is row i of that run)
 paths = simulate_paths(sc, 3, rng_seed=2024)
 for i, p in enumerate(paths):
-    n_branch = sum(1 for (_, src, _) in p.jumps if src != "env")
     print(
         f"path {i}: X(0) = ({p.states[0, 0]:g}, {p.states[0, 1]:g}) -> X(1) = "
         f"({p.states[-1, 0]:.4f}, {p.states[-1, 1]:.4f}); "
-        f"{n_branch} branching jumps, {len(p.grid)} grid points"
+        f"xi(1) = {p.xi[-1]:+.4f}, {len(p.grid)} grid points"
     )
 
 # sanity: with branching off the state is exactly x0 e^{xi(t)}
@@ -43,10 +41,10 @@ env_only = ScenarioConfig(
     step=0.05,
 )
 p = simulate_paths(env_only, 1, 5)[0]
-err = np.max(np.abs(p.states[:, 0] - 2.0 * np.exp(p.xi_values())))
+err = np.max(np.abs(p.states[:, 0] - 2.0 * np.exp(p.xi)))
 print(f"\nenvironment factorization error (branching off): {err:.2e}")
 
-# the batch engine: 50k paths, states recorded at t = 1 only
+# many paths, states recorded at t = 1 only
 times, states = scenario_states(sc, 50_000, sc.seed, record_times=[1.0])
 mean = states[0, :, 0, :].mean(axis=0)
 se = states[0, :, 0, :].std(axis=0, ddof=1) / math.sqrt(states.shape[1])

@@ -9,7 +9,7 @@ taken exactly by one block matrix exponential, against the closure's
 own row is a two-route consistency check; residuals sit at rounding level.
 """
 
-from cbre2 import moment_table, recursion_residual, recursion_coefficients
+from cbre2 import moment_table, recursion_check, recursion_coefficients
 from cbre2.presets import branching_only_scenario, env_only_scenario, mixed_scenario
 
 for sc in (env_only_scenario(), branching_only_scenario(), mixed_scenario()):
@@ -18,7 +18,7 @@ for sc in (env_only_scenario(), branching_only_scenario(), mixed_scenario()):
     for n in (2, 3, 4):
         for type_index in (1, 2):
             res = [
-                recursion_residual(sc.environment, sc.branching, table, n, type_index, t)
+                recursion_check(sc.environment, sc.branching, table, n, type_index, t)[2]
                 for t in (0.5, 1.0)
             ]
             print(f"  n={n} type={type_index}: residuals {res[0]:.2e} (t=0.5), {res[1]:.2e} (t=1)")

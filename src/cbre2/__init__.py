@@ -6,7 +6,7 @@ as a cross-check, f-moment finiteness classification, and a Monte Carlo
 verification harness.
 """
 
-from .branching import BranchingSpec, effective_drift_matrix, jump_moment, phi_eval
+from .branching import BranchingSpec, effective_drift_matrix, phi_eval
 from .env import (
     EnvPath,
     LevyEnvSpec,
@@ -57,7 +57,6 @@ from .moments import (
     martingale_transform,
     moment_table,
     monomial_basis,
-    recursion_residual,
     polynomial_degree_check,
     quenched_laplace,
     recursion_check,
@@ -68,7 +67,6 @@ from .scenario import ScenarioConfig, dump_scenario, load_scenario, scenario_fro
 from .simulate import (
     StatePath,
     scenario_states,
-    simulate_coupled_pair,
     simulate_paths,
     simulate_states,
 )

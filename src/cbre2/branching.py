@@ -75,11 +75,6 @@ def phi_eval_vec(spec: BranchingSpec, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def jump_moment(measure: JumpMeasure, r: int, s: int) -> float:
-    """Mixed moment of a jump measure; math.inf flags divergence."""
-    return measure.moment(r, s)
-
-
 def effective_drift_matrix(spec: BranchingSpec) -> np.ndarray:
     """Drift matrix with off-diagonals corrected by first cross-moments.
 

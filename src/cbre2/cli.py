@@ -62,11 +62,10 @@ def _cmd_simulate(sc: ScenarioConfig) -> int:
     n_dump = min(sc.output.dump_paths, sc.n_paths)
     if n_dump > 0:
         for i, path in enumerate(simulate_paths(sc, n_dump, sc.seed)):
-            xi = path.xi_values()
             lines = ["t,X1,X2,xi"]
             lines += [
                 f"{format_float(t)},{format_float(x1)},{format_float(x2)},{format_float(x)}"
-                for t, x1, x2, x in zip(path.grid, path.states[:, 0], path.states[:, 1], xi)
+                for t, x1, x2, x in zip(path.grid, path.states[:, 0], path.states[:, 1], path.xi)
             ]
             _write(os.path.join(out, f"path_{i:03d}.csv"), lines)
     print(

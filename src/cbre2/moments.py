@@ -5,7 +5,7 @@ m_{p,q}(t) = E[X1(t)^p X2(t)^q] with 1 <= p+q <= n, derived from the
 process generator.  The system is closed (each row couples only to total
 degree <= p+q), its degree-1 block reproduces the first-moment closed
 form, and the n-th own-moment row integrates to the integral-form recursion,
-which is kept as an independent cross-check (`recursion_residual`)
+which is kept as an independent cross-check (`recursion_check`)
 rather than as the computation path.
 """
 
@@ -300,23 +300,6 @@ def recursion_coefficients(spec: BranchingSpec, n: int, type_index: int):
     return a, b
 
 
-def recursion_residual(
-    env: LevyEnvSpec,
-    spec: BranchingSpec,
-    table: MomentTable,
-    n: int,
-    type_index: int,
-    t: float,
-) -> float:
-    """Relative gap between the recursion's right-hand side and the table.
-
-    The right-hand side convolves lower moments from the table against
-    e^{(beta(n) - n b_ii)(t-s)} and adds the initial term; the residual
-    is |RHS - m(t)| / max(1, m(t)).
-    """
-    return recursion_check(env, spec, table, n, type_index, t)[2]
-
-
 def recursion_check(
     env: LevyEnvSpec,
     spec: BranchingSpec,
@@ -329,7 +312,8 @@ def recursion_check(
 
     Exact convolution (Van Loan 1978): with c the recursion coefficients on
     their monomials and theta = beta(n) - n b_ii, expm([[G, 0], [c, theta]] t)
-    gives m(t) and rhs = w(t), where w' = theta w + c.m, w(0) = x0^n.
+    gives m(t) and rhs = w(t), where w' = theta w + c.m, w(0) = x0^n.  The
+    residual is |rhs - lhs| / max(1, |lhs|).
     """
     if table.degree < n:
         raise ValueError("table degree is below the requested moment order")

@@ -94,14 +94,14 @@ class _Ctx:
         return ConfigError(f"{path}: {msg}{where}")
 
     def _line_of(self, leaf):
-        if not self.text or leaf is None:
+        """The line of the leaf key, only when the key occurs once in the file."""
+        key = leaf.split("[")[0] if leaf else ""
+        if not self.text or not key:
             return None
-        leaf = leaf.split("[")[0]
-        needle = f'"{leaf}"'
-        pos = self.text.find(needle)
-        if pos < 0:
+        needle = f'"{key}"'
+        if self.text.count(needle) != 1:
             return None
-        return self.text.count("\n", 0, pos) + 1
+        return self.text.count("\n", 0, self.text.find(needle)) + 1
 
 
 def _need(ctx, d, key, kind=None):

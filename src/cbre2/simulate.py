@@ -17,11 +17,7 @@ the environment action are exact.  Truncation predicates zero disallowed
 jumps, and the compensator drift in step 1 is the kept-region moment, so
 each truncated variant solves its own truncated equation.
 
-Two engines share these semantics: a per-path engine returning full
-`StatePath` objects on the jump-refined grid, and a vectorized batch
-engine (used for large Monte Carlo runs).  The per-path engine draws the
-waiting time to each branching event directly.  The batch engine is
-event-driven:
+The engine is vectorized over paths and event-driven:
 
 - branching uses integrated-intensity clocks (Gibson & Bruck 2000;
   Anderson 2007): each path carries a unit-exponential budget that each
@@ -31,12 +27,13 @@ event-driven:
   jumps per path once per window of floor(1 / (lambda_env * step))
   intervals and pre-buckets them by grid interval, so each step only
   adds its own slice;
-- records are streamed: `stream_states` yields the live states at each
-  record time, `simulate_states` stacks them, and reductions such as the
-  coupling report consume them without a full-grid record.
+- records are streamed: `stream_states` yields the live states and xi at
+  each record time, `simulate_states` stacks the states, `simulate_paths`
+  collects a few full paths, and reductions such as the coupling report
+  consume the stream without a full-grid record.
 
-Both are the same splitting scheme in law as per-step thinning and
-per-step Poisson counts; only the order of the random stream differs.
+In law this is the splitting scheme with per-step thinning and per-step
+Poisson counts; only the order of the random stream differs.
 Pathwise ordering of coupled truncated variants is exact for pure-jump
 mechanisms whose kept-region compensator moments agree across variants;
 with diffusion on, ordering holds in expectation only.
@@ -50,14 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import BranchingSpec, compensator_moments
-from .env import (
-    EnvSkeleton,
-    LevyEnvSpec,
-    _base_grid,
-    env_increments,
-    realize_env_path,
-    sample_env_skeleton,
-)
+from .env import LevyEnvSpec, _base_grid, env_increments
 from .errors import ConfigError, MassOverflow, NegativeState
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2
@@ -67,23 +57,11 @@ DEFAULT_EVENTS_CAP = 1_000_000  # branching events per path per unit time
 
 @dataclass
 class StatePath:
-    """One simulated path: states on the environment-refined grid.
-
-    `jumps` records (time, source, payload) with source in {"m1", "m2",
-    "env"}; branching payloads are (z1, z2) as applied, environment
-    payloads are raw jump sizes.
-    """
+    """One simulated path: states and xi on the base grid of the scenario."""
 
     grid: np.ndarray
     states: np.ndarray  # (len(grid), 2)
-    xi_increments: np.ndarray
-    jumps: list = field(default_factory=list)
-
-    def xi_values(self) -> np.ndarray:
-        out = np.empty(len(self.grid))
-        out[0] = 0.0
-        np.cumsum(self.xi_increments, out=out[1:])
-        return out
+    xi: np.ndarray  # xi(t) at each grid time, at the path's environment clip
 
 
 def resolve_predicate(bspec: BranchingSpec, explicit: TruncationPredicate | None):
@@ -124,143 +102,6 @@ def _make_variants(env: LevyEnvSpec, bspec: BranchingSpec, predicates) -> list[_
     return out
 
 
-# ---------------------------------------------------------------------------
-# Per-path engine (exact refined grid, full path objects)
-# ---------------------------------------------------------------------------
-
-def _simulate_on_skeleton(
-    env: LevyEnvSpec,
-    bspec: BranchingSpec,
-    x0,
-    skel: EnvSkeleton,
-    variants: list[_Variant],
-    rng: np.random.Generator,
-    events_cap: float,
-) -> list[StatePath]:
-    grid = skel.grid
-    n_pts = len(grid)
-    lam1 = bspec.m1.total_mass()
-    lam2 = bspec.m2.total_mass()
-    has_diffusion = bspec.c1 > 0 or bspec.c2 > 0
-    coupled = len(variants) > 1
-    max_events = events_cap * float(grid[-1])
-
-    incs = [realize_env_path(env, skel, v.env_clip).xi_increments for v in variants]
-    states = [np.empty((n_pts, 2)) for _ in variants]
-    xs = [np.array(x0, dtype=float) for _ in variants]
-    jumps: list[list] = [[] for _ in variants]
-    for jl in jumps:
-        jl.extend((float(t), "env", float(z)) for t, z in zip(skel.jump_times, skel.jump_sizes))
-    for st, x in zip(states, xs):
-        st[0] = x
-    n_events = 0
-
-    for m in range(n_pts - 1):
-        t0, t1 = grid[m], grid[m + 1]
-        h = t1 - t0
-        for v, var in enumerate(variants):
-            xs[v] = var.drift_matrix(bspec, h) @ xs[v]
-        if has_diffusion:
-            g = rng.standard_normal(2)
-            sh = math.sqrt(h)
-            for x in xs:
-                if bspec.c1 > 0:
-                    x[0] = max(x[0] + math.sqrt(2.0 * bspec.c1 * max(x[0], 0.0)) * sh * g[0], 0.0)
-                if bspec.c2 > 0:
-                    x[1] = max(x[1] + math.sqrt(2.0 * bspec.c2 * max(x[1], 0.0)) * sh * g[1], 0.0)
-        if lam1 > 0 or lam2 > 0:
-            tau = t0
-            while True:
-                x1m = max(x[0] for x in xs)
-                x2m = max(x[1] for x in xs)
-                r1, r2 = lam1 * x1m, lam2 * x2m
-                rate = r1 + r2
-                if rate <= 0.0:
-                    break
-                tau += rng.exponential(1.0 / rate)
-                if tau > t1:
-                    break
-                n_events += 1
-                if n_events > max_events:
-                    raise MassOverflow("branching event count exceeds the safety cap")
-                is1 = rng.random() * rate < r1
-                z = (bspec.m1 if is1 else bspec.m2).sample(rng, 1)[0]
-                u_acc = rng.random() if coupled else 0.0
-                src = "m1" if is1 else "m2"
-                ownmax = x1m if is1 else x2m
-                for v, (var, x) in enumerate(zip(variants, xs)):
-                    own = x[0] if is1 else x[1]
-                    if u_acc * ownmax > own:
-                        continue
-                    if not bool(var.predicate.branching.keep(z)[0]):
-                        continue
-                    x += z
-                    jumps[v].append((float(tau), src, (float(z[0]), float(z[1]))))
-        for v, x in enumerate(xs):
-            mult = math.exp(incs[v][m])
-            x *= mult
-            if x[0] < 0 or x[1] < 0:
-                raise NegativeState("state went negative")  # pragma: no cover
-            states[v][m + 1] = x
-
-    return [
-        StatePath(grid, states[v], incs[v], sorted(jumps[v], key=lambda e: e[0]))
-        for v in range(len(variants))
-    ]
-
-
-def simulate_paths(
-    scenario,
-    n_paths: int,
-    rng_seed: int,
-    predicate: TruncationPredicate | None = None,
-    events_cap: float = DEFAULT_EVENTS_CAP,
-) -> list[StatePath]:
-    """Simulate full paths; path i uses the substream seeded by (rng_seed, i)."""
-    env, bspec = scenario.environment, scenario.branching
-    pred = resolve_predicate(bspec, predicate if predicate is not None else scenario.truncation)
-    variants = _make_variants(env, bspec, [pred])
-    out = []
-    for i in range(n_paths):
-        rng = np.random.default_rng([rng_seed, i])
-        skel = sample_env_skeleton(env, scenario.horizon, scenario.step, rng)
-        out.append(
-            _simulate_on_skeleton(env, bspec, scenario.x0, skel, variants, rng, events_cap)[0]
-        )
-    return out
-
-
-def simulate_coupled_pair(
-    scenario,
-    pred_a: TruncationPredicate,
-    pred_b: TruncationPredicate,
-    n_paths: int,
-    rng_seed: int,
-    events_cap: float = DEFAULT_EVENTS_CAP,
-) -> list[tuple[StatePath, StatePath]]:
-    """Simulate (X^A, X^B) pairs driven by identical randomness.
-
-    Both variants share the Brownian increments, the candidate event
-    stream (thinning against the max of the two states) and the raw
-    environment jumps; they differ only through their truncation rules.
-    """
-    env, bspec = scenario.environment, scenario.branching
-    variants = _make_variants(env, bspec, [pred_a, pred_b])
-    out = []
-    for i in range(n_paths):
-        rng = np.random.default_rng([rng_seed, i])
-        skel = sample_env_skeleton(env, scenario.horizon, scenario.step, rng)
-        pa, pb = _simulate_on_skeleton(
-            env, bspec, scenario.x0, skel, variants, rng, events_cap
-        )
-        out.append((pa, pb))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch engine (streams states at selected times only)
-# ---------------------------------------------------------------------------
-
 def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, np.ndarray]:
     base = _base_grid(horizon, step)
     if record_times is None:
@@ -274,6 +115,11 @@ def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, 
         rec = np.unique(rec)
     rec_idx = np.searchsorted(grid, rec)
     return grid, rec_idx
+
+
+def _check_n_paths(n_paths) -> None:
+    if n_paths < 1:
+        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
 
 
 def _max_over(xs: list, cols=slice(None)) -> np.ndarray:
@@ -296,11 +142,12 @@ def stream_states(
     predicates=(IDENTITY,),
     events_cap: float = DEFAULT_EVENTS_CAP,
 ):
-    """Run the batch engine, yielding (t, states) at each record time.
+    """Run the batch engine, yielding (t, states, xi) at each record time.
 
-    `states` lists one (n_paths, 2) array per variant.  They are live views
-    of the engine's state, valid until the generator is resumed.  Record
-    times default to every grid time.
+    `states` lists one (n_paths, 2) array per variant and `xi` one
+    (n_paths,) array of xi(t) per variant, at that variant's environment
+    clip.  They are live views of the engine's state, valid until the
+    generator is resumed.  Record times default to every grid time.
 
     Branching uses integrated-intensity clocks: each path carries a unit
     exponential budget that every interval decreases by rate * h, with
@@ -310,8 +157,7 @@ def stream_states(
     event picks its type and jump from the shared stream, and each variant
     accepts it with u * ownmax <= own plus its own keep rule.
     """
-    if n_paths < 1:
-        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
+    _check_n_paths(n_paths)
     variants = _make_variants(env, bspec, predicates)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
@@ -324,9 +170,11 @@ def stream_states(
     xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in variants]
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
+    xi = [np.zeros(n_paths) for _ in clips]
+    xi_of = [xi[clips.index(var.env_clip)] for var in variants]
     rec_pos = set(int(g) for g in rec_idx)
     if 0 in rec_pos:
-        yield grid[0], [x.T for x in xs]
+        yield grid[0], [x.T for x in xs], xi_of
 
     for m in range(len(grid) - 1):
         h = grid[m + 1] - grid[m]
@@ -372,13 +220,16 @@ def stream_states(
                 clock[active] = rng.exponential(1.0, k) - left * (lam @ _max_over(xs, active))
                 active = active[clock[active] < 0.0]
         # 4. exact environment multiplier (variants with equal clips share one)
-        mults = [np.exp(d) for d in next(env_incs)]
+        incs = next(env_incs)
+        mults = [np.exp(d) for d in incs]
+        for acc, d in zip(xi, incs):
+            acc += d
         for x, var in zip(xs, variants):
             x *= mults[clips.index(var.env_clip)]
             if x.min() < 0:
                 raise NegativeState("state went negative")  # pragma: no cover
         if m + 1 in rec_pos:
-            yield grid[m + 1], [x.T for x in xs]
+            yield grid[m + 1], [x.T for x in xs], xi_of
 
 
 def simulate_states(
@@ -401,15 +252,14 @@ def simulate_states(
     (record_times, states) with states shaped
     (n_variants, n_paths, n_records, 2).
     """
-    if n_paths < 1:
-        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
+    _check_n_paths(n_paths)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
     out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
     stream = stream_states(
         env, bspec, x0, horizon, step, n_paths, rng,
         record_times=record_times, predicates=predicates, events_cap=events_cap,
     )
-    for r, (_, states) in enumerate(stream):
+    for r, (_, states, _) in enumerate(stream):
         for v, x in enumerate(states):
             out[v, :, r, :] = x
     return grid[rec_idx], out
@@ -454,3 +304,30 @@ def scenario_stream(
 ):
     """Generator form of `scenario_states`; yields what `stream_states` yields."""
     return _on_scenario(stream_states, scenario, n_paths, seed, record_times, predicates, events_cap)
+
+
+def simulate_paths(
+    scenario,
+    n_paths: int,
+    rng_seed: int,
+    predicate: TruncationPredicate | None = None,
+    events_cap: float = DEFAULT_EVENTS_CAP,
+) -> list[StatePath]:
+    """Full paths on the base grid: one batch run of `n_paths` paths.
+
+    Path i is row i of `scenario_states(scenario, n_paths, rng_seed,
+    record_times=None)`, so it depends on the seed and on `n_paths`.
+    Memory is O(n_paths * grid points); use `scenario_stream` for many paths.
+    """
+    _check_n_paths(n_paths)
+    pred = resolve_predicate(
+        scenario.branching, predicate if predicate is not None else scenario.truncation
+    )
+    grid = _base_grid(scenario.horizon, scenario.step)
+    states = np.empty((n_paths, len(grid), 2))
+    xi = np.empty((n_paths, len(grid)))
+    stream = scenario_stream(scenario, n_paths, rng_seed, predicates=(pred,), events_cap=events_cap)
+    for r, (_, (x,), (xi_t,)) in enumerate(stream):
+        states[:, r] = x
+        xi[:, r] = xi_t
+    return [StatePath(grid, states[i], xi[i]) for i in range(n_paths)]

@@ -181,7 +181,7 @@ def coupling_monotonicity_report(
     pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
     report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}", se_multiple=se_multiple)
     max_gap = -math.inf
-    for t, (lo, hi) in scenario_stream(scenario, paths, seed, predicates=preds):
+    for t, (lo, hi), _ in scenario_stream(scenario, paths, seed, predicates=preds):
         gap = lo - hi  # (paths, 2); ordering wants <= 0
         if pure_jump:
             report.add(t, "ordering_violations", int((gap > tol).sum()), 0.0, 0.0)

@@ -1,0 +1,36 @@
+"""Every function the benchmark's span tracer wraps still exists in cbre2.
+
+`bench/spans.py` looks its targets up by name, so a deletion or a rename
+in cbre2 would otherwise break `bench/run.py --trace 1` silently.
+"""
+
+import importlib
+import importlib.util
+import os
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", os.path.join(ROOT, "bench", "spans.py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_targets_resolve():
+    spans = _load_spans()
+    missing = []
+    for modname, attr, _layer in spans.TRACED:
+        mod = importlib.import_module(modname)
+        if "." in attr:  # "Class.method": the tracer patches the class's own method
+            cls_name, meth = attr.split(".")
+            cls = getattr(mod, cls_name, None)
+            target = vars(cls).get(meth) if cls is not None else None
+        else:
+            target = getattr(mod, attr, None)
+        if not callable(target):
+            missing.append(f"{modname}.{attr}")
+    assert not missing, f"bench/spans.py traces names cbre2 no longer has: {missing}"

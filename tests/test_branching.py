@@ -7,7 +7,6 @@ from cbre2.branching import (
     BranchingSpec,
     compensator_moments,
     effective_drift_matrix,
-    jump_moment,
     phi_eval,
 )
 from cbre2.errors import DivergentCrossMoment
@@ -60,12 +59,12 @@ def test_phi_rejects_negative_rates():
         phi_eval(BranchingSpec(), (-0.1, 0.0))
 
 
-def test_jump_moment_examples():
-    assert jump_moment(JumpMeasure(atoms=[Atom2D(2.0, 1.0, 3.0)]), 2, 1) == 6.0
-    assert jump_moment(JumpMeasure(), 1, 0) == 0.0
+def test_measure_moment_examples():
+    assert JumpMeasure(atoms=[Atom2D(2.0, 1.0, 3.0)]).moment(2, 1) == 6.0
+    assert JumpMeasure().moment(1, 0) == 0.0
     par = JumpMeasure(tails=[AxisTail(1, "pareto", 1.0, 4.0, 1.0)])
-    assert jump_moment(par, 2, 0) == pytest.approx(2.0)
-    assert math.isinf(jump_moment(par, 4, 0))
+    assert par.moment(2, 0) == pytest.approx(2.0)
+    assert math.isinf(par.moment(4, 0))
 
 
 def test_tail_vs_atom_discretization_consistency():

@@ -1,4 +1,4 @@
-"""The demos that exercise the exact layer run to completion."""
+"""The demos that exercise the exact layer and the path engine run to completion."""
 
 import os
 import subprocess
@@ -10,7 +10,14 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 @pytest.mark.parametrize(
-    "demo", ["04_exact_moments.py", "05_recursion_crosscheck.py", "08_quenched_laplace.py"]
+    "demo",
+    [
+        "03_simulation.py",
+        "04_exact_moments.py",
+        "05_recursion_crosscheck.py",
+        "06_truncation_coupling.py",
+        "08_quenched_laplace.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     src = os.path.join(ROOT, "src")

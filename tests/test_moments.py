@@ -25,7 +25,6 @@ from cbre2.moments import (
     max_feasible_degree,
     moment_table,
     monomial_basis,
-    recursion_residual,
     phi_eval_vec,
     polynomial_degree_check,
     quenched_laplace,
@@ -143,22 +142,22 @@ def test_recursion_coefficient_divergence():
         recursion_coefficients(BranchingSpec(m1=heavy), 4, 1)
 
 
-def test_recursion_residual_frozen_process():
+def test_recursion_check_frozen_process():
     table = moment_table(LevyEnvSpec(), BranchingSpec(), (1.3, 0.8), [1.0], 3)
     for n in (2, 3):
         for ti in (1, 2):
-            assert recursion_residual(LevyEnvSpec(), BranchingSpec(), table, n, ti, 1.0) < 1e-12
+            assert recursion_check(LevyEnvSpec(), BranchingSpec(), table, n, ti, 1.0)[2] < 1e-12
 
 
-def test_recursion_residual_mixed_small():
+def test_recursion_check_mixed_small():
     table = moment_table(ENV, BSPEC, X0, [0.5, 1.0], 3)
     for n in (2, 3):
         for ti in (1, 2):
             for t in (0.5, 1.0):
-                assert recursion_residual(ENV, BSPEC, table, n, ti, t) < 1e-8
+                assert recursion_check(ENV, BSPEC, table, n, ti, t)[2] < 1e-8
 
 
-def test_recursion_residual_mixed_degree6_exact_convolution():
+def test_recursion_check_mixed_degree6_exact_convolution():
     """The block-exponential convolution leaves only rounding in the residual."""
     table = moment_table(ENV, BSPEC, X0, [0.5, 1.0], 6)
     for n in range(2, 7):
@@ -224,7 +223,7 @@ def test_moment_table_flags_infeasible_degrees():
     assert not table.finite[(3, 0)]
     assert math.isinf(table.values[(3, 0)][0])
     with pytest.raises(HypothesisViolated):
-        recursion_residual(LevyEnvSpec(), heavy, table, 3, 1, 0.5)
+        recursion_check(LevyEnvSpec(), heavy, table, 3, 1, 0.5)[2]
 
 
 def test_moment_table_all_infinite_when_env_divergent():

@@ -108,6 +108,19 @@ def test_config_error_reports_line(tmp_path):
     assert "step" in str(exc.value) and "line" in str(exc.value)
 
 
+def test_config_error_in_list_entry_cites_no_wrong_line(tmp_path):
+    """A leaf key that occurs more than once in the file gets no line hint."""
+    with open(_scen("mixed.json")) as f:
+        data = json.load(f)
+    data["branching"]["m2"][0]["mass"] = "x"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data, indent=2, sort_keys=True))
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(str(p))
+    assert "branching.m2.[0].mass" in str(exc.value)
+    assert "line 18" not in str(exc.value)
+
+
 def test_cli_dump_config_roundtrip(tmp_path, capsys):
     rc = main(["moments", "--config", _scen("mixed.json"), "--dump-config"])
     assert rc == 0

@@ -14,10 +14,9 @@ from cbre2.simulate import (
     scenario_states,
     scenario_stream,
     simulate_states,
-    simulate_coupled_pair,
     simulate_paths,
 )
-from cbre2.truncation import IDENTITY, norm_cap
+from cbre2.truncation import IDENTITY, BranchingRule, TruncationPredicate, norm_cap
 
 
 def _plain_scenario(env, branching, x0, horizon, step, **kw):
@@ -41,7 +40,7 @@ def test_environment_factorization_exact():
     )
     sc = _plain_scenario(env, BranchingSpec(), (1.5, 0.5), 1.0, 0.05)
     for path in simulate_paths(sc, 4, 7):
-        xi = path.xi_values()
+        xi = path.xi
         assert np.allclose(path.states[:, 0], 1.5 * np.exp(xi), rtol=1e-12, atol=0)
         assert np.allclose(path.states[:, 1], 0.5 * np.exp(xi), rtol=1e-12, atol=0)
         assert np.allclose(np.log(path.states[:, 0] / 1.5), xi, rtol=0, atol=1e-12)
@@ -88,19 +87,19 @@ def test_exact_engine_consistent_with_closed_form():
 
 def test_identical_predicates_bitwise_equal():
     sc = coupling_scenario()
-    pairs = simulate_coupled_pair(sc, norm_cap(2.0), norm_cap(2.0), 6, 3)
-    for a, b in pairs:
-        assert (a.states == b.states).all()
-        assert (a.xi_increments == b.xi_increments).all()
+    preds = (norm_cap(2.0), norm_cap(2.0))
+    _, (a, b) = scenario_states(sc, 6, 3, predicates=preds, record_times=None)
+    assert (a == b).all()
+    for _, _, (xi_a, xi_b) in scenario_stream(sc, 6, 3, predicates=preds):
+        assert (xi_a == xi_b).all()
 
 
 def test_pure_jump_coupling_ordered_pathwise():
     sc = coupling_scenario()
-    pairs = simulate_coupled_pair(sc, norm_cap(2.0), norm_cap(5.0), 40, 11)
-    strict = 0
-    for a, b in pairs:
-        assert (a.states <= b.states + 1e-12).all()
-        strict += int((b.states > a.states).any())
+    preds = (norm_cap(2.0), norm_cap(5.0))
+    _, (a, b) = scenario_states(sc, 40, 11, predicates=preds, record_times=None)
+    assert (a <= b + 1e-12).all()
+    strict = int((b > a).any(axis=(1, 2)).sum())
     assert strict > 0  # the band jumps actually fire
 
 
@@ -114,20 +113,10 @@ def test_coupled_batch_ordering_full_grid():
 
 def test_env_clip_coupling_ordered():
     sc = coupling_scenario()
-    from cbre2.truncation import TruncationPredicate
-
     pa = TruncationPredicate(env_clip=1.2)
     pb = TruncationPredicate(env_clip=2.0)
     _, states = scenario_states(sc, 1500, 4, predicates=(pa, pb))
     assert (states[0] <= states[1] + 1e-12).all()
-
-
-def test_jump_log_sources():
-    sc = coupling_scenario()
-    paths = simulate_paths(sc, 10, 2)
-    sources = {src for p in paths for (_, src, _) in p.jumps}
-    assert sources <= {"m1", "m2", "env"}
-    assert "m1" in sources or "m2" in sources
 
 
 def test_mass_overflow_fail_fast():
@@ -145,37 +134,37 @@ def test_batch_engine_deterministic():
     assert (s1 == s2).all()
 
 
+RESTRICTED = TruncationPredicate(branching=BranchingRule("unit_square"), env_clip=1.0)
+
+
 def test_truncated_system_mean_matches_truncated_table():
-    """Kept-jump rates and truncated compensator drift stay consistent."""
+    """Kept-jump rates and truncated compensator drift stay consistent.
+
+    Inputs: the norm cap at 2, and the restricted system (unit-square
+    branching rule and environment clip at 1), where only small jumps act.
+    """
     from cbre2.moments import moment_table
 
     sc = coupling_scenario()
-    pred = norm_cap(2.0)
-    table = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 1, pred)
-    _, states = scenario_states(sc, 20_000, 55, predicates=(pred,))
-    x = states[0, :, -1, :]
-    for i, pq in enumerate([(1, 0), (0, 1)]):
-        target = table.entry(*pq, 1.0)
-        se = x[:, i].std(ddof=1) / math.sqrt(len(x))
-        assert abs(x[:, i].mean() - target) <= 3 * se + 2 * sc.step * target
+    for pred in (norm_cap(2.0), RESTRICTED):
+        table = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 1, pred)
+        _, states = scenario_states(sc, 20_000, 55, predicates=(pred,))
+        x = states[0, :, -1, :]
+        for i, pq in enumerate([(1, 0), (0, 1)]):
+            target = table.entry(*pq, 1.0)
+            se = x[:, i].std(ddof=1) / math.sqrt(len(x))
+            assert abs(x[:, i].mean() - target) <= 3 * se + 2 * sc.step * target, (pred, pq)
 
 
 def test_restricted_system_configuration_runs():
     """Unit-square branching rule + env clip at 1: only small jumps act."""
-    from cbre2.truncation import BranchingRule, TruncationPredicate
-
-    pred = TruncationPredicate(branching=BranchingRule("unit_square"), env_clip=1.0)
     sc = coupling_scenario()
-    paths = simulate_paths(sc, 20, 9, predicate=pred)
-    for p in paths:
-        for t, src, payload in p.jumps:
-            if src in ("m1", "m2"):
-                assert payload[0] <= 1.0 and payload[1] <= 1.0
+    for p in simulate_paths(sc, 20, 9, predicate=RESTRICTED):
         assert (p.states >= 0).all()
     # positive environment jumps above 1 contribute nothing under the clip
     from cbre2.moments import moment_table
 
-    table = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 2, pred)
+    table = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 2, RESTRICTED)
     full = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 2)
     assert table.entry(2, 0, 1.0) <= full.entry(2, 0, 1.0)
 
@@ -194,13 +183,15 @@ def test_resolve_predicate_rules():
         resolve_predicate(tagged, unit_square())
 
 
-def test_per_path_substreams_are_stable():
-    """Path i depends only on (seed, i), so prefixes agree across budgets."""
+def test_dump_paths_are_rows_of_the_batch_run():
+    """Path i of a dump is row i of the batch run with the same seed and count."""
     sc = coupling_scenario()
-    p3 = simulate_paths(sc, 3, 123)
-    p5 = simulate_paths(sc, 5, 123)
-    for a, b in zip(p3, p5[:3]):
-        assert (a.states == b.states).all()
+    paths = simulate_paths(sc, 5, 123)
+    times, states = scenario_states(sc, 5, 123, record_times=None)
+    for i, p in enumerate(paths):
+        assert (p.grid == times).all()
+        assert (p.states == states[0, i]).all()
+        assert p.xi[0] == 0.0
 
 
 @pytest.mark.parametrize("step", [0.5, 0.1])
