@@ -5,44 +5,39 @@ environment) and measures on the nonnegative quadrant (driving branching
 jumps).  Both are sums of atoms and parametric tail components; the tail
 families (Pareto, exponential) have closed-form moment and finiteness
 rules, so divergence decisions are exact rather than numeric guesses.
-Quadrature is only used for finite values, never to decide finiteness.
+Finite values are closed forms too, except Pareto integrals of e^{cz}
+over a bounded range, which use fixed Gauss-Legendre panels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 from .errors import DivergentCrossMoment
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 EXPONENTIAL = "exponential"
 PARETO = "pareto"
 
 
-def _quad(f, lo, hi):
-    val, _ = quad(f, lo, hi, **_QUAD_OPTS)
-    return val
-
-
 def _exp_rem2(z):
-    """e^{-z} - 1 + z for z >= 0; a Taylor series below 0.5, where the terms cancel."""
-    zs = np.minimum(z, 0.5)
+    """e^{-z} - 1 + z; a Taylor series for |z| below 0.5, where the terms cancel."""
+    zs = np.minimum(z, 0.5)  # the series at z <= -0.5 is computed but not used
     acc = np.ones_like(zs)
     for k in range(18, 2, -1):  # z^2/2 (1 - z/3 (1 - z/4 (...)))
         acc = 1.0 - zs * acc / k
-    return np.where(z < 0.5, 0.5 * zs * zs * acc, np.expm1(-z) + z)
+    return np.where(np.abs(z) < 0.5, 0.5 * zs * zs * acc, np.expm1(-z) + z)
 
 
 def _expint(p: float, z):
     """E_p(z) = z^{p-1} Gamma(1-p, z), z > 0: from exp1 (integer p) or gammaincc at
     1 - q in [1.5, 2.5), where it is fast, raised by E_{q+1} = (e^{-z} - z E_q) / q,
     i.e. Gamma(s, z) = (Gamma(s+1, z) - z^s e^{-z}) / s stepped down and scaled."""
+    from scipy import special
+
     if p == int(p):
         q, e = 1.0, special.exp1(z)
     else:
@@ -53,6 +48,135 @@ def _expint(p: float, z):
         e = (ez - z * e) / q
         q += 1.0
     return e
+
+
+def _gamma_cdf(k: int, u: float) -> float:
+    """P(Gamma(k, 1) <= u), integer k >= 1: up to u = k the Poisson tail e^{-u} sum_{j>=k}
+    u^j/j!, whose positive terms fall fast; above it one less the head e^{-u} sum_{j<k}
+    u^j/j!, then about one half or less, so the subtraction keeps its digits."""
+    if u <= k:
+        term = math.exp(-u) * u**k / math.factorial(k)
+        terms = [term]
+        while term > 1e-17 * terms[0]:
+            term *= u / (k + len(terms))
+            terms.append(term)
+        return math.fsum(terms)
+    if math.isinf(u):
+        return 1.0
+    return 1.0 - math.fsum(math.exp(j * math.log(u) - u - math.lgamma(j + 1)) for j in range(k))
+
+
+@functools.cache
+def _legendre20():
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(20)
+
+
+def _gauss_legendre(lo: float, hi: float, c: float):
+    """Nodes and weights of 20-point Gauss-Legendre panels over (lo, hi), 0 < lo < hi.
+
+    Each panel spans a ratio of at most e, so y^{-a-1} is analytic well beyond
+    it, and a width of at most 1 / |c|, so e^{cy} varies by at most a factor e.
+    """
+    edges = np.union1d(
+        np.geomspace(lo, hi, math.ceil(math.log(hi / lo)) + 1),
+        np.linspace(lo, hi, math.ceil(abs(c) * (hi - lo)) + 1),
+    )
+    x, w = _legendre20()
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+class _Tail:
+    """Density, sampler and truncated moments shared by the tail components.
+
+    The density is mass times the family's normalized density in the
+    magnitude y > x0: exponential with rate `shape`, or Pareto with index
+    `shape` (which requires x0 > 0).
+    """
+
+    def _check_family(self):
+        if self.family not in (EXPONENTIAL, PARETO):
+            raise ValueError(f"unknown tail family {self.family!r}")
+        if self.mass <= 0 or self.shape <= 0:
+            raise ValueError("tail mass and shape must be > 0")
+        if self.x0 < 0 or (self.family == PARETO and self.x0 <= 0):
+            raise ValueError("invalid tail cutoff x0")
+
+    def density_mag(self, y):
+        """Density in the magnitude coordinate y > x0 (integrates to mass)."""
+        y = np.asarray(y, dtype=float)
+        if self.family == EXPONENTIAL:
+            return self.mass * self.shape * np.exp(-self.shape * (y - self.x0))
+        a = self.shape
+        return self.mass * a * self.x0**a * y ** (-a - 1.0)
+
+    def sample_mag(self, rng, size):
+        if self.family == EXPONENTIAL:
+            return self.x0 + rng.exponential(1.0 / self.shape, size)
+        return self.x0 * (1.0 + rng.pareto(self.shape, size))
+
+    def moment_mag(self, r: int, bound: float = math.inf, lo: float = 0.0) -> float:
+        """Integral of y^r over magnitudes (max(lo, x0), bound); inf when divergent.
+
+        Exponential: mass e^{-th (lo - x0)} sum_i C(r, i) lo^{r-i} i! / th^i
+        P(Gamma(i+1, th) <= bound - lo), the moments of lo + Exp(th) cut at bound.
+        """
+        lo = max(lo, self.x0)
+        if bound <= lo:
+            return 0.0
+        if self.family == PARETO:
+            a = self.shape
+            if math.isinf(bound):
+                if r >= a:
+                    return math.inf
+                return self.mass * a * self.x0**r / (a - r) * (self.x0 / lo) ** (a - r)
+            if r == a:
+                return self.mass * a * self.x0**a * math.log(bound / lo)
+            c = self.mass * a * self.x0**a / (r - a)
+            return c * (bound ** (r - a) - lo ** (r - a))
+        th = self.shape
+        u = th * (bound - lo)
+        return self.mass * math.exp(-th * (lo - self.x0)) * math.fsum(
+            math.comb(r, i) * lo ** (r - i) * math.factorial(i) / th**i * _gamma_cdf(i + 1, u)
+            for i in range(r + 1)
+        )
+
+
+class _Measure:
+    """Atoms plus tail components, with their total mass and a mixture sampler."""
+
+    def __init__(self, atoms=(), tails=()):
+        self.atoms = tuple(atoms)
+        self.tails = tuple(tails)
+        self._mass = math.fsum(a.mass for a in self.atoms) + math.fsum(
+            t.mass for t in self.tails
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(atoms={self.atoms!r}, tails={self.tails!r})"
+
+    @property
+    def is_zero(self) -> bool:
+        return self._mass == 0.0
+
+    def total_mass(self) -> float:
+        return self._mass
+
+    def _draws(self, rng: np.random.Generator, size: int):
+        """Split `size` draws over the components by mass: yields (component, mask, count)."""
+        if size == 0 or self._mass == 0.0:
+            return
+        comps = self.atoms + self.tails
+        cum = np.cumsum([c.mass for c in comps])
+        idx = np.searchsorted(cum, rng.random(size) * self._mass, side="right")
+        idx = np.minimum(idx, len(comps) - 1)
+        for k, c in enumerate(comps):
+            sel = idx == k
+            m = int(sel.sum())
+            if m:
+                yield c, sel, m
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +198,7 @@ class Atom1D:
 
 
 @dataclass(frozen=True)
-class Tail1D:
+class Tail1D(_Tail):
     """Parametric density on one half line.
 
     side=+1 supports (x0, inf) with density mass * (normalized family
@@ -90,62 +214,58 @@ class Tail1D:
     side: int = 1
 
     def __post_init__(self):
-        if self.family not in (EXPONENTIAL, PARETO):
-            raise ValueError(f"unknown tail family {self.family!r}")
-        if self.mass <= 0 or self.shape <= 0:
-            raise ValueError("tail mass and shape must be > 0")
+        self._check_family()
         if self.side not in (1, -1):
             raise ValueError("side must be +1 or -1")
-        if self.x0 < 0 or (self.family == PARETO and self.x0 <= 0):
-            raise ValueError("invalid tail cutoff x0")
 
-    def density_mag(self, y):
-        """Density in the magnitude coordinate y > x0 (integrates to mass)."""
-        y = np.asarray(y, dtype=float)
-        if self.family == EXPONENTIAL:
-            return self.mass * self.shape * np.exp(-self.shape * (y - self.x0))
-        a = self.shape
-        return self.mass * a * self.x0**a * y ** (-a - 1.0)
+    def integrate_exp(self, c: float, order: int, lo: float, hi: float = math.inf) -> float:
+        """Integral of e^{cy} less its Taylor terms of degree < order (1 or 2) against
+        the density over magnitudes (max(lo, x0), hi); inf when it diverges.
 
-    def integrate_mag(self, g, lo, hi=math.inf):
-        """Integral of g against the density over magnitudes (lo, hi)."""
+        Exponential tails are elementary (c = rate is the linear case); Pareto
+        tails over (lo, inf) with c < 0 use mass (x0/lo)^a (a E_{a+1}(u) - 1),
+        u = -c lo, and over a bounded range Gauss-Legendre panels, with
+        e^{cy} - 1 - cy evaluated without cancellation.
+        """
         lo = max(lo, self.x0)
-        if hi <= lo:
+        if hi <= lo or c == 0:
             return 0.0
-        return _quad(lambda y: g(y) * float(self.density_mag(y)), lo, hi)
-
-    def sample_mag(self, rng, size):
+        lin = c * self.moment_mag(1, hi, lo) if order == 2 else 0.0
         if self.family == EXPONENTIAL:
-            return self.x0 + rng.exponential(1.0 / self.shape, size)
-        return self.x0 * (1.0 + rng.pareto(self.shape, size))
+            th, k, d = self.shape, c - self.shape, hi - lo
+            # integral of e^{k e} over (0, d): c equal to the rate is the linear case,
+            # and d = inf gives -1/k for k < 0 and inf (divergence) otherwise
+            head = d if k == 0 else math.expm1(k * d) / k
+            val = self.mass * th * math.exp(c * lo - th * (lo - self.x0)) * head
+            return val - self.moment_mag(0, hi, lo) - lin
+        a = self.shape
+        if math.isinf(hi):
+            if c > 0:
+                return math.inf
+            u = -c * lo
+            e = float(np.expm1(-u) - u * _expint(a, u))  # a E_{a+1}(u) - 1
+            return self.mass * (self.x0 / lo) ** a * e - lin
+        if c > 0 and c * (hi - lo) >= 1.0:  # the last 1/c of the range alone overflows
+            log_last = c * hi - 1.0 + math.log(self.mass * a / c) + a * math.log(self.x0)
+            if log_last - (a + 1.0) * math.log(hi) > 710.0:
+                raise OverflowError("tail integral leaves the float range")
+        y, w = _gauss_legendre(lo, hi, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.expm1(c * y) if order == 1 else _exp_rem2(-c * y)
+            val = self.mass * a * self.x0**a * float(np.sum(w * y ** (-a - 1.0) * g))
+        if not math.isfinite(val):
+            raise OverflowError("tail integral leaves the float range")
+        return val
 
 
-class JumpMeasure1D:
+class JumpMeasure1D(_Measure):
     """Levy measure on the real line: atoms plus one-sided tail densities."""
-
-    def __init__(self, atoms=(), tails=()):
-        self.atoms = tuple(atoms)
-        self.tails = tuple(tails)
-        self._mass = math.fsum(a.mass for a in self.atoms) + math.fsum(
-            t.mass for t in self.tails
-        )
-
-    def __repr__(self):
-        return f"JumpMeasure1D(atoms={self.atoms!r}, tails={self.tails!r})"
-
-    @property
-    def is_zero(self) -> bool:
-        return self._mass == 0.0
-
-    def total_mass(self) -> float:
-        return self._mass
 
     def mean_small(self) -> float:
         """Integral of z over |z| <= 1 (compensator drift of the small jumps)."""
         out = math.fsum(a.mass * a.z for a in self.atoms if abs(a.z) <= 1.0)
         for t in self.tails:
-            if t.x0 < 1.0:
-                out += t.side * t.integrate_mag(lambda y: y, t.x0, 1.0)
+            out += t.side * t.moment_mag(1, 1.0)
         return out
 
     def small_exp_integral(self, n: float) -> float:
@@ -156,11 +276,7 @@ class JumpMeasure1D:
             if abs(a.z) <= 1.0
         )
         for t in self.tails:
-            if t.x0 < 1.0:
-                sgn = t.side
-                total += t.integrate_mag(
-                    lambda y: math.exp(n * sgn * y) - 1.0 - n * sgn * y, t.x0, 1.0
-                )
+            total += t.integrate_exp(t.side * n, 2, t.x0, 1.0)
         return total
 
     def exp_integral(self, n: float, clip: float = math.inf) -> float:
@@ -179,56 +295,15 @@ class JumpMeasure1D:
                 total += a.mass * (math.exp(n * a.z) - 1.0)
             # positive atom above clip: effective jump 0 contributes nothing
         for t in self.tails:
-            total += self._tail_exp_integral(t, n, clip)
+            c, hi = t.side * n, clip if t.side > 0 else math.inf
+            total += t.integrate_exp(c, 2, t.x0, 1.0) + t.integrate_exp(c, 1, 1.0, hi)
         return total
-
-    @staticmethod
-    def _tail_exp_integral(t: Tail1D, n: float, clip: float) -> float:
-        sgn = t.side
-        out = 0.0
-        if t.x0 < 1.0:
-            out += t.integrate_mag(
-                lambda y: math.exp(n * sgn * y) - 1.0 - n * sgn * y, t.x0, 1.0
-            )
-        lo = max(t.x0, 1.0)
-        if sgn < 0:
-            # negative large jumps: integrand in (-1, 0), always finite
-            return out + t.integrate_mag(lambda y: math.exp(-n * y) - 1.0, lo)
-        hi = clip
-        if hi <= lo:
-            return out
-        if not math.isfinite(hi):
-            if n == 0:
-                return out
-            if t.family == PARETO or (t.family == EXPONENTIAL and n >= t.shape):
-                return math.inf
-            # exponential tail, n < rate: closed form
-            th = t.shape
-            val = t.mass * th * math.exp(th * t.x0) * (
-                math.exp(-(th - n) * lo) / (th - n) - math.exp(-th * lo) / th
-            )
-            return out + val
-        return out + t.integrate_mag(lambda y: math.exp(n * y) - 1.0, lo, hi)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` raw jump sizes from the normalized measure."""
-        if size == 0 or self._mass == 0.0:
-            return np.zeros(size)
-        comps = list(self.atoms) + list(self.tails)
-        weights = np.array([c.mass for c in comps])
-        cum = np.cumsum(weights)
-        idx = np.searchsorted(cum, rng.random(size) * self._mass, side="right")
-        idx = np.minimum(idx, len(comps) - 1)
-        out = np.empty(size)
-        for k, c in enumerate(comps):
-            sel = idx == k
-            m = int(sel.sum())
-            if m == 0:
-                continue
-            if isinstance(c, Atom1D):
-                out[sel] = c.z
-            else:
-                out[sel] = c.side * c.sample_mag(rng, m)
+        out = np.zeros(size)
+        for c, sel, m in self._draws(rng, size):
+            out[sel] = c.z if isinstance(c, Atom1D) else c.side * c.sample_mag(rng, m)
         return out
 
 
@@ -259,7 +334,7 @@ class Atom2D:
 
 
 @dataclass(frozen=True)
-class AxisTail:
+class AxisTail(_Tail):
     """Tail density supported on one coordinate axis of the quadrant.
 
     axis=1 puts magnitude z on the first coordinate (second is 0), axis=2
@@ -276,49 +351,7 @@ class AxisTail:
     def __post_init__(self):
         if self.axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        if self.family not in (EXPONENTIAL, PARETO):
-            raise ValueError(f"unknown tail family {self.family!r}")
-        if self.mass <= 0 or self.shape <= 0:
-            raise ValueError("tail mass and shape must be > 0")
-        if self.x0 < 0 or (self.family == PARETO and self.x0 <= 0):
-            raise ValueError("invalid tail cutoff x0")
-
-    def density_mag(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.family == EXPONENTIAL:
-            return self.mass * self.shape * np.exp(-self.shape * (y - self.x0))
-        a = self.shape
-        return self.mass * a * self.x0**a * y ** (-a - 1.0)
-
-    def moment_mag(self, r: int, bound: float = math.inf) -> float:
-        """Integral of y^r over magnitudes (x0, bound); inf when divergent."""
-        if bound <= self.x0:
-            return 0.0
-        if self.family == PARETO:
-            a = self.shape
-            if math.isinf(bound):
-                if r >= a:
-                    return math.inf
-                return self.mass * a * self.x0**r / (a - r)
-            if r == a:
-                return self.mass * a * self.x0**a * math.log(bound / self.x0)
-            c = self.mass * a * self.x0**a / (r - a)
-            return c * (bound ** (r - a) - self.x0 ** (r - a))
-        th = self.shape
-        if math.isinf(bound):
-            # moments of x0 + Exp(th)
-            return self.mass * math.fsum(
-                math.comb(r, i) * self.x0 ** (r - i) * math.factorial(i) / th**i
-                for i in range(r + 1)
-            )
-        return self.mass * _quad(
-            lambda y: y**r * th * math.exp(-th * (y - self.x0)), self.x0, bound
-        )
-
-    def sample_mag(self, rng, size):
-        if self.family == EXPONENTIAL:
-            return self.x0 + rng.exponential(1.0 / self.shape, size)
-        return self.x0 * (1.0 + rng.pareto(self.shape, size))
+        self._check_family()
 
     def laplace_part(self, lam, compensated: bool):
         """E[e^{-lam Y} - 1 (+ lam Y when compensated)] for the normalized magnitude Y.
@@ -342,7 +375,7 @@ class AxisTail:
         return np.where(z > 0, val, 0.0)
 
 
-class JumpMeasure:
+class JumpMeasure(_Measure):
     """Branching jump measure: atoms plus axis-supported tail densities.
 
     Validity (finite first moments in both coordinates, which for
@@ -353,26 +386,11 @@ class JumpMeasure:
     """
 
     def __init__(self, atoms=(), tails=(), validate=True):
-        self.atoms = tuple(atoms)
-        self.tails = tuple(tails)
-        self._mass = math.fsum(a.mass for a in self.atoms) + math.fsum(
-            t.mass for t in self.tails
-        )
-        if validate:
-            if math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1)):
-                raise DivergentCrossMoment(
-                    "jump measure must have finite first moments in both coordinates"
-                )
-
-    def __repr__(self):
-        return f"JumpMeasure(atoms={self.atoms!r}, tails={self.tails!r})"
-
-    @property
-    def is_zero(self) -> bool:
-        return self._mass == 0.0
-
-    def total_mass(self) -> float:
-        return self._mass
+        super().__init__(atoms, tails)
+        if validate and (math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1))):
+            raise DivergentCrossMoment(
+                "jump measure must have finite first moments in both coordinates"
+            )
 
     def moment(self, r: int, s: int, cap: float = math.inf, square: bool = False) -> float:
         """Mixed moment: integral of z1^r z2^s over the kept region.
@@ -400,16 +418,6 @@ class JumpMeasure:
             total += val
         return total
 
-    def moment_is_finite(self, r: int, s: int, cap: float = math.inf) -> bool:
-        if math.isfinite(cap):
-            return True
-        for t in self.tails:
-            other = s if t.axis == 1 else r
-            own = r if t.axis == 1 else s
-            if other == 0 and t.family == PARETO and own >= t.shape:
-                return False
-        return True
-
     def norm_moment_finite(self, n: int, cap: float = math.inf) -> bool:
         """Whether the integral of |z|^n is finite under a norm cap."""
         if math.isfinite(cap):
@@ -435,24 +443,13 @@ class JumpMeasure:
         for t in self.tails:
             total = total + t.mass * t.laplace_part(lam1 if t.axis == 1 else lam2, t.axis == own_axis)
         return total if np.ndim(total) else float(total)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` jumps as an (size, 2) array from the normalized measure."""
         out = np.zeros((size, 2))
-        if size == 0 or self._mass == 0.0:
-            return out
-        comps = list(self.atoms) + list(self.tails)
-        weights = np.array([c.mass for c in comps])
-        cum = np.cumsum(weights)
-        idx = np.searchsorted(cum, rng.random(size) * self._mass, side="right")
-        idx = np.minimum(idx, len(comps) - 1)
-        for k, c in enumerate(comps):
-            sel = idx == k
-            m = int(sel.sum())
-            if m == 0:
-                continue
+        for c, sel, m in self._draws(rng, size):
             if isinstance(c, Atom2D):
-                out[sel, 0] = c.z1
-                out[sel, 1] = c.z2
+                out[sel] = c.z1, c.z2
             else:
                 out[sel, c.axis - 1] = c.sample_mag(rng, m)
         return out

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .branching import BranchingSpec, effective_drift_matrix, phi_eval_vec
 from .env import EnvPath, LevyEnvSpec, _base_grid, beta_tilde, env_increments, levy_exponent
@@ -178,6 +177,8 @@ class MomentTable:
     def eval_vector(self, s: float) -> np.ndarray:
         if self.generator is None or self.m0 is None:
             raise ValueError("table carries no propagator")
+        from scipy.linalg import expm
+
         return expm(self.generator.matrix * s) @ self.m0
 
 
@@ -192,6 +193,8 @@ def solve_moment_ode(gen: MomentGenerator, x0, t_grid) -> MomentTable:
     Steps the sorted times by expm(G dt), one exponential per distinct dt;
     raises ExponentOverflow when a moment leaves the float range.
     """
+    from scipy.linalg import expm
+
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     m0 = initial_moment_vector(gen, x0)
     order = np.argsort(t_grid, kind="stable")
@@ -335,6 +338,8 @@ def recursion_check(
         aug[size, mono(j, 1)] += b_coef[j]
     aug[size, size] = levy_exponent(env, n) - n * b_ii
     target_idx = mono(n, 0)
+    from scipy.linalg import expm
+
     out = expm(aug * t) @ np.append(table.m0, table.m0[target_idx])
     lhs, rhs = float(out[target_idx]), float(out[size])
     return lhs, rhs, abs(rhs - lhs) / max(1.0, abs(lhs))
@@ -375,6 +380,8 @@ def polynomial_degree_check(
             f"need at least {len(fit_basis)} initial states, got {len(x_grid)}"
         )
     gen = build_moment_generator(env, spec, n)
+    from scipy.linalg import expm
+
     weights = expm(gen.matrix * t)[gen.index(n, 0) if type_index == 1 else gen.index(0, n)]
     y = np.array([weights @ initial_moment_vector(gen, x) for x in x_grid])
     design = np.array([[x1**p * x2**q for p, q in fit_basis] for x1, x2 in x_grid])

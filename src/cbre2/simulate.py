@@ -170,6 +170,7 @@ def stream_states(
     xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in variants]
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
+    scratch = np.empty(n_paths)
     xi = [np.zeros(n_paths) for _ in clips]
     xi_of = [xi[clips.index(var.env_clip)] for var in variants]
     rec_pos = set(int(g) for g in rec_idx)
@@ -181,13 +182,19 @@ def stream_states(
         # 1. exact linear drift flow
         for v, var in enumerate(variants):
             xs[v] = var.drift_matrix(bspec, h) @ xs[v]
-        # 2. diffusion with clamping (noise shared across variants)
+        # 2. diffusion with clamping (noise shared across variants), fused into
+        # one scratch buffer: max(x + sqrt(2c x) sh g, 0)
         sh = math.sqrt(h)
         for i, c in enumerate((bspec.c1, bspec.c2)):
             if c > 0:
                 g = rng.standard_normal(n_paths)
                 for x in xs:
-                    np.maximum(x[i] + np.sqrt(2.0 * c * x[i]) * sh * g, 0.0, out=x[i])
+                    np.multiply(2.0 * c, x[i], out=scratch)
+                    np.sqrt(scratch, out=scratch)
+                    np.multiply(scratch, sh, out=scratch)
+                    np.multiply(scratch, g, out=scratch)
+                    np.add(x[i], scratch, out=scratch)
+                    np.maximum(scratch, 0.0, out=x[i])
         # 3. branching jumps where the integrated intensity exhausts a clock
         if branching:
             clock -= h * (lam @ _max_over(xs))

@@ -54,6 +54,35 @@ def tail_phi_quad(tail, lam, compensated):
     return tail.mass * total
 
 
+def tail_quad(tail, g, lo, hi=math.inf):
+    """Integral of g(y) against a tail component's magnitude density over (lo, hi), by quad.
+
+    The density is written out here, apart from cbre2: mass theta e^{-theta (y - x0)}
+    (exponential) or mass alpha x0^alpha y^{-alpha-1} (Pareto), on y > x0.
+    """
+    lo = max(lo, tail.x0)
+    if hi <= lo:
+        return 0.0
+    m, a, x0 = tail.mass, tail.shape, tail.x0
+    if tail.family == "pareto":
+        def dens(y):
+            return m * a * x0**a * y ** (-a - 1.0)
+    else:
+        def dens(y):
+            return m * a * math.exp(-a * (y - x0))
+    def f(y):  # where the density underflows, g may overflow
+        d = dens(y)
+        return g(y) * d if d else 0.0
+
+    return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+@pytest.fixture(scope="session")
+def tail_reference():
+    """Quadrature reference for integrals against one tail component, apart from cbre2."""
+    return tail_quad
+
+
 @pytest.fixture(scope="session")
 def phi_reference():
     """Quadrature reference for one axis tail's term of phi, apart from cbre2."""

@@ -170,6 +170,10 @@ def test_levy_exponent_overflow_is_a_package_error():
     with pytest.raises(ExponentOverflow, match="float range") as info:
         levy_exponent(spec, 600)
     assert isinstance(info.value, Cbre2Error)
+    # a finite tail integral past the float range: raised before any panel is built
+    tail = LevyEnvSpec(nu=JumpMeasure1D(tails=[Tail1D("pareto", 0.5, 2.5, 0.3)]), trunc_level=1e6)
+    with pytest.raises(ExponentOverflow, match="float range"):
+        levy_exponent(tail, 2)
 
 
 def test_env_increments_law_and_clips_on_an_uneven_grid():

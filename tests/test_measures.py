@@ -57,14 +57,26 @@ def test_exponential_axis_moments_closed_form():
     )
 
 
-def test_truncated_moments_match_quadrature():
-    t = AxisTail(1, "pareto", 0.8, 2.5, 1.0)
-    m = JumpMeasure(tails=[t])
-    from scipy.integrate import quad
-
-    ref, _ = quad(lambda z: z * 0.8 * 2.5 * z**-3.5, 1.0, 4.0, epsabs=1e-13)
-    assert m.moment(1, 0, cap=4.0) == pytest.approx(ref, rel=1e-10)
-    assert m.moment(1, 0, cap=0.5) == 0.0
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("width", [0.01, 3.0], ids=["near", "far"])
+@pytest.mark.parametrize(
+    "tail",
+    [
+        AxisTail(1, "pareto", 0.8, 2.5, 1.0),
+        AxisTail(1, "exponential", 0.7, 1.7, 0.5),
+        AxisTail(2, "exponential", 0.4, 0.8, 0.0),
+    ],
+    ids=["pareto", "exp", "exp-x0=0"],
+)
+def test_truncated_moments_match_quadrature(tail_reference, tail, width, r):
+    """Moments of a tail cut at a bound close to x0 and far from it, against quad."""
+    cap = tail.x0 + width
+    ref = tail_reference(tail, lambda y: y**r, tail.x0, cap)
+    assert tail.moment_mag(r, cap) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    if r >= 1:
+        rs = (r, 0) if tail.axis == 1 else (0, r)
+        assert JumpMeasure(tails=[tail]).moment(*rs, cap=cap) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert tail.moment_mag(r, 0.5 * tail.x0) == 0.0  # a cap below the support
 
 
 def test_unit_square_restriction():
@@ -112,18 +124,66 @@ def test_sampler_matches_analytic_moments():
         assert abs(est - m.moment(r, s) / total) <= 4 * se
 
 
-def test_measure_1d_small_exp_integral_against_quad():
-    nu = JumpMeasure1D(
-        atoms=[Atom1D(0.4, 0.5)],
-        tails=[Tail1D("exponential", 0.6, 1.5, 0.2), Tail1D("exponential", 0.3, 2.0, 0.4, side=-1)],
-    )
-    from scipy.integrate import quad
+def _rem(u, order):
+    """e^u less its Taylor terms of degree < order, by its series where they cancel."""
+    if order == 1:
+        return math.expm1(u)
+    if abs(u) < 0.1:
+        return u * u * math.fsum(u**k / math.factorial(k + 2) for k in range(12))
+    return math.expm1(u) - u
 
-    n = 2.0
-    ref = 0.4 * (math.exp(n * 0.5) - 1 - n * 0.5)
-    ref += quad(lambda y: (math.exp(n * y) - 1 - n * y) * 0.6 * 1.5 * math.exp(-1.5 * (y - 0.2)), 0.2, 1.0)[0]
-    ref += quad(lambda y: (math.exp(-n * y) - 1 + n * y) * 0.3 * 2.0 * math.exp(-2.0 * (y - 0.4)), 0.4, 1.0)[0]
-    assert nu.small_exp_integral(n) == pytest.approx(ref, rel=1e-10)
+
+EXP_INTEGRAL_CASES = {
+    "exp-both-sides": (
+        [Atom1D(0.4, 0.5)],
+        [Tail1D("exponential", 0.6, 1.5, 0.2), Tail1D("exponential", 0.3, 2.0, 0.4, side=-1)],
+        2.0,
+    ),
+    "exp-rate=n": ([], [Tail1D("exponential", 0.5, 2.0, 0.3), Tail1D("exponential", 0.2, 3.0, 0.0)], 2.0),
+    "exp-neg-rate=n": ([], [Tail1D("exponential", 0.5, 2.0, 0.3, side=-1)], 2.0),
+    "pareto1-x0=1e-3": ([], [Tail1D("pareto", 0.5, 1.0, 1e-3)], 2.0),
+    "pareto1-x0=0.3": ([], [Tail1D("pareto", 0.5, 1.0, 0.3)], 3.0),
+    "pareto1-neg-x0=1e-3": ([], [Tail1D("pareto", 0.5, 1.0, 1e-3, side=-1)], 1.0),
+    "pareto1-neg-x0=0.3": ([], [Tail1D("pareto", 0.5, 1.0, 0.3, side=-1)], 2.0),
+    "pareto2.5-both-sides": (
+        [Atom1D(0.2, -0.7)],
+        [Tail1D("pareto", 0.4, 2.5, 0.3), Tail1D("pareto", 0.3, 2.5, 1e-3, side=-1)],
+        2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("clip", [3.0, 60.0, math.inf], ids=["clip=3", "clip=60", "clip=inf"])
+@pytest.mark.parametrize("case", list(EXP_INTEGRAL_CASES))
+def test_measure_1d_small_exp_integral_against_quad(tail_reference, case, clip):
+    """mean_small, small_exp_integral, exp_integral and levy_exponent against quad."""
+    from cbre2.env import LevyEnvSpec, levy_exponent
+    from cbre2.errors import DivergentExponent
+
+    atoms, tails, n = EXP_INTEGRAL_CASES[case]
+    nu = JumpMeasure1D(atoms=atoms, tails=tails)
+    mean = math.fsum(a.mass * a.z for a in atoms if abs(a.z) <= 1.0)
+    small = math.fsum(a.mass * _rem(n * a.z, 2) for a in atoms if abs(a.z) <= 1.0)
+    large = math.fsum(a.mass * _rem(n * a.z, 1) for a in atoms if a.z < -1.0 or 1.0 < a.z <= clip)
+    for t in tails:
+        c = t.side * n
+        mean += t.side * tail_reference(t, lambda y: y, t.x0, 1.0)
+        small += tail_reference(t, lambda y: _rem(c * y, 2), t.x0, 1.0)
+        if t.side > 0 and math.isinf(clip) and (t.family == "pareto" or n >= t.shape):
+            large = math.inf  # the positive tail of e^{nz} diverges
+        else:
+            large += tail_reference(t, lambda y: _rem(c * y, 1), 1.0, clip if t.side > 0 else math.inf)
+    assert nu.mean_small() == pytest.approx(mean, rel=1e-10, abs=0.0)
+    assert nu.small_exp_integral(n) == pytest.approx(small, rel=1e-10, abs=0.0)
+    env = LevyEnvSpec(a=0.1, sigma1=0.2, nu=nu, trunc_level=clip)
+    if math.isinf(large):
+        assert math.isinf(nu.exp_integral(n, clip))
+        with pytest.raises(DivergentExponent):
+            levy_exponent(env, n)
+        return
+    assert nu.exp_integral(n, clip) == pytest.approx(small + large, rel=1e-10, abs=0.0)
+    beta = 0.1 * n + 0.5 * 0.2**2 * n**2 + small + large
+    assert levy_exponent(env, n) == pytest.approx(beta, rel=1e-10, abs=0.0)
 
 
 def test_measure_1d_sampling_mixture():
