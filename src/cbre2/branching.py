@@ -33,7 +33,6 @@ class BranchingSpec:
     c2: float = 0.0
     m1: JumpMeasure = field(default_factory=lambda: ZERO_MEASURE_2D)
     m2: JumpMeasure = field(default_factory=lambda: ZERO_MEASURE_2D)
-    trunc_predicate: TruncationPredicate = IDENTITY
 
     def __post_init__(self):
         if self.b12 > 0 or self.b21 > 0:
@@ -75,14 +74,18 @@ def phi_eval_vec(spec: BranchingSpec, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def effective_drift_matrix(spec: BranchingSpec) -> np.ndarray:
+def effective_drift_matrix(
+    spec: BranchingSpec, truncation: TruncationPredicate = IDENTITY
+) -> np.ndarray:
     """Drift matrix with off-diagonals corrected by first cross-moments.
 
     b~_12 = b_12 - integral of z2 over m1, b~_21 = b_21 - integral of z1
-    over m2; diagonal entries are unchanged.
+    over m2, both over the jumps the truncation keeps; diagonal entries
+    are unchanged.
     """
-    mu1_z2 = spec.m1.moment(0, 1)
-    mu2_z1 = spec.m2.moment(1, 0)
+    rule = truncation.branching
+    mu1_z2 = spec.m1.moment(0, 1, rule)
+    mu2_z1 = spec.m2.moment(1, 0, rule)
     if math.isinf(mu1_z2) or math.isinf(mu2_z1):
         raise DivergentCrossMoment("first cross-moment of a jump measure diverges")
     return np.array(
@@ -99,9 +102,8 @@ def compensator_moments(
     the z1 moment of m1 and the z2 moment of m2, both restricted to the
     jumps the predicate keeps.
     """
-    rule = predicate.branching
-    mu1 = spec.m1.moment(1, 0, cap=rule.cap, square=rule.square)
-    mu2 = spec.m2.moment(0, 1, cap=rule.cap, square=rule.square)
+    mu1 = spec.m1.moment(1, 0, predicate.branching)
+    mu2 = spec.m2.moment(0, 1, predicate.branching)
     if math.isinf(mu1) or math.isinf(mu2):
         raise DivergentCrossMoment("compensated first moment diverges")
     return mu1, mu2

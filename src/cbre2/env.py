@@ -41,10 +41,6 @@ class LevyEnvSpec:
         if not (self.trunc_level >= 1.0):
             raise ValueError("trunc_level must be >= 1 (or inf)")
 
-    def driver_drift(self) -> float:
-        """Drift of the multiplicative driver L implied by the xi drift a."""
-        return self.a + 0.5 * self.sigma1**2 + self.nu.small_exp_integral(1.0)
-
 
 def levy_exponent(spec: LevyEnvSpec, n: int) -> float:
     """Integer Laplace exponent: E e^{n xi(t)} = e^{beta(n) t}.

@@ -29,6 +29,7 @@ from .branching import BranchingSpec
 from .env import LevyEnvSpec
 from .errors import ZeroInitialState
 from .measures import EXPONENTIAL, PARETO, JumpMeasure, JumpMeasure1D
+from .truncation import IDENTITY, KEEP_ALL, NORM_CAP, BranchingRule, TruncationPredicate
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -218,13 +219,13 @@ def _combine(classes) -> str:
 
 
 def classify_branching_tail(
-    f: MomentTestFunction, *measures: JumpMeasure, cap: float = math.inf, square: bool = False
+    f: MomentTestFunction, *measures: JumpMeasure, rule: BranchingRule = KEEP_ALL
 ) -> str:
     """Classify the integral of f(|z|) over |z| >= 1 against branching measures."""
     classes = [FINITE]
     for m in measures:
         for t in m.tails:
-            if math.isfinite(cap) or square:
+            if math.isfinite(rule.axis_bound):
                 continue  # truncated tail has bounded support
             classes.append(_classify_branching_component(f, t.family, t.shape))
         # atoms always integrate finitely
@@ -248,7 +249,7 @@ def tail_integral_classify(f: MomentTestFunction, target, clip: float = math.inf
     if isinstance(target, JumpMeasure1D):
         return classify_env_tail(f, target, clip)
     if isinstance(target, JumpMeasure):
-        return classify_branching_tail(f, target, cap=clip)
+        return classify_branching_tail(f, target, rule=BranchingRule(NORM_CAP, clip))
     raise TypeError("target must be a JumpMeasure or JumpMeasure1D")
 
 
@@ -262,24 +263,25 @@ class FMomentVerdict:
 
 
 def f_moment_verdict(
-    env: LevyEnvSpec, spec: BranchingSpec, x0, f: MomentTestFunction
+    env: LevyEnvSpec,
+    spec: BranchingSpec,
+    x0,
+    f: MomentTestFunction,
+    truncation: TruncationPredicate = IDENTITY,
 ) -> FMomentVerdict:
     """Finite/Infinite/Unknown verdict for E f(|X(t)|), t > 0, with breakdown.
 
     Finite iff the initial criterion (automatic for a deterministic
     nonzero start), the branching-tail criterion, and the
-    environment-tail criterion all hold; any truncation carried by the
-    specs is honored (truncated tails integrate everything).
+    environment-tail criterion all hold; the truncation and the
+    environment's own trunc_level are honored (truncated tails integrate
+    everything).
     """
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 == 0.0 and x2 == 0.0:
         raise ZeroInitialState("the f-moment criterion requires a nonzero initial state")
-    rule = spec.trunc_predicate.branching
-    branching = classify_branching_tail(
-        f, spec.m1, spec.m2, cap=rule.cap, square=rule.square
-    )
-    env_clip = spec.trunc_predicate.effective_env_clip(env.trunc_level)
-    environment = classify_env_tail(f, env.nu, env_clip)
+    branching = classify_branching_tail(f, spec.m1, spec.m2, rule=truncation.branching)
+    environment = classify_env_tail(f, env.nu, truncation.clip_env(env).trunc_level)
     criteria = {
         "initial": FINITE,
         "branching_tail": branching,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentCrossMoment
+from .truncation import KEEP_ALL, BranchingRule
 
 EXPONENTIAL = "exponential"
 PARETO = "pareto"
@@ -328,10 +329,6 @@ class Atom2D:
         if self.z1 < 0 or self.z2 < 0 or (self.z1 == 0 and self.z2 == 0):
             raise ValueError("atom must lie in the quadrant minus the origin")
 
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.z1, self.z2)
-
 
 @dataclass(frozen=True)
 class AxisTail(_Tail):
@@ -392,35 +389,31 @@ class JumpMeasure(_Measure):
                 "jump measure must have finite first moments in both coordinates"
             )
 
-    def moment(self, r: int, s: int, cap: float = math.inf, square: bool = False) -> float:
-        """Mixed moment: integral of z1^r z2^s over the kept region.
+    def moment(self, r: int, s: int, rule: BranchingRule = KEEP_ALL) -> float:
+        """Mixed moment: integral of z1^r z2^s over the region `rule` keeps.
 
-        The kept region is {|z| <= cap} intersected with [0,1]^2 when
-        `square` is set (|.| Euclidean).  Returns math.inf when a tail
-        component diverges at that order; divergence is a value here, not
-        an error.
+        Returns math.inf when a tail component diverges at that order;
+        divergence is a value here, not an error.
         """
         if r < 0 or s < 0 or r + s < 1:
             raise ValueError("moment orders must be nonnegative with r+s >= 1")
         total = 0.0
         for a in self.atoms:
-            if a.norm <= cap and (not square or (a.z1 <= 1.0 and a.z2 <= 1.0)):
+            if rule.keeps(a.z1, a.z2):
                 total += a.mass * a.z1**r * a.z2**s
         for t in self.tails:
             other = s if t.axis == 1 else r
             if other >= 1:
                 continue  # off-axis coordinate is 0
-            own = r if t.axis == 1 else s
-            bound = min(cap, 1.0) if square else cap
-            val = t.moment_mag(own, bound)
+            val = t.moment_mag(r if t.axis == 1 else s, rule.axis_bound)
             if math.isinf(val):
                 return math.inf
             total += val
         return total
 
-    def norm_moment_finite(self, n: int, cap: float = math.inf) -> bool:
-        """Whether the integral of |z|^n is finite under a norm cap."""
-        if math.isfinite(cap):
+    def norm_moment_finite(self, n: int, rule: BranchingRule = KEEP_ALL) -> bool:
+        """Whether the integral of |z|^n over the region `rule` keeps is finite."""
+        if math.isfinite(rule.axis_bound):
             return True
         # on an axis |z| is the magnitude itself
         return all(

@@ -12,7 +12,7 @@ rather than as the computation path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +38,6 @@ def monomial_basis(degree: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _env_clipped(env: LevyEnvSpec, predicate: TruncationPredicate) -> LevyEnvSpec:
-    clip = predicate.effective_env_clip(env.trunc_level)
-    if clip == env.trunc_level:
-        return env
-    return replace(env, trunc_level=clip)
-
-
 def hypotheses_hold(
     env: LevyEnvSpec,
     spec: BranchingSpec,
@@ -53,10 +46,10 @@ def hypotheses_hold(
 ) -> bool:
     """Whether the order-n moment hypotheses hold for the (truncated) system."""
     rule = truncation.branching
-    if not (spec.m1.norm_moment_finite(n, rule.cap) and spec.m2.norm_moment_finite(n, rule.cap)):
+    if not (spec.m1.norm_moment_finite(n, rule) and spec.m2.norm_moment_finite(n, rule)):
         return False
     try:
-        levy_exponent(_env_clipped(env, truncation), n)
+        levy_exponent(truncation.clip_env(env), n)
     except DivergentExponent:
         return False
     return True
@@ -82,6 +75,7 @@ class MomentGenerator:
     basis: tuple[tuple[int, int], ...]
     matrix: np.ndarray
     beta: tuple[float, ...] = ()  # beta(0), ..., beta(degree) of the (clipped) environment
+    truncation: TruncationPredicate = IDENTITY  # the truncated system the matrix describes
 
     def index(self, p: int, q: int) -> int:
         return self.basis.index((p, q))
@@ -109,7 +103,7 @@ def build_moment_generator(
             f"order-{n} moment hypotheses fail for this environment/branching pair"
         )
     rule = truncation.branching
-    env_t = _env_clipped(env, truncation)
+    env_t = truncation.clip_env(env)
     basis = monomial_basis(n)
     idx = {pq: k for k, pq in enumerate(basis)}
     size = len(basis)
@@ -117,7 +111,7 @@ def build_moment_generator(
     beta = [0.0] + [levy_exponent(env_t, d) for d in range(1, n + 1)]
 
     def mu(measure, r, s):
-        val = measure.moment(r, s, cap=rule.cap, square=rule.square) if r + s >= 1 else 0.0
+        val = measure.moment(r, s, rule) if r + s >= 1 else 0.0
         if math.isinf(val):  # pragma: no cover - guarded by hypotheses_hold
             raise HypothesisViolated("jump moment diverges")
         return val
@@ -149,17 +143,12 @@ def build_moment_generator(
                     g[row, idx[(i, j + 1)]] += (
                         math.comb(p, i) * math.comb(q, j) * mu(spec.m2, p - i, q - j)
                     )
-    return MomentGenerator(n, basis, g, tuple(beta))
+    return MomentGenerator(n, basis, g, tuple(beta), truncation)
 
 
 @dataclass
 class MomentTable:
-    """Mixed moments on a time grid, with finiteness flags per monomial.
-
-    When built from a generator the table also acts as an exact
-    propagator: `eval_vector(s)` returns every monomial moment at an
-    arbitrary time s (not just grid points).
-    """
+    """Mixed moments on a time grid, with finiteness flags per monomial."""
 
     degree: int
     grid: np.ndarray
@@ -173,13 +162,6 @@ class MomentTable:
         if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not a grid time")
         return float(self.values[(p, q)][k])
-
-    def eval_vector(self, s: float) -> np.ndarray:
-        if self.generator is None or self.m0 is None:
-            raise ValueError("table carries no propagator")
-        from scipy.linalg import expm
-
-        return expm(self.generator.matrix * s) @ self.m0
 
 
 def initial_moment_vector(gen: MomentGenerator, x0) -> np.ndarray:
@@ -247,27 +229,32 @@ def moment_table(
     return table
 
 
-def first_moment_closed_form(env: LevyEnvSpec, spec: BranchingSpec, x0, t: float) -> np.ndarray:
+def first_moment_closed_form(
+    env: LevyEnvSpec, spec: BranchingSpec, x0, t: float, truncation: TruncationPredicate = IDENTITY
+) -> np.ndarray:
     """E X(t) = e^{beta~ t} exp(-t b~^T) x0 (2x2 closed-form exponential)."""
-    bt = beta_tilde(env)
-    btil = effective_drift_matrix(spec)
+    bt = beta_tilde(truncation.clip_env(env))
+    btil = effective_drift_matrix(spec, truncation)
     return math.exp(bt * t) * (expm2(-t * btil.T) @ np.asarray(x0, dtype=float))
 
 
 def martingale_transform(env: LevyEnvSpec, spec: BranchingSpec, path: StatePath) -> np.ndarray:
     """M(t) = e^{-beta~ t} exp(t b~^T) X(t) along a path's grid."""
-    bt = beta_tilde(env)
-    btil_t = effective_drift_matrix(spec).T
-    out = np.empty_like(path.states)
-    for k, t in enumerate(path.grid):
-        out[k] = math.exp(-bt * t) * (expm2(t * btil_t) @ path.states[k])
-    return out
+    factors = martingale_factors(env, spec, path.grid)
+    return np.array([f @ x for f, x in zip(factors, path.states)])
 
 
-def martingale_factors(env: LevyEnvSpec, spec: BranchingSpec, times) -> list[np.ndarray]:
-    """The 2x2 matrices e^{-beta~ t} exp(t b~^T), one per requested time."""
-    bt = beta_tilde(env)
-    btil_t = effective_drift_matrix(spec).T
+def martingale_factors(
+    env: LevyEnvSpec, spec: BranchingSpec, times, truncation: TruncationPredicate = IDENTITY
+) -> list[np.ndarray]:
+    """The 2x2 matrices e^{-beta~ t} exp(t b~^T), one per requested time.
+
+    beta~ is the first exponent of the clipped environment and b~ the
+    drift matrix corrected by the kept-region cross moments, so M is a
+    martingale of the truncated system.
+    """
+    bt = beta_tilde(truncation.clip_env(env))
+    btil_t = effective_drift_matrix(spec, truncation).T
     return [math.exp(-bt * t) * expm2(t * btil_t) for t in np.atleast_1d(times)]
 
 
@@ -275,12 +262,15 @@ def martingale_factors(env: LevyEnvSpec, spec: BranchingSpec, times) -> list[np.
 # Integral-form own-moment recursion as an independent cross-check
 # ---------------------------------------------------------------------------
 
-def recursion_coefficients(spec: BranchingSpec, n: int, type_index: int):
+def recursion_coefficients(
+    spec: BranchingSpec, n: int, type_index: int, truncation: TruncationPredicate = IDENTITY
+):
     """Coefficient lists (A_j for j<=n-2, B_j for j<=n-1) of the recursion.
 
     A_j = C(n,j) * int z_i^{n-j} d(own measure), with the diffusion
     add-on c_i n(n-1) at j = n-2; B_j = C(n,j) * int z_i^{n-j} d(cross
-    measure), with the drift add-on -b_cross n at j = n-1.
+    measure), with the drift add-on -b_cross n at j = n-1.  The integrals
+    run over the jumps the truncation keeps.
     """
     if n < 2:
         raise ValueError("recursion coefficients need n >= 2")
@@ -289,9 +279,10 @@ def recursion_coefficients(spec: BranchingSpec, n: int, type_index: int):
     own, cross = (spec.m1, spec.m2) if type_index == 1 else (spec.m2, spec.m1)
     c_own = spec.c1 if type_index == 1 else spec.c2
     b_cross = spec.b21 if type_index == 1 else spec.b12
+    rule = truncation.branching
 
     def own_coord_moment(measure, r):
-        val = measure.moment(r, 0) if type_index == 1 else measure.moment(0, r)
+        val = measure.moment(r, 0, rule) if type_index == 1 else measure.moment(0, r, rule)
         if math.isinf(val):
             raise DivergentCoefficient(f"jump moment of order {r} diverges")
         return val
@@ -316,7 +307,9 @@ def recursion_check(
     Exact convolution (Van Loan 1978): with c the recursion coefficients on
     their monomials and theta = beta(n) - n b_ii, expm([[G, 0], [c, theta]] t)
     gives m(t) and rhs = w(t), where w' = theta w + c.m, w(0) = x0^n.  The
-    residual is |rhs - lhs| / max(1, |lhs|).
+    residual is |rhs - lhs| / max(1, |lhs|).  beta(n) and the truncation
+    of the coefficients are the ones the table's generator was built with
+    (`env` is not read).
     """
     if table.degree < n:
         raise ValueError("table degree is below the requested moment order")
@@ -325,9 +318,9 @@ def recursion_check(
     target = (n, 0) if type_index == 1 else (0, n)
     if not table.finite.get(target, False):
         raise HypothesisViolated(f"moment {target} is flagged infinite in the table")
-    a_coef, b_coef = recursion_coefficients(spec, n, type_index)
-    b_ii = spec.b11 if type_index == 1 else spec.b22
     gen = table.generator
+    a_coef, b_coef = recursion_coefficients(spec, n, type_index, gen.truncation)
+    b_ii = spec.b11 if type_index == 1 else spec.b22
     mono = gen.index if type_index == 1 else (lambda own, cross: gen.index(cross, own))
     size = len(gen.basis)
     aug = np.zeros((size + 1, size + 1))
@@ -336,7 +329,7 @@ def recursion_check(
         aug[size, mono(j + 1, 0)] += a_coef[j]
     for j in range(n):
         aug[size, mono(j, 1)] += b_coef[j]
-    aug[size, size] = levy_exponent(env, n) - n * b_ii
+    aug[size, size] = gen.beta[n] - n * b_ii
     target_idx = mono(n, 0)
     from scipy.linalg import expm
 

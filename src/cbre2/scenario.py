@@ -323,7 +323,6 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
             c2=_num(ctx, brd, "c2", 0.0),
             m1=m1,
             m2=m2,
-            trunc_predicate=pred,
         )
     except ValueError as e:
         raise ctx.err(str(e)) from e

@@ -64,17 +64,6 @@ class StatePath:
     xi: np.ndarray  # xi(t) at each grid time, at the path's environment clip
 
 
-def resolve_predicate(bspec: BranchingSpec, explicit: TruncationPredicate | None):
-    """Pick the active predicate from the spec default and an explicit one."""
-    if explicit is None or explicit == IDENTITY:
-        return bspec.trunc_predicate
-    if bspec.trunc_predicate != IDENTITY and bspec.trunc_predicate != explicit:
-        raise ValueError(
-            "both the branching spec and the call site carry a truncation predicate"
-        )
-    return explicit
-
-
 @dataclass
 class _Variant:
     """Per-truncation-variant ingredients of the splitting scheme."""
@@ -98,7 +87,7 @@ def _make_variants(env: LevyEnvSpec, bspec: BranchingSpec, predicates) -> list[_
     out = []
     for pred in predicates:
         mu1, mu2 = compensator_moments(bspec, pred)
-        out.append(_Variant(pred, mu1, mu2, pred.effective_env_clip(env.trunc_level)))
+        out.append(_Variant(pred, mu1, mu2, pred.clip_env(env).trunc_level))
     return out
 
 
@@ -274,7 +263,7 @@ def simulate_states(
 
 def _on_scenario(engine, scenario, n_paths, seed, record_times, predicates, events_cap):
     if predicates is None:
-        predicates = (resolve_predicate(scenario.branching, scenario.truncation),)
+        predicates = (scenario.truncation,)
     return engine(
         scenario.environment,
         scenario.branching,
@@ -297,7 +286,10 @@ def scenario_states(
     predicates=None,
     events_cap: float = DEFAULT_EVENTS_CAP,
 ):
-    """Batch-engine wrapper taking a scenario object."""
+    """Batch-engine wrapper taking a scenario object.
+
+    `predicates` defaults to the scenario's own truncation.
+    """
     return _on_scenario(simulate_states, scenario, n_paths, seed, record_times, predicates, events_cap)
 
 
@@ -317,23 +309,20 @@ def simulate_paths(
     scenario,
     n_paths: int,
     rng_seed: int,
-    predicate: TruncationPredicate | None = None,
     events_cap: float = DEFAULT_EVENTS_CAP,
 ) -> list[StatePath]:
     """Full paths on the base grid: one batch run of `n_paths` paths.
 
     Path i is row i of `scenario_states(scenario, n_paths, rng_seed,
-    record_times=None)`, so it depends on the seed and on `n_paths`.
-    Memory is O(n_paths * grid points); use `scenario_stream` for many paths.
+    record_times=None)`, so it depends on the seed and on `n_paths`; the
+    scenario's truncation applies.  Memory is O(n_paths * grid points);
+    use `scenario_stream` for many paths.
     """
     _check_n_paths(n_paths)
-    pred = resolve_predicate(
-        scenario.branching, predicate if predicate is not None else scenario.truncation
-    )
     grid = _base_grid(scenario.horizon, scenario.step)
     states = np.empty((n_paths, len(grid), 2))
     xi = np.empty((n_paths, len(grid)))
-    stream = scenario_stream(scenario, n_paths, rng_seed, predicates=(pred,), events_cap=events_cap)
+    stream = scenario_stream(scenario, n_paths, rng_seed, events_cap=events_cap)
     for r, (_, (x,), (xi_t,)) in enumerate(stream):
         states[:, r] = x
         xi[:, r] = xi_t

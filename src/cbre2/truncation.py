@@ -1,15 +1,17 @@
 """Truncation predicates: rules that zero out disallowed jumps.
 
-The branching rule keeps a jump z iff |z| <= k (norm_cap), iff z lies in
-the unit square (unit_square), or always (none).  The environment rule
-clips positive environment jumps above a level; `inf` means no clipping.
-Predicates compose with a spec's own trunc_level by taking the minimum.
+This module alone says which jumps a truncated system keeps.  The
+branching rule keeps a jump z iff |z| <= k (norm_cap), iff z lies in the
+unit square (unit_square), or always (none).  The environment rule clips
+positive environment jumps above a level; `inf` means no clipping, and
+`clip_env` composes it with an environment's own trunc_level by taking
+the minimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,29 +32,34 @@ class BranchingRule:
             raise ValueError("norm_cap level must be > 0")
 
     @property
-    def cap(self) -> float:
+    def axis_bound(self) -> float:
+        """Largest kept magnitude of a jump on a coordinate axis."""
+        if self.kind == UNIT_SQUARE:
+            return 1.0
         return self.k if self.kind == NORM_CAP else math.inf
 
-    @property
-    def square(self) -> bool:
-        return self.kind == UNIT_SQUARE
+    def keeps(self, z1, z2):
+        """Whether the jump (z1, z2) is kept; elementwise when given arrays."""
+        if self.kind == NORM_CAP:
+            return np.hypot(z1, z2) <= self.k
+        if self.kind == UNIT_SQUARE:
+            return (z1 <= 1.0) & (z2 <= 1.0)
+        return True
 
     def keep(self, z: np.ndarray) -> np.ndarray:
         """Boolean mask of kept jumps for an (n, 2) array."""
         z = np.atleast_2d(z)
-        if self.kind == NORM_CAP and math.isfinite(self.k):
-            return np.hypot(z[:, 0], z[:, 1]) <= self.k
-        if self.kind == UNIT_SQUARE:
-            return (z[:, 0] <= 1.0) & (z[:, 1] <= 1.0)
-        return np.ones(len(z), dtype=bool)
+        if self.kind == NONE:
+            return np.ones(len(z), dtype=bool)
+        return self.keeps(z[:, 0], z[:, 1])
 
     def at_most_as_permissive_as(self, other: "BranchingRule") -> bool:
         """True when every jump this rule keeps, `other` keeps too."""
         if self.kind == UNIT_SQUARE:
-            return other.kind == UNIT_SQUARE or other.cap >= math.sqrt(2.0)
+            return other.kind == UNIT_SQUARE or other.axis_bound >= math.sqrt(2.0)
         if other.kind == UNIT_SQUARE:
             return False
-        return self.cap <= other.cap
+        return self.axis_bound <= other.axis_bound
 
 
 KEEP_ALL = BranchingRule(NONE)
@@ -69,8 +76,10 @@ class TruncationPredicate:
         if not (self.env_clip >= 1.0):
             raise ValueError("env clip level must be >= 1 (or inf)")
 
-    def effective_env_clip(self, spec_trunc_level: float) -> float:
-        return min(self.env_clip, spec_trunc_level)
+    def clip_env(self, env):
+        """The environment spec clipped at min(env.trunc_level, env_clip)."""
+        clip = min(self.env_clip, env.trunc_level)
+        return env if clip == env.trunc_level else replace(env, trunc_level=clip)
 
     def at_most_as_permissive_as(self, other: "TruncationPredicate") -> bool:
         return (

@@ -22,7 +22,7 @@ from .moments import (
     moment_table,
     monomial_basis,
 )
-from .simulate import resolve_predicate, scenario_states, scenario_stream
+from .simulate import scenario_states, scenario_stream
 from .truncation import IDENTITY, norm_cap
 from ._util import format_float, fsum_mean_se
 
@@ -103,7 +103,7 @@ def estimate_moments(
     guaranteed finite; the report is produced anyway and marked
     variance-unreliable.
     """
-    pred = resolve_predicate(scenario.branching, scenario.truncation)
+    pred = scenario.truncation
     if record_times is None:
         record_times = _default_record_times(scenario)
     table = moment_table(
@@ -139,9 +139,14 @@ def martingale_test(
     se_multiple: float = 3.0,
     bias_coeff: float = 0.0,
 ) -> EstimateReport:
-    """Constancy of the drift-corrected mean: E M(t) = x0 at every grid time."""
+    """Constancy of the drift-corrected mean: E M(t) = x0 at every grid time.
+
+    M is built for the scenario's truncated system (see `martingale_factors`).
+    """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    factors = martingale_factors(scenario.environment, scenario.branching, t_grid)
+    factors = martingale_factors(
+        scenario.environment, scenario.branching, t_grid, scenario.truncation
+    )
     times, states = scenario_states(scenario, paths, seed, record_times=t_grid)
     report = EstimateReport("martingale", se_multiple=se_multiple)
     x0 = np.asarray(scenario.x0, dtype=float)
@@ -255,7 +260,9 @@ def richardson_bias(scenario, statistic: str, paths: int, seed: int) -> float:
     first-order Richardson extrapolation to the first-moment estimate.
     """
     t = scenario.horizon
-    target = first_moment_closed_form(scenario.environment, scenario.branching, scenario.x0, t)
+    target = first_moment_closed_form(
+        scenario.environment, scenario.branching, scenario.x0, t, scenario.truncation
+    )
     idx = 0 if statistic.endswith("1") else 1
     vals = []
     for step in (scenario.step, scenario.step / 2):

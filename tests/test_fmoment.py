@@ -138,8 +138,8 @@ def test_verdict_zero_initial_state():
 
 
 def test_verdict_honors_truncation_predicate():
-    spec = BranchingSpec(m2=_pareto_m(2.5), trunc_predicate=norm_cap(4.0))
-    v = f_moment_verdict(LevyEnvSpec(), spec, (1.0, 1.0), power(6.0))
+    spec = BranchingSpec(m2=_pareto_m(2.5))
+    v = f_moment_verdict(LevyEnvSpec(), spec, (1.0, 1.0), power(6.0), norm_cap(4.0))
     assert v.verdict == FINITE
     env = LevyEnvSpec(nu=_env_exp(1.0), trunc_level=2.0)
     v = f_moment_verdict(env, BranchingSpec(), (1.0, 1.0), power(6.0))

@@ -14,6 +14,7 @@ from cbre2.measures import (
     JumpMeasure1D,
     Tail1D,
 )
+from cbre2.truncation import BranchingRule
 
 
 def test_atom_moments():
@@ -75,13 +76,14 @@ def test_truncated_moments_match_quadrature(tail_reference, tail, width, r):
     assert tail.moment_mag(r, cap) == pytest.approx(ref, rel=1e-10, abs=0.0)
     if r >= 1:
         rs = (r, 0) if tail.axis == 1 else (0, r)
-        assert JumpMeasure(tails=[tail]).moment(*rs, cap=cap) == pytest.approx(ref, rel=1e-10, abs=0.0)
+        rule = BranchingRule("norm_cap", cap)
+        assert JumpMeasure(tails=[tail]).moment(*rs, rule) == pytest.approx(ref, rel=1e-10, abs=0.0)
     assert tail.moment_mag(r, 0.5 * tail.x0) == 0.0  # a cap below the support
 
 
 def test_unit_square_restriction():
     m = JumpMeasure(atoms=[Atom2D(1.0, 0.5, 0.5), Atom2D(1.0, 0.5, 1.5)])
-    assert m.moment(1, 0, square=True) == pytest.approx(0.5)
+    assert m.moment(1, 0, BranchingRule("unit_square")) == pytest.approx(0.5)
     assert m.moment(1, 0) == pytest.approx(1.0)
 
 

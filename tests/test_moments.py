@@ -21,6 +21,7 @@ from cbre2.moments import (
     build_moment_generator,
     first_moment_closed_form,
     initial_moment_vector,
+    martingale_factors,
     martingale_transform,
     max_feasible_degree,
     moment_table,
@@ -34,7 +35,7 @@ from cbre2.moments import (
 )
 from cbre2.presets import laplace_scenario, mixed_scenario
 from cbre2.simulate import simulate_paths
-from cbre2.truncation import norm_cap
+from cbre2.truncation import TruncationPredicate, norm_cap, unit_square
 
 MIXED = mixed_scenario()
 ENV, BSPEC, X0 = MIXED.environment, MIXED.branching, MIXED.x0
@@ -114,6 +115,20 @@ def test_first_moment_closed_form_trivia():
         math.e * np.array([1.0, 2.0]),
         rtol=1e-14,
     )
+
+
+@pytest.mark.parametrize(
+    "pred",
+    [norm_cap(1.0), TruncationPredicate(unit_square().branching, env_clip=1.0)],
+    ids=["norm_cap", "restricted"],
+)
+def test_truncated_first_moment_and_martingale_factors_match_the_table(pred):
+    """The closed form and the martingale factors describe the table's truncated system."""
+    table = moment_table(ENV, BSPEC, X0, [0.7], 1, pred)
+    mean = first_moment_closed_form(ENV, BSPEC, X0, 0.7, pred)
+    assert mean == pytest.approx([table.entry(1, 0, 0.7), table.entry(0, 1, 0.7)], rel=1e-12)
+    (factor,) = martingale_factors(ENV, BSPEC, [0.7], pred)
+    assert factor @ mean == pytest.approx(X0, rel=1e-12)
 
 
 def test_degree_one_marginals_match_closed_form():

@@ -55,7 +55,6 @@ def test_truncation_block_mirrored_into_branching_spec():
     }
     data["environment"]["trunc_level"] = 2.5
     sc = scenario_from_dict(data)
-    assert sc.truncation == sc.branching.trunc_predicate
     assert sc.truncation.branching.k == 2.0
     assert sc.truncation.env_clip == 1.5
     assert sc.environment.trunc_level == 2.5
@@ -388,3 +387,81 @@ def test_cli_contract_on_bundled_scenarios(tmp_path, command, name):
     """Every subcommand on every bundled scenario exits 0, 1 or 2 and raises nothing."""
     config = os.path.join(SCENARIO_DIR, name)
     assert main([command, "--config", config, "--paths", "200", "--out", str(tmp_path)]) in (0, 1, 2)
+
+
+RESTRICTED = {"branching_rule": "unit_square", "env_rule": {"kind": "clip_positive", "k": 1.0}}
+
+
+def _truncated_config(tmp_path, name, truncation=RESTRICTED, edit=lambda d: None):
+    """A bundled config with a `truncation` block (default: the restricted system)."""
+    def apply(data):
+        data["truncation"] = truncation
+        edit(data)
+
+    return _edited_config(tmp_path, name, apply)
+
+
+def test_cli_verify_martingale_on_the_truncated_system(tmp_path, capsys):
+    """beta~ of the clipped environment and b~ of the kept jumps make E M(t) = x0 hold."""
+    out = tmp_path / "v"
+    rc = main(["verify", "--config", _truncated_config(tmp_path, "mixed.json"), "--n", "1",
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "verify_martingale.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and all(row.endswith(",True") for row in rows)
+
+
+def test_cli_laplace_on_the_clipped_environment(tmp_path, capsys):
+    """An environment atom at 1.5 above the clip at 1: annealed and direct MC agree."""
+    config = _truncated_config(
+        tmp_path, "laplace.json", {"env_rule": {"kind": "clip_positive", "k": 1.0}},
+        lambda d: d["environment"]["nu"].append({"kind": "atom", "mass": 0.5, "z": 1.5}),
+    )
+    assert main(["laplace", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    z = float(re.search(r"z = ([-+]?[0-9.]+)", capsys.readouterr().out).group(1))
+    assert abs(z) < 4
+
+
+def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):
+    config = _truncated_config(tmp_path, "laplace.json", {"branching_rule": "unit_square"})
+    assert main(["laplace", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "truncation.branching_rule" in err
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_cli_recursion_check_checks_the_table_moments_prints(tmp_path, capsys):
+    config = _truncated_config(tmp_path, "mixed.json")
+    args = ["--config", config, "--n", "3", "--out", str(tmp_path / "o")]
+    assert main(["moments", *args]) == 0
+    assert main(["recursion-check", *args]) == 0
+    printed = {(t, p, q): float(v) for t, p, q, v, _ in _csv_rows(tmp_path / "o" / "moments.csv")}
+    rows = _csv_rows(tmp_path / "o" / "recursion_check.csv")
+    assert len(rows) == 8
+    for t, n, type_index, lhs, _, residual in rows:
+        key = (t, n, "0") if type_index == "1" else (t, "0", n)
+        assert float(lhs) == pytest.approx(printed[key], rel=1e-10)
+        assert float(residual) < 1e-10
+
+
+def test_cli_moments_unit_square_is_norm_cap_one_on_axis_tails(tmp_path, capsys):
+    """On pareto.json both rules keep the atoms and no tail mass: the same finite table."""
+    bodies = []
+    for rule in ("unit_square", {"kind": "norm_cap", "k": 1.0}):
+        out = tmp_path / str(len(bodies))
+        config = _truncated_config(tmp_path, "pareto.json", {"branching_rule": rule})
+        assert main(["moments", "--config", config, "--n", "3", "--out", str(out)]) == 0
+        bodies.append((out / "moments.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+    assert all(row[-1] == "True" for row in _csv_rows(out / "moments.csv"))
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+def test_cli_contract_on_truncated_bundled_scenarios(tmp_path, command, name):
+    """The same contract on each bundled scenario restricted to its truncated system."""
+    config = _truncated_config(tmp_path, name)
+    assert main([command, "--config", config, "--paths", "200", "--out", str(tmp_path / "o")]) in (0, 1, 2)

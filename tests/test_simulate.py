@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cbre2.simulate import (
     simulate_states,
     simulate_paths,
 )
-from cbre2.truncation import IDENTITY, BranchingRule, TruncationPredicate, norm_cap
+from cbre2.truncation import BranchingRule, TruncationPredicate, norm_cap
 
 
 def _plain_scenario(env, branching, x0, horizon, step, **kw):
@@ -159,7 +160,7 @@ def test_truncated_system_mean_matches_truncated_table():
 def test_restricted_system_configuration_runs():
     """Unit-square branching rule + env clip at 1: only small jumps act."""
     sc = coupling_scenario()
-    for p in simulate_paths(sc, 20, 9, predicate=RESTRICTED):
+    for p in simulate_paths(replace(sc, truncation=RESTRICTED), 20, 9):
         assert (p.states >= 0).all()
     # positive environment jumps above 1 contribute nothing under the clip
     from cbre2.moments import moment_table
@@ -167,20 +168,6 @@ def test_restricted_system_configuration_runs():
     table = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 2, RESTRICTED)
     full = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 2)
     assert table.entry(2, 0, 1.0) <= full.entry(2, 0, 1.0)
-
-
-def test_resolve_predicate_rules():
-    from cbre2.simulate import resolve_predicate
-    from cbre2.truncation import unit_square
-
-    plain = BranchingSpec()
-    assert resolve_predicate(plain, None) == IDENTITY
-    assert resolve_predicate(plain, norm_cap(2.0)) == norm_cap(2.0)
-    tagged = BranchingSpec(trunc_predicate=norm_cap(2.0))
-    assert resolve_predicate(tagged, None) == norm_cap(2.0)
-    assert resolve_predicate(tagged, norm_cap(2.0)) == norm_cap(2.0)
-    with pytest.raises(ValueError):
-        resolve_predicate(tagged, unit_square())
 
 
 def test_dump_paths_are_rows_of_the_batch_run():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cbre2.env import LevyEnvSpec
+from cbre2.measures import Atom2D, AxisTail, JumpMeasure
 from cbre2.truncation import (
     IDENTITY,
     BranchingRule,
@@ -16,7 +18,7 @@ def test_norm_cap_infinite_equals_none_semantically():
     z = np.array([[0.5, 0.5], [3.0, 0.0], [0.0, 100.0]])
     cap_inf = BranchingRule("norm_cap", math.inf)
     assert cap_inf.keep(z).all()
-    assert cap_inf.cap == math.inf and not cap_inf.square
+    assert cap_inf.axis_bound == math.inf
     assert BranchingRule("none").keep(z).all()
 
 
@@ -46,9 +48,9 @@ def test_restrictiveness_partial_order():
 
 def test_env_clip_composition_with_spec_level():
     pred = TruncationPredicate(env_clip=2.0)
-    assert pred.effective_env_clip(5.0) == 2.0
-    assert pred.effective_env_clip(1.5) == 1.5
-    assert IDENTITY.effective_env_clip(3.0) == 3.0
+    assert pred.clip_env(LevyEnvSpec(trunc_level=5.0)).trunc_level == 2.0
+    assert pred.clip_env(LevyEnvSpec(trunc_level=1.5)).trunc_level == 1.5
+    assert IDENTITY.clip_env(LevyEnvSpec(trunc_level=3.0)).trunc_level == 3.0
 
 
 def test_invalid_rules_rejected():
@@ -58,3 +60,20 @@ def test_invalid_rules_rejected():
         BranchingRule("norm_cap", 0.0)
     with pytest.raises(ValueError):
         TruncationPredicate(env_clip=0.5)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [BranchingRule("none"), BranchingRule("norm_cap", 1.3), BranchingRule("unit_square")],
+    ids=["none", "norm_cap", "unit_square"],
+)
+def test_measure_moments_follow_the_rule(rule):
+    """Atoms count iff `keep` keeps them; an axis tail is cut at the rule's axis bound."""
+    z = np.random.default_rng(4).uniform(0.0, 1.8, (40, 2))
+    tail = AxisTail(2, "pareto", 0.5, 2.5, 0.5)
+    m = JumpMeasure([Atom2D(0.1, z1, z2) for z1, z2 in z], [tail])
+    kept = z[rule.keep(z)]
+    assert m.moment(1, 2, rule) == pytest.approx(0.1 * np.sum(kept[:, 0] * kept[:, 1] ** 2))
+    own = m.moment(0, 3, rule)
+    assert own == pytest.approx(0.1 * np.sum(kept[:, 1] ** 3) + tail.moment_mag(3, rule.axis_bound))
+    assert m.norm_moment_finite(3, rule) == math.isfinite(own) == (rule.kind != "none")
