@@ -46,9 +46,10 @@ path = sample_env_path(spec, 2.0, 0.25, np.random.default_rng(7))
 print(f"\npath grid has {len(path.grid)} points ({len(path.big_jump_marks)} large jumps logged)")
 print("xi(2.0) =", path.xi_values()[-1])
 
-# Truncation: positive jumps above the level are clipped away entirely.
-spec_trunc = LevyEnvSpec(a=0.1, sigma1=0.5, nu=spec.nu, trunc_level=1.2)
-print("beta(2) truncated at 1.2:", levy_exponent(spec_trunc, 2))
+# Truncation: positive jumps above the clip level are removed entirely.
+# The spec stays untruncated; the clip is an argument (in a scenario, the
+# truncation block's env_rule).
+print("beta(2) truncated at 1.2:", levy_exponent(spec, 2, clip=1.2))
 
 # A heavy environment tail makes exponential moments diverge; the
 # exponent reports that as an error rather than a number.
@@ -57,4 +58,4 @@ try:
     levy_exponent(heavy, 2)
 except DivergentExponent as e:
     print("heavy tail at n=2:", e)
-print("same tail, truncated at 3.0:", levy_exponent(LevyEnvSpec(nu=heavy.nu, trunc_level=3.0), 2))
+print("same tail, truncated at 3.0:", levy_exponent(heavy, 2, clip=3.0))

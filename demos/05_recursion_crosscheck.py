@@ -18,7 +18,7 @@ for sc in (env_only_scenario(), branching_only_scenario(), mixed_scenario()):
     for n in (2, 3, 4):
         for type_index in (1, 2):
             res = [
-                recursion_check(sc.environment, sc.branching, table, n, type_index, t)[2]
+                recursion_check(sc.branching, table, n, type_index, t)[2]
                 for t in (0.5, 1.0)
             ]
             print(f"  n={n} type={type_index}: residuals {res[0]:.2e} (t=0.5), {res[1]:.2e} (t=1)")

@@ -10,7 +10,6 @@ from .branching import BranchingSpec, effective_drift_matrix, phi_eval
 from .env import (
     EnvPath,
     LevyEnvSpec,
-    beta_tilde,
     levy_exponent,
     sample_env_path,
     sample_xi_terminal,

@@ -27,7 +27,7 @@ from .moments import (
     quenched_laplace,
     recursion_check,
 )
-from .env import sample_env_path
+from .env import realize_env_path, sample_env_skeleton
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
 from .simulate import scenario_states, simulate_paths
 from ._util import format_float, fsum_mean_se
@@ -100,9 +100,7 @@ def _cmd_recursion_check(sc: ScenarioConfig, degree: int) -> int:
     for n in range(2, degree + 1):
         for type_index in (1, 2):
             for t in t_grid:
-                lhs, rhs, res = recursion_check(
-                    sc.environment, sc.branching, table, n, type_index, t
-                )
+                lhs, rhs, res = recursion_check(sc.branching, table, n, type_index, t)
                 worst = max(worst, res)
                 lines.append(
                     f"{format_float(t)},{n},{type_index},"
@@ -125,8 +123,9 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
                           "only; phi of a truncated mechanism is not implemented")
     out = _out_dir(sc)
     lam, t = sc.laplace_lambda, sc.laplace_t or sc.horizon
-    env = sc.truncation.clip_env(sc.environment)
-    env_path = sample_env_path(env, t, sc.step, np.random.default_rng(sc.seed))
+    env, clip = sc.environment, sc.truncation.env_clip
+    skel = sample_env_skeleton(env, t, sc.step, np.random.default_rng(sc.seed))
+    env_path = realize_env_path(env, skel, clip)
     ql = quenched_laplace(env_path, sc.branching, lam, t)
     lines = ["r,v1,v2"]
     lines += [
@@ -135,7 +134,7 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
     ]
     _write(os.path.join(out, "laplace.csv"), lines)
     ann, ann_se = annealed_laplace_mc(
-        env, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1
+        env, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1, clip=clip
     )
     _, states = scenario_states(sc, sc.n_paths, sc.seed + 2, record_times=[t])
     direct, direct_se = fsum_mean_se(

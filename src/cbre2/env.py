@@ -3,8 +3,10 @@
 The canonical parameter is the drift `a` of the additive environment xi;
 the drift of the multiplicative driver L is derived from it so that
 e^{xi} is exactly the stochastic exponential of L.  Only finite-activity
-jump measures are sampled; positive jumps above `trunc_level` are
-clipped (the effective jump becomes 0, i.e. the multiplier becomes 1).
+jump measures are sampled.  The spec is the untruncated environment; a
+function that clips takes the level as `clip` (a truncated system's
+`TruncationPredicate.env_clip`), and positive jumps above it become 0,
+i.e. the multiplier becomes 1.
 """
 
 from __future__ import annotations
@@ -22,32 +24,23 @@ DEFAULT_JUMP_CAP = 1e6
 
 @dataclass(frozen=True)
 class LevyEnvSpec:
-    """Environment triplet (a, sigma1, nu) plus an optional truncation level.
-
-    trunc_level = inf is the untruncated environment; finite levels must
-    be >= 1 so that only the large-jump part is affected (level exactly 1
-    removes every positive large jump, which is the restricted-environment
-    configuration used by the auxiliary comparison process).
-    """
+    """The untruncated environment triplet (a, sigma1, nu)."""
 
     a: float = 0.0
     sigma1: float = 0.0
     nu: JumpMeasure1D = field(default_factory=lambda: ZERO_MEASURE_1D)
-    trunc_level: float = math.inf
 
     def __post_init__(self):
         if self.sigma1 < 0:
             raise ValueError("sigma1 must be >= 0")
-        if not (self.trunc_level >= 1.0):
-            raise ValueError("trunc_level must be >= 1 (or inf)")
 
 
-def levy_exponent(spec: LevyEnvSpec, n: int) -> float:
+def levy_exponent(spec: LevyEnvSpec, n: int, clip: float = math.inf) -> float:
     """Integer Laplace exponent: E e^{n xi(t)} = e^{beta(n) t}.
 
-    beta(n) = a n + sigma1^2 n^2 / 2 + integral terms, with the spec's
-    truncation applied to positive large jumps.  Raises DivergentExponent
-    when an untruncated tail makes the large-jump integral infinite, and
+    beta(n) = a n + sigma1^2 n^2 / 2 + integral terms, with positive
+    large jumps above `clip` removed.  Raises DivergentExponent when an
+    unclipped tail makes the large-jump integral infinite, and
     ExponentOverflow when the integral is finite but overflows a float.
     """
     if n < 0:
@@ -55,7 +48,7 @@ def levy_exponent(spec: LevyEnvSpec, n: int) -> float:
     if n == 0:
         return 0.0
     try:
-        jump = spec.nu.exp_integral(float(n), clip=spec.trunc_level)
+        jump = spec.nu.exp_integral(float(n), clip=clip)
     except OverflowError as e:
         raise ExponentOverflow(f"beta({n}) leaves the float range") from e
     if math.isinf(jump):
@@ -68,14 +61,9 @@ def levy_exponent(spec: LevyEnvSpec, n: int) -> float:
     return beta
 
 
-def beta_tilde(spec: LevyEnvSpec) -> float:
-    """First exponential moment rate: E e^{xi(t)} = e^{beta_tilde t}."""
-    return levy_exponent(spec, 1)
-
-
 @dataclass
 class EnvPath:
-    """A sampled, truncated environment path on a refined grid.
+    """A sampled environment path on a refined grid, at one clip level.
 
     Partial sums of `xi_increments` reconstruct xi exactly at grid points
     for the sampled jump set; the per-interval environment multiplier is
@@ -165,10 +153,8 @@ def sample_env_skeleton(
     return EnvSkeleton(grid, times, sizes, normals, jump_index)
 
 
-def realize_env_path(spec: LevyEnvSpec, skel: EnvSkeleton, clip: float | None = None) -> EnvPath:
-    """Build the truncated path from a skeleton at a given clip level."""
-    if clip is None:
-        clip = spec.trunc_level
+def realize_env_path(spec: LevyEnvSpec, skel: EnvSkeleton, clip: float = math.inf) -> EnvPath:
+    """Build the path from a skeleton, positive jumps above `clip` removed."""
     dt = np.diff(skel.grid)
     incr = (spec.a - spec.nu.mean_small()) * dt + spec.sigma1 * np.sqrt(dt) * skel.normals
     if len(skel.jump_times):
@@ -189,7 +175,7 @@ def sample_env_path(
     rng: np.random.Generator,
     jump_cap: float = DEFAULT_JUMP_CAP,
 ) -> EnvPath:
-    """Sample one truncated environment path; grid includes all jump times."""
+    """Sample one untruncated environment path; grid includes all jump times."""
     skel = sample_env_skeleton(spec, horizon, step, rng, jump_cap)
     return realize_env_path(spec, skel)
 
@@ -251,9 +237,9 @@ def sample_xi_terminal(
     rng: np.random.Generator,
     jump_cap: float = DEFAULT_JUMP_CAP,
 ) -> np.ndarray:
-    """Vectorized exact-in-law sample of xi(horizon) for many paths."""
+    """Vectorized exact-in-law sample of the untruncated xi(horizon) for many paths."""
     if spec.nu.total_mass() * horizon > jump_cap:
         raise MassOverflow("expected environment jump count exceeds cap")
     grid = np.array([0.0, horizon])
-    (xi,) = next(env_increments(spec, grid, horizon, n_paths, rng, [spec.trunc_level]))
+    (xi,) = next(env_increments(spec, grid, horizon, n_paths, rng, [math.inf]))
     return xi + np.zeros(n_paths)

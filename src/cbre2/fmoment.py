@@ -273,15 +273,15 @@ def f_moment_verdict(
 
     Finite iff the initial criterion (automatic for a deterministic
     nonzero start), the branching-tail criterion, and the
-    environment-tail criterion all hold; the truncation and the
-    environment's own trunc_level are honored (truncated tails integrate
+    environment-tail criterion all hold; the truncation's branching rule
+    and environment clip are honored (truncated tails integrate
     everything).
     """
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 == 0.0 and x2 == 0.0:
         raise ZeroInitialState("the f-moment criterion requires a nonzero initial state")
     branching = classify_branching_tail(f, spec.m1, spec.m2, rule=truncation.branching)
-    environment = classify_env_tail(f, env.nu, truncation.clip_env(env).trunc_level)
+    environment = classify_env_tail(f, env.nu, truncation.env_clip)
     criteria = {
         "initial": FINITE,
         "branching_tail": branching,

@@ -269,17 +269,6 @@ class JumpMeasure1D(_Measure):
             out += t.side * t.moment_mag(1, 1.0)
         return out
 
-    def small_exp_integral(self, n: float) -> float:
-        """Integral of (e^{nz} - 1 - nz) over the compensated region |z| <= 1."""
-        total = math.fsum(
-            a.mass * (math.exp(n * a.z) - 1.0 - n * a.z)
-            for a in self.atoms
-            if abs(a.z) <= 1.0
-        )
-        for t in self.tails:
-            total += t.integrate_exp(t.side * n, 2, t.x0, 1.0)
-        return total
-
     def exp_integral(self, n: float, clip: float = math.inf) -> float:
         """Jump part of the integer Laplace exponent at order n.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branching import BranchingSpec, effective_drift_matrix, phi_eval_vec
-from .env import EnvPath, LevyEnvSpec, _base_grid, beta_tilde, env_increments, levy_exponent
+from .env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent
 from .errors import (
     DivergentCoefficient,
     DivergentExponent,
@@ -49,7 +49,7 @@ def hypotheses_hold(
     if not (spec.m1.norm_moment_finite(n, rule) and spec.m2.norm_moment_finite(n, rule)):
         return False
     try:
-        levy_exponent(truncation.clip_env(env), n)
+        levy_exponent(env, n, truncation.env_clip)
     except DivergentExponent:
         return False
     return True
@@ -103,12 +103,11 @@ def build_moment_generator(
             f"order-{n} moment hypotheses fail for this environment/branching pair"
         )
     rule = truncation.branching
-    env_t = truncation.clip_env(env)
     basis = monomial_basis(n)
     idx = {pq: k for k, pq in enumerate(basis)}
     size = len(basis)
     g = np.zeros((size, size))
-    beta = [0.0] + [levy_exponent(env_t, d) for d in range(1, n + 1)]
+    beta = [0.0] + [levy_exponent(env, d, truncation.env_clip) for d in range(1, n + 1)]
 
     def mu(measure, r, s):
         val = measure.moment(r, s, rule) if r + s >= 1 else 0.0
@@ -233,7 +232,7 @@ def first_moment_closed_form(
     env: LevyEnvSpec, spec: BranchingSpec, x0, t: float, truncation: TruncationPredicate = IDENTITY
 ) -> np.ndarray:
     """E X(t) = e^{beta~ t} exp(-t b~^T) x0 (2x2 closed-form exponential)."""
-    bt = beta_tilde(truncation.clip_env(env))
+    bt = levy_exponent(env, 1, truncation.env_clip)
     btil = effective_drift_matrix(spec, truncation)
     return math.exp(bt * t) * (expm2(-t * btil.T) @ np.asarray(x0, dtype=float))
 
@@ -253,7 +252,7 @@ def martingale_factors(
     drift matrix corrected by the kept-region cross moments, so M is a
     martingale of the truncated system.
     """
-    bt = beta_tilde(truncation.clip_env(env))
+    bt = levy_exponent(env, 1, truncation.env_clip)
     btil_t = effective_drift_matrix(spec, truncation).T
     return [math.exp(-bt * t) * expm2(t * btil_t) for t in np.atleast_1d(times)]
 
@@ -295,7 +294,6 @@ def recursion_coefficients(
 
 
 def recursion_check(
-    env: LevyEnvSpec,
     spec: BranchingSpec,
     table: MomentTable,
     n: int,
@@ -308,8 +306,7 @@ def recursion_check(
     their monomials and theta = beta(n) - n b_ii, expm([[G, 0], [c, theta]] t)
     gives m(t) and rhs = w(t), where w' = theta w + c.m, w(0) = x0^n.  The
     residual is |rhs - lhs| / max(1, |lhs|).  beta(n) and the truncation
-    of the coefficients are the ones the table's generator was built with
-    (`env` is not read).
+    of the coefficients are the ones the table's generator was built with.
     """
     if table.degree < n:
         raise ValueError("table degree is below the requested moment order")
@@ -399,7 +396,6 @@ def polynomial_degree_check(
 class QuenchedLaplace:
     """Backward trajectory v_{r,t} on the environment grid (v_{t,t} = lam)."""
 
-    env_path: EnvPath
     lam: tuple
     t: float
     r_grid: np.ndarray
@@ -433,7 +429,7 @@ def quenched_laplace(
     dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
     steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), fp_tol, max_iter))
     v = np.concatenate(steps[::-1] + [lam[None, :]])
-    return QuenchedLaplace(env_path, tuple(lam), float(grid[it]), grid[: it + 1], v)
+    return QuenchedLaplace(tuple(lam), float(grid[it]), grid[: it + 1], v)
 
 
 def _backward_steps(spec, lam, steps, fp_tol, max_iter):
@@ -477,18 +473,20 @@ def annealed_laplace_mc(
     seed: int,
     fp_tol: float = 1e-12,
     max_iter: int = 100,
+    clip: float = math.inf,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E exp(-<x0, v_{0,t}>) over environment paths.
 
     The environment increments come from `env_increments` on the base
     grid reflected in t, so the backward solve meets the intervals last
     first; the increments are stationary, so this is exact in law, and
-    all paths are solved at once in O(n_env_paths) memory.  Returns
-    (estimate, standard error).
+    all paths are solved at once in O(n_env_paths) memory.  Positive
+    environment jumps above `clip` are removed.  Returns (estimate,
+    standard error).
     """
     rng = np.random.default_rng(seed)
     grid = t - _base_grid(t, step)[::-1]
-    incs = env_increments(env, grid, step, n_env_paths, rng, [env.trunc_level])
+    incs = env_increments(env, grid, step, n_env_paths, rng, [clip])
     steps = ((h, dxi) for h, (dxi,) in zip(np.diff(grid), incs))
     for v in _backward_steps(spec, lam, steps, fp_tol, max_iter):
         pass  # only the last step, v_{0,t}, is needed

@@ -280,13 +280,14 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
     envd = _obj(ctx, data, "environment", required=True)
     ctx.push("environment")
+    if "trunc_level" in envd:  # a removed key: ignoring it would drop the clip
+        ctx.push("trunc_level")
+        raise ctx.err("removed key; clip the environment with "
+                      'truncation.env_rule = {"kind": "clip_positive", "k": ...}')
     nu = _measure(ctx, envd, "nu", planar=False)
     try:
         env = LevyEnvSpec(
-            a=_num(ctx, envd, "a", 0.0),
-            sigma1=_num(ctx, envd, "sigma1", 0.0),
-            nu=nu,
-            trunc_level=_num(ctx, envd, "trunc_level", math.inf, finite=False),
+            a=_num(ctx, envd, "a", 0.0), sigma1=_num(ctx, envd, "sigma1", 0.0), nu=nu
         )
     except ValueError as e:
         raise ctx.err(str(e)) from e
@@ -434,7 +435,6 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
             "a": env.a,
             "sigma1": env.sigma1,
             "nu": [_component_1d_dict(c) for c in env.nu.atoms + env.nu.tails],
-            "trunc_level": env.trunc_level if math.isfinite(env.trunc_level) else "inf",
         },
         "branching": {
             "b": [[br.b11, br.b12], [br.b21, br.b22]],

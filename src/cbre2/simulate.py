@@ -71,7 +71,6 @@ class _Variant:
     predicate: TruncationPredicate
     mu1: float
     mu2: float
-    env_clip: float
     drift_cache: dict = field(default_factory=dict)
 
     def drift_matrix(self, bspec: BranchingSpec, h: float) -> np.ndarray:
@@ -83,12 +82,8 @@ class _Variant:
         return d
 
 
-def _make_variants(env: LevyEnvSpec, bspec: BranchingSpec, predicates) -> list[_Variant]:
-    out = []
-    for pred in predicates:
-        mu1, mu2 = compensator_moments(bspec, pred)
-        out.append(_Variant(pred, mu1, mu2, pred.clip_env(env).trunc_level))
-    return out
+def _make_variants(bspec: BranchingSpec, predicates) -> list[_Variant]:
+    return [_Variant(pred, *compensator_moments(bspec, pred)) for pred in predicates]
 
 
 def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +142,11 @@ def stream_states(
     accepts it with u * ownmax <= own plus its own keep rule.
     """
     _check_n_paths(n_paths)
-    variants = _make_variants(env, bspec, predicates)
+    variants = _make_variants(bspec, predicates)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
     branching = lam.any()
-    clips = list(dict.fromkeys(var.env_clip for var in variants))
+    clips = list(dict.fromkeys(var.predicate.env_clip for var in variants))
     env_incs = env_increments(env, grid, step, n_paths, rng, clips)
     max_events = events_cap * horizon
 
@@ -161,7 +156,7 @@ def stream_states(
     events = np.zeros(n_paths)
     scratch = np.empty(n_paths)
     xi = [np.zeros(n_paths) for _ in clips]
-    xi_of = [xi[clips.index(var.env_clip)] for var in variants]
+    xi_of = [xi[clips.index(var.predicate.env_clip)] for var in variants]
     rec_pos = set(int(g) for g in rec_idx)
     if 0 in rec_pos:
         yield grid[0], [x.T for x in xs], xi_of
@@ -221,7 +216,7 @@ def stream_states(
         for acc, d in zip(xi, incs):
             acc += d
         for x, var in zip(xs, variants):
-            x *= mults[clips.index(var.env_clip)]
+            x *= mults[clips.index(var.predicate.env_clip)]
             if x.min() < 0:
                 raise NegativeState("state went negative")  # pragma: no cover
         if m + 1 in rec_pos:

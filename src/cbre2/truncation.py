@@ -3,15 +3,16 @@
 This module alone says which jumps a truncated system keeps.  The
 branching rule keeps a jump z iff |z| <= k (norm_cap), iff z lies in the
 unit square (unit_square), or always (none).  The environment rule clips
-positive environment jumps above a level; `inf` means no clipping, and
-`clip_env` composes it with an environment's own trunc_level by taking
-the minimum.
+positive environment jumps above `env_clip`; `inf` means no clipping.
+`env_clip` is the only stored environment clip level: `LevyEnvSpec` is
+the untruncated environment, and the functions that clip take the level
+as an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +76,6 @@ class TruncationPredicate:
     def __post_init__(self):
         if not (self.env_clip >= 1.0):
             raise ValueError("env clip level must be >= 1 (or inf)")
-
-    def clip_env(self, env):
-        """The environment spec clipped at min(env.trunc_level, env_clip)."""
-        clip = min(self.env_clip, env.trunc_level)
-        return env if clip == env.trunc_level else replace(env, trunc_level=clip)
 
     def at_most_as_permissive_as(self, other: "TruncationPredicate") -> bool:
         return (

@@ -23,7 +23,7 @@ from .moments import (
     monomial_basis,
 )
 from .simulate import scenario_states, scenario_stream
-from .truncation import IDENTITY, norm_cap
+from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
 from ._util import format_float, fsum_mean_se
 
 _DUST = 1e-9  # absorbs floating-point dust in exact (se = 0) comparisons
@@ -176,13 +176,15 @@ def coupling_monotonicity_report(
 ) -> EstimateReport:
     """Ordering of coupled truncated variants X^(k1) <= X^(k2), k1 <= k2.
 
-    Pure-jump mechanisms assert zero pathwise violations at every grid
-    point; with diffusion on, only the mean signed gap is tested (<= 0
-    within the SE band).
+    Each variant is the scenario's truncation with its branching rule
+    replaced by the norm cap, so the environment clip is kept.  Pure-jump
+    mechanisms assert zero pathwise violations at every grid point; with
+    diffusion on, only the mean signed gap is tested (<= 0 within the SE
+    band).
     """
     if k1 > k2:
         raise ValueError("k1 must be <= k2")
-    preds = (norm_cap(k1), norm_cap(k2))
+    preds = [replace(scenario.truncation, branching=BranchingRule(NORM_CAP, k)) for k in (k1, k2)]
     pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
     report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}", se_multiple=se_multiple)
     max_gap = -math.inf
@@ -213,21 +215,22 @@ def truncation_convergence_report(
 ) -> EstimateReport:
     """Coupled estimate of E|X - X^(k)| over increasing caps k.
 
-    All variants share the randomness of the untruncated path, so the
-    gap estimates are monotone up to thinning noise; the report asserts
-    the sequence is nonincreasing within `se_multiple` combined SEs and
-    that the final gap is below epsilon (default: 5% of |E X(t)|).
+    X is the scenario's system with its environment clip and no branching
+    truncation.  All variants share the randomness of the path of X, so
+    the gap estimates are monotone up to thinning noise; the report
+    asserts the sequence is nonincreasing within `se_multiple` combined
+    SEs and that the final gap is below epsilon (default: 5% of |E X(t)|).
     """
     k_list = sorted(float(k) for k in k_list)
     if t is None:
         t = scenario.horizon
-    preds = [norm_cap(k) for k in k_list] + [IDENTITY]
+    base = TruncationPredicate(env_clip=scenario.truncation.env_clip)
+    preds = [replace(base, branching=BranchingRule(NORM_CAP, k)) for k in k_list] + [base]
     times, states = scenario_states(scenario, paths, seed, record_times=[t], predicates=preds)
     full = states[-1][:, 0, :]
     if epsilon is None:
-        epsilon = 0.05 * float(
-            np.linalg.norm(first_moment_closed_form(scenario.environment, scenario.branching, scenario.x0, t))
-        )
+        epsilon = 0.05 * float(np.linalg.norm(first_moment_closed_form(
+            scenario.environment, scenario.branching, scenario.x0, t, base)))
     report = EstimateReport("trunc_convergence", se_multiple=se_multiple)
     ests, ses = [], []
     for i, k in enumerate(k_list):

@@ -105,9 +105,7 @@ def test_criterion_03_recursion_consistency():
         for n in (2, 3, 4):
             for type_index in (1, 2):
                 for t in (0.5, 1.0):
-                    res = recursion_check(
-                        sc.environment, sc.branching, table, n, type_index, t
-                    )[2]
+                    res = recursion_check(sc.branching, table, n, type_index, t)[2]
                     worst = max(worst, res)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 10.0
@@ -121,7 +119,7 @@ def test_criterion_04_feller_second_moment():
     table = moment_table(env, spec, (x1, 0.0), [t], 2)
     analytic = x1**2 + 2 * c1 * x1 * t
     closure_gap = abs(table.entry(2, 0, t) - analytic)
-    _, rhs, _ = recursion_check(env, spec, table, 2, 1, t)
+    _, rhs, _ = recursion_check(spec, table, 2, 1, t)
     rhs_gap = abs(rhs - analytic)
     ok = closure_gap <= 1e-8 and rhs_gap <= 1e-8
     _report(4, ok, f"closure gap {closure_gap:.1e}, recursion-RHS gap {rhs_gap:.1e}, both <= 1e-8")

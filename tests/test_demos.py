@@ -1,4 +1,4 @@
-"""The demos that exercise the exact layer and the path engine run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -12,10 +12,13 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 @pytest.mark.parametrize(
     "demo",
     [
+        "01_environment.py",
+        "02_branching_mechanism.py",
         "03_simulation.py",
         "04_exact_moments.py",
         "05_recursion_crosscheck.py",
         "06_truncation_coupling.py",
+        "07_fmoment_classifier.py",
         "08_quenched_laplace.py",
     ],
 )

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cbre2.env import (
     LevyEnvSpec,
-    beta_tilde,
     env_increments,
     levy_exponent,
     realize_env_path,
@@ -50,13 +49,8 @@ def test_divergent_exponent_raises():
 
 def test_truncation_restores_finiteness():
     nu = JumpMeasure1D(tails=[Tail1D("pareto", 1.0, 3.0, 1.0)])
-    spec = LevyEnvSpec(nu=nu, trunc_level=4.0)
-    assert levy_exponent(spec, 2) < math.inf
-
-
-def test_beta_tilde_is_order_one():
-    spec = LevyEnvSpec(a=0.2, sigma1=0.5, nu=JumpMeasure1D(atoms=[Atom1D(0.3, 1.4)]))
-    assert beta_tilde(spec) == levy_exponent(spec, 1)
+    spec = LevyEnvSpec(nu=nu)
+    assert levy_exponent(spec, 2, clip=4.0) < math.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,17 +115,17 @@ def test_gaussian_terminal_statistics():
 
 def test_clipping_kills_large_atom():
     nu = JumpMeasure1D(atoms=[Atom1D(2.0, 1.5)])
-    spec = LevyEnvSpec(nu=nu, trunc_level=1.2)
-    path = sample_env_path(spec, 1.0, 0.25, np.random.default_rng(1))
+    spec = LevyEnvSpec(nu=nu)
+    path = realize_env_path(spec, sample_env_skeleton(spec, 1.0, 0.25, np.random.default_rng(1)), 1.2)
     assert path.xi_values()[-1] == 0.0
     assert len(path.big_jump_marks) > 0  # raw jumps retained for diagnostics
 
 
 def test_negative_jumps_never_clipped():
     nu = JumpMeasure1D(atoms=[Atom1D(2.0, -1.5)])
-    spec = LevyEnvSpec(nu=nu, trunc_level=1.2)
+    spec = LevyEnvSpec(nu=nu)
     rng = np.random.default_rng(2)
-    path = sample_env_path(spec, 1.0, 0.25, rng)
+    path = realize_env_path(spec, sample_env_skeleton(spec, 1.0, 0.25, rng), 1.2)
     n_jumps = len(path.big_jump_marks)
     if n_jumps:
         assert path.xi_values()[-1] == pytest.approx(-1.5 * n_jumps)
@@ -157,12 +151,6 @@ def test_exponential_moment_monte_carlo():
         assert abs(vals.mean() - math.exp(levy_exponent(spec, n))) <= 3 * se
 
 
-def test_trunc_level_below_one_rejected():
-    with pytest.raises(ValueError):
-        LevyEnvSpec(trunc_level=0.5)
-    LevyEnvSpec(trunc_level=1.0)  # the restricted-environment configuration
-
-
 def test_levy_exponent_overflow_is_a_package_error():
     from cbre2.errors import Cbre2Error, ExponentOverflow
 
@@ -171,16 +159,15 @@ def test_levy_exponent_overflow_is_a_package_error():
         levy_exponent(spec, 600)
     assert isinstance(info.value, Cbre2Error)
     # a finite tail integral past the float range: raised before any panel is built
-    tail = LevyEnvSpec(nu=JumpMeasure1D(tails=[Tail1D("pareto", 0.5, 2.5, 0.3)]), trunc_level=1e6)
+    tail = LevyEnvSpec(nu=JumpMeasure1D(tails=[Tail1D("pareto", 0.5, 2.5, 0.3)]))
     with pytest.raises(ExponentOverflow, match="float range"):
-        levy_exponent(tail, 2)
+        levy_exponent(tail, 2, clip=1e6)
 
 
 def test_env_increments_law_and_clips_on_an_uneven_grid():
     """E e^{dxi} = e^{beta(1) h} per interval at each clip; clips remove whole big jumps."""
     nu = JumpMeasure1D(atoms=[Atom1D(0.6, 0.4), Atom1D(0.4, -0.5), Atom1D(0.5, 1.3)])
     spec = LevyEnvSpec(a=0.1, sigma1=0.3, nu=nu)
-    clipped = LevyEnvSpec(a=0.1, sigma1=0.3, nu=nu, trunc_level=1.0)
     grid = np.array([0.0, 0.3, 0.35, 0.9, 1.0])
     n = 40_000
     # jump windows of one interval (step 0.5) and of the whole grid (step 0.1)
@@ -188,10 +175,10 @@ def test_env_increments_law_and_clips_on_an_uneven_grid():
         incs = list(env_increments(spec, grid, step, n, np.random.default_rng(5), [math.inf, 1.0]))
         assert len(incs) == len(grid) - 1
         for h, pair in zip(np.diff(grid), incs):
-            for s, d in zip((spec, clipped), pair):
+            for clip, d in zip((math.inf, 1.0), pair):
                 vals = np.exp(d)
                 se = vals.std(ddof=1) / math.sqrt(n)
-                assert abs(vals.mean() - math.exp(levy_exponent(s, 1) * h)) <= 4 * se
+                assert abs(vals.mean() - math.exp(levy_exponent(spec, 1, clip) * h)) <= 4 * se
             removed = (pair[0] - pair[1]) / 1.3
             assert np.allclose(removed, np.round(removed), atol=1e-9) and removed.min() > -1e-9
 

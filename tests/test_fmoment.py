@@ -19,7 +19,7 @@ from cbre2.fmoment import (
 )
 from cbre2.measures import Atom1D, Atom2D, AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
 from cbre2.moments import hypotheses_hold
-from cbre2.truncation import norm_cap
+from cbre2.truncation import TruncationPredicate, norm_cap
 
 
 def _pareto_m(alpha):
@@ -141,8 +141,8 @@ def test_verdict_honors_truncation_predicate():
     spec = BranchingSpec(m2=_pareto_m(2.5))
     v = f_moment_verdict(LevyEnvSpec(), spec, (1.0, 1.0), power(6.0), norm_cap(4.0))
     assert v.verdict == FINITE
-    env = LevyEnvSpec(nu=_env_exp(1.0), trunc_level=2.0)
-    v = f_moment_verdict(env, BranchingSpec(), (1.0, 1.0), power(6.0))
+    env = LevyEnvSpec(nu=_env_exp(1.0))
+    v = f_moment_verdict(env, BranchingSpec(), (1.0, 1.0), power(6.0), TruncationPredicate(env_clip=2.0))
     assert v.verdict == FINITE
 
 

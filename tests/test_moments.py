@@ -161,7 +161,7 @@ def test_recursion_check_frozen_process():
     table = moment_table(LevyEnvSpec(), BranchingSpec(), (1.3, 0.8), [1.0], 3)
     for n in (2, 3):
         for ti in (1, 2):
-            assert recursion_check(LevyEnvSpec(), BranchingSpec(), table, n, ti, 1.0)[2] < 1e-12
+            assert recursion_check(BranchingSpec(), table, n, ti, 1.0)[2] < 1e-12
 
 
 def test_recursion_check_mixed_small():
@@ -169,7 +169,7 @@ def test_recursion_check_mixed_small():
     for n in (2, 3):
         for ti in (1, 2):
             for t in (0.5, 1.0):
-                assert recursion_check(ENV, BSPEC, table, n, ti, t)[2] < 1e-8
+                assert recursion_check(BSPEC, table, n, ti, t)[2] < 1e-8
 
 
 def test_recursion_check_mixed_degree6_exact_convolution():
@@ -178,7 +178,7 @@ def test_recursion_check_mixed_degree6_exact_convolution():
     for n in range(2, 7):
         for ti in (1, 2):
             for t in (0.5, 1.0):
-                lhs, rhs, res = recursion_check(ENV, BSPEC, table, n, ti, t)
+                lhs, rhs, res = recursion_check(BSPEC, table, n, ti, t)
                 assert res < 1e-10
                 target = table.entry(*((n, 0) if ti == 1 else (0, n)), t)
                 assert abs(lhs - target) <= 1e-11 * target
@@ -238,7 +238,7 @@ def test_moment_table_flags_infeasible_degrees():
     assert not table.finite[(3, 0)]
     assert math.isinf(table.values[(3, 0)][0])
     with pytest.raises(HypothesisViolated):
-        recursion_check(LevyEnvSpec(), heavy, table, 3, 1, 0.5)[2]
+        recursion_check(heavy, table, 3, 1, 0.5)[2]
 
 
 def test_moment_table_all_infinite_when_env_divergent():

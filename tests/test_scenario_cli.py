@@ -53,11 +53,9 @@ def test_truncation_block_mirrored_into_branching_spec():
         "branching_rule": {"kind": "norm_cap", "k": 2.0},
         "env_rule": {"kind": "clip_positive", "k": 1.5},
     }
-    data["environment"]["trunc_level"] = 2.5
     sc = scenario_from_dict(data)
     assert sc.truncation.branching.k == 2.0
     assert sc.truncation.env_clip == 1.5
-    assert sc.environment.trunc_level == 2.5
     back = scenario_from_dict(json.loads(dump_scenario(sc)))
     assert scenario_to_dict(back) == scenario_to_dict(sc)
 
@@ -324,6 +322,11 @@ def _set(data, path, value):
         pytest.param("simulate", "mixed.json", ("truncation",), [1], "truncation",
                      id="truncation-list"),
         pytest.param("simulate", "mixed.json", ("horizon",), "inf", "horizon", id="horizon-inf"),
+        # a removed key: ignoring it would silently drop the clip it names
+        pytest.param("simulate", "mixed.json", ("environment", "trunc_level"), 2.5,
+                     "environment.trunc_level", id="trunc_level-removed"),
+        pytest.param("couple", "coupling.json", ("environment", "trunc_level"), "inf",
+                     "truncation.env_rule", id="trunc_level-points-to-env_rule"),
     ],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, name, path, value, key):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cbre2.env import LevyEnvSpec
 from cbre2.measures import Atom2D, AxisTail, JumpMeasure
 from cbre2.truncation import (
     IDENTITY,
@@ -44,13 +43,6 @@ def test_restrictiveness_partial_order():
     tight_env = TruncationPredicate(env_clip=1.5)
     assert tight_env.at_most_as_permissive_as(IDENTITY)
     assert not IDENTITY.at_most_as_permissive_as(tight_env)
-
-
-def test_env_clip_composition_with_spec_level():
-    pred = TruncationPredicate(env_clip=2.0)
-    assert pred.clip_env(LevyEnvSpec(trunc_level=5.0)).trunc_level == 2.0
-    assert pred.clip_env(LevyEnvSpec(trunc_level=1.5)).trunc_level == 1.5
-    assert IDENTITY.clip_env(LevyEnvSpec(trunc_level=3.0)).trunc_level == 3.0
 
 
 def test_invalid_rules_rejected():

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+import cbre2.verify as verify_mod
 from cbre2.presets import (
     coupling_scenario,
     env_only_scenario,
@@ -16,6 +19,7 @@ from cbre2.verify import (
     truncation_convergence_report,
     write_report_csv,
 )
+from cbre2.truncation import NORM_CAP, BranchingRule, TruncationPredicate
 
 
 def test_estimate_moments_env_only_passes():
@@ -100,6 +104,28 @@ def test_truncation_gap_zero_when_inactive():
     rep = truncation_convergence_report(sc, (4.0, 8.0), 500, sc.seed)
     gaps = [r.estimate for r in rep.rows if r.statistic.startswith("l1_gap")]
     assert gaps == [0.0, 0.0]
+
+
+def test_truncation_convergence_keeps_the_scenario_env_clip():
+    """The default eps is 5% of |E X(1)| of the clipped system (0.17948 unclipped)."""
+    sc = replace(mixed_scenario(), truncation=TruncationPredicate(env_clip=1.0))
+    rep = truncation_convergence_report(sc, [2, 4], 200, sc.seed)
+    (eps,) = [r.target for r in rep.rows if r.statistic == "final_gap_below_eps"]
+    assert eps == pytest.approx(0.15706, abs=5e-6)
+
+
+def test_coupling_variants_keep_the_scenario_env_clip(monkeypatch):
+    seen = []
+    stream = verify_mod.scenario_stream
+
+    def spy(scenario, paths, seed, predicates):
+        seen.extend(predicates)
+        return stream(scenario, paths, seed, predicates=predicates)
+
+    monkeypatch.setattr(verify_mod, "scenario_stream", spy)
+    sc = replace(coupling_scenario(), truncation=TruncationPredicate(env_clip=1.0))
+    coupling_monotonicity_report(sc, 2.0, 5.0, 50, 0)
+    assert seen == [TruncationPredicate(BranchingRule(NORM_CAP, k), 1.0) for k in (2.0, 5.0)]
 
 
 def test_reports_reproducible_and_csv_stable(tmp_path):
