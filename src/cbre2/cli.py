@@ -155,8 +155,7 @@ def _cmd_verify(sc: ScenarioConfig, degree: int) -> int:
     rep = verify_mod.estimate_moments(sc, degree, sc.n_paths, sc.seed)
     verify_mod.write_report_csv(os.path.join(out, "verify_moments.csv"), rep)
     reports.append(rep)
-    t_grid = sc.horizon * np.arange(1, 6) / 5
-    rep = verify_mod.martingale_test(sc, t_grid, sc.n_paths, sc.seed + 1)
+    rep = verify_mod.martingale_test(sc, verify_mod.report_times(sc), sc.n_paths, sc.seed + 1)
     verify_mod.write_report_csv(os.path.join(out, "verify_martingale.csv"), rep)
     reports.append(rep)
     if sc.coupling_k is not None:
@@ -173,7 +172,8 @@ def _cmd_verify(sc: ScenarioConfig, degree: int) -> int:
     n_pass = sum(r.passed for r in reports)
     ok = n_pass == len(reports)
     names = ", ".join(f"{r.name}={'PASS' if r.passed else 'FAIL'}" for r in reports)
-    print(f"verify [{sc.name or 'scenario'}]: {n_pass}/{len(reports)} reports pass ({names})")
+    notes = "".join(f"; {r.name}: {r.notes}" for r in reports if r.notes)
+    print(f"verify [{sc.name or 'scenario'}]: {n_pass}/{len(reports)} reports pass ({names}){notes}")
     return 0 if ok else 2
 
 

@@ -127,14 +127,13 @@ def sample_env_skeleton(
     horizon: float,
     step: float,
     rng: np.random.Generator,
-    jump_cap: float = DEFAULT_JUMP_CAP,
 ) -> EnvSkeleton:
     """Sample jump times/sizes and Gaussian increments on the refined grid."""
     base = _base_grid(horizon, step)
     lam = spec.nu.total_mass()
-    if lam * horizon > jump_cap:
+    if lam * horizon > DEFAULT_JUMP_CAP:
         raise MassOverflow(
-            f"expected environment jump count {lam * horizon:.3g} exceeds cap {jump_cap:.3g}"
+            f"expected environment jump count {lam * horizon:.3g} exceeds cap {DEFAULT_JUMP_CAP:.3g}"
         )
     n_jumps = int(rng.poisson(lam * horizon)) if lam > 0 else 0
     if n_jumps > 0:
@@ -173,10 +172,9 @@ def sample_env_path(
     horizon: float,
     step: float,
     rng: np.random.Generator,
-    jump_cap: float = DEFAULT_JUMP_CAP,
 ) -> EnvPath:
     """Sample one untruncated environment path; grid includes all jump times."""
-    skel = sample_env_skeleton(spec, horizon, step, rng, jump_cap)
+    skel = sample_env_skeleton(spec, horizon, step, rng)
     return realize_env_path(spec, skel)
 
 
@@ -235,10 +233,9 @@ def sample_xi_terminal(
     horizon: float,
     n_paths: int,
     rng: np.random.Generator,
-    jump_cap: float = DEFAULT_JUMP_CAP,
 ) -> np.ndarray:
     """Vectorized exact-in-law sample of the untruncated xi(horizon) for many paths."""
-    if spec.nu.total_mass() * horizon > jump_cap:
+    if spec.nu.total_mass() * horizon > DEFAULT_JUMP_CAP:
         raise MassOverflow("expected environment jump count exceeds cap")
     grid = np.array([0.0, horizon])
     (xi,) = next(env_increments(spec, grid, horizon, n_paths, rng, [math.inf]))

@@ -111,21 +111,16 @@ class ConditionBResult:
         return self.passed
 
 
-def condition_b_check(
-    f,
-    K: float | None = None,
-    x_max: float = 1e6,
-    n_grid: int = 120,
-    k_cap: float = 1e6,
-) -> ConditionBResult:
+def condition_b_check(f) -> ConditionBResult:
     """Grid-based check of convexity, monotonicity, f > 1, submultiplicativity.
 
-    Accepts any callable; a MomentTestFunction supplies its stored K.
+    Accepts any callable, checked on [0, 1e6]; a MomentTestFunction is held
+    to its stored K, any other callable to its worst ratio (at most 1e6).
     Failure is a value (not an error) and carries a witness point.
     """
-    if K is None and isinstance(f, MomentTestFunction):
-        K = f.K
-    xs = np.concatenate(([0.0], np.geomspace(1e-3, x_max, n_grid)))
+    x_max = 1e6
+    K = f.K if isinstance(f, MomentTestFunction) else None
+    xs = np.concatenate(([0.0], np.geomspace(1e-3, x_max, 120)))
     fx = np.asarray([float(f(x)) for x in xs])
     failures = []
     rel = 1e-9
@@ -160,7 +155,7 @@ def condition_b_check(
             if ratio > worst:
                 worst, witness = ratio, (float(x), float(y), ratio)
     k_used = K if K is not None else worst
-    if worst > max(k_used, 1.0) * (1.0 + rel) or k_used > k_cap:
+    if worst > max(k_used, 1.0) * (1.0 + rel) or k_used > 1e6:
         failures.append(("submultiplicative", witness))
     return ConditionBResult(not failures, failures, k_used)
 
@@ -291,9 +286,9 @@ def f_moment_verdict(
 
 
 def empirical_f_moment_probe(
-    scenario, f: MomentTestFunction, path_budgets, seed: int, t: float | None = None
+    scenario, f: MomentTestFunction, path_budgets, seed: int
 ):
-    """Running truncated estimates of E f(|X(t)|) across growing path budgets.
+    """Running truncated estimates of E f(|X(horizon)|) across growing path budgets.
 
     Purely observational: a Finite verdict should show stabilizing
     estimates, an Infinite one keeps growing with the budget.  Returned
@@ -301,8 +296,7 @@ def empirical_f_moment_probe(
     """
     from .simulate import scenario_states
 
-    if t is None:
-        t = scenario.horizon
+    t = scenario.horizon
     budgets = sorted(int(b) for b in path_budgets)
     _, states = scenario_states(scenario, budgets[-1], seed, record_times=[t])
     norms = np.hypot(states[0, :, 0, 0], states[0, :, 0, 1])

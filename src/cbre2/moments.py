@@ -354,12 +354,11 @@ def polynomial_degree_check(
     t: float,
     x_grid,
     fit_degree: int | None = None,
-    coef_tol: float = 1e-8,
 ) -> PolynomialFit:
     """Least-squares fit of E[X_i(t)^n] as a polynomial of the initial state.
 
     Reports the fitted coefficients, the max fit residual over the grid,
-    and the largest total degree carrying a coefficient above `coef_tol`.
+    and the largest total degree carrying a coefficient above 1e-8.
     """
     if fit_degree is None:
         fit_degree = n
@@ -380,7 +379,7 @@ def polynomial_degree_check(
         raise RankDeficientGrid("initial-state grid does not span the polynomial basis")
     residual = float(np.max(np.abs(design @ coef - y)))
     degrees = [p + q for p, q in fit_basis]
-    big = [d for d, c in zip(degrees, coef) if abs(c) > coef_tol]
+    big = [d for d, c in zip(degrees, coef) if abs(c) > 1e-8]
     return PolynomialFit(
         {pq: float(c) for pq, c in zip(fit_basis, coef)},
         residual,
@@ -411,8 +410,6 @@ def quenched_laplace(
     spec: BranchingSpec,
     lam,
     t: float,
-    fp_tol: float = 1e-13,
-    max_iter: int = 100,
 ) -> QuenchedLaplace:
     """Solve the backward equation for v_{r,t} given one environment path.
 
@@ -427,7 +424,7 @@ def quenched_laplace(
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
     dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
-    steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), fp_tol, max_iter))
+    steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), 1e-13, 100))
     v = np.concatenate(steps[::-1] + [lam[None, :]])
     return QuenchedLaplace(tuple(lam), float(grid[it]), grid[: it + 1], v)
 
@@ -471,8 +468,6 @@ def annealed_laplace_mc(
     n_env_paths: int,
     step: float,
     seed: int,
-    fp_tol: float = 1e-12,
-    max_iter: int = 100,
     clip: float = math.inf,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E exp(-<x0, v_{0,t}>) over environment paths.
@@ -488,7 +483,7 @@ def annealed_laplace_mc(
     grid = t - _base_grid(t, step)[::-1]
     incs = env_increments(env, grid, step, n_env_paths, rng, [clip])
     steps = ((h, dxi) for h, (dxi,) in zip(np.diff(grid), incs))
-    for v in _backward_steps(spec, lam, steps, fp_tol, max_iter):
+    for v in _backward_steps(spec, lam, steps, 1e-12, 100):
         pass  # only the last step, v_{0,t}, is needed
     vals = np.exp(-(v @ np.asarray(x0, dtype=float)))
     return fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic

@@ -115,6 +115,14 @@ def _need(ctx, d, key, kind=None):
     return val
 
 
+def _known(ctx, d, *keys):
+    """Reject a key of `d` outside `keys`: a misspelled key would drop what it sets."""
+    for key in d:
+        if key not in keys:
+            ctx.push(key)
+            raise ctx.err(f"unknown key; expected one of {', '.join(keys)}")
+
+
 def _real(ctx, key, val, finite=True):
     """A JSON number as a float; never NaN, and infinite ("inf") only if not `finite`."""
     if not finite and val in ("inf", "Infinity", math.inf):
@@ -186,12 +194,15 @@ def _component(ctx, d, planar):
     """One jump component: an atom or a tail (on an axis when `planar`, else on a side)."""
     kind = _need(ctx, d, "kind", str)
     if kind == "atom":
+        _known(ctx, d, "kind", "mass", "z")
         if planar:
             return Atom2D(_num(ctx, d, "mass"), *_pair(ctx, "z", _need(ctx, d, "z"), "[z1, z2]"))
         return Atom1D(_num(ctx, d, "mass"), _num(ctx, d, "z"))
     if kind not in ("exponential", "pareto"):
         ctx.push("kind")
         raise ctx.err(f"unknown component kind {kind!r}")
+    _known(ctx, d, "kind", "mass", "rate" if kind == "exponential" else "alpha", "x0",
+           "axis" if planar else "side")
     shape = _num(ctx, d, "rate" if kind == "exponential" else "alpha")
     mass = _num(ctx, d, "mass")
     x0 = _num(ctx, d, "x0", 0.0 if kind == "exponential" else None)
@@ -240,6 +251,7 @@ def _rule(ctx, val) -> BranchingRule:
     if val == "unit_square":
         return BranchingRule(UNIT_SQUARE)
     if isinstance(val, dict):
+        _known(ctx, val, "kind", "k")
         kind = val.get("kind")
         if kind == "none":
             return BranchingRule(NONE)
@@ -254,29 +266,33 @@ def _env_rule(ctx, val) -> float:
     if val in (None, "none"):
         return math.inf
     if isinstance(val, dict) and val.get("kind") == "clip_positive":
+        _known(ctx, val, "kind", "k")
         return _num(ctx, val, "k", finite=False)
     raise ctx.err(f"unknown env rule {val!r}")
 
 
 def _fmoment_fn(ctx, d):
     family = _need(ctx, d, "family", str)
+    if family not in ("power", "power_log", "exp_power"):
+        ctx.push("family")
+        raise ctx.err(f"unknown test-function family {family!r}")
+    _known(ctx, d, "family", *(("theta", "gamma") if family == "exp_power" else ("p",)))
     try:
         if family == "power":
             return fmoment.power(_num(ctx, d, "p"))
         if family == "power_log":
             return fmoment.power_log(_num(ctx, d, "p"))
-        if family == "exp_power":
-            return fmoment.exp_power(_num(ctx, d, "theta"), _num(ctx, d, "gamma", 1.0))
+        return fmoment.exp_power(_num(ctx, d, "theta"), _num(ctx, d, "gamma", 1.0))
     except ValueError as e:
         raise ctx.err(str(e)) from e
-    ctx.push("family")
-    raise ctx.err(f"unknown test-function family {family!r}")
 
 
 def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioConfig:
     ctx = _Ctx(source_text)
     if not isinstance(data, dict):
         raise ctx.err("config root must be an object")
+    _known(ctx, data, "name", "environment", "branching", "x0", "horizon", "step", "n_paths", "seed",
+           "truncation", "output", "moment_degree", "recursion_tol", "laplace", "fmoment", "verify")
 
     envd = _obj(ctx, data, "environment", required=True)
     ctx.push("environment")
@@ -284,6 +300,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
         ctx.push("trunc_level")
         raise ctx.err("removed key; clip the environment with "
                       'truncation.env_rule = {"kind": "clip_positive", "k": ...}')
+    _known(ctx, envd, "a", "sigma1", "nu")
     nu = _measure(ctx, envd, "nu", planar=False)
     try:
         env = LevyEnvSpec(
@@ -295,6 +312,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
     trd = _obj(ctx, data, "truncation")
     ctx.push("truncation")
+    _known(ctx, trd, "branching_rule", "env_rule")
     try:
         pred = TruncationPredicate(
             branching=_rule(ctx, trd.get("branching_rule", "none")),
@@ -306,6 +324,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
     brd = _obj(ctx, data, "branching", required=True)
     ctx.push("branching")
+    _known(ctx, brd, "b", "c1", "c2", "m1", "m2")
     b = brd.get("b", [[0.0, 0.0], [0.0, 0.0]])
     ctx.push("b")
     if not (isinstance(b, list) and len(b) == 2):
@@ -342,6 +361,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
     out = _obj(ctx, data, "output")
     ctx.push("output")
+    _known(ctx, out, "directory", "dump_paths")
     output = OutputSpec(
         directory=_need(ctx, out, "directory", str) if "directory" in out else "out",
         dump_paths=_int(ctx, out, "dump_paths", 5, 0),
@@ -352,6 +372,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
     if data.get("laplace") is not None:
         lap = _obj(ctx, data, "laplace")
         ctx.push("laplace")
+        _known(ctx, lap, "lambda", "t")
         lam = _pair(ctx, "lambda", _need(ctx, lap, "lambda"), "[l1, l2]", nonneg=True)
         t_lap = _num(ctx, lap, "t", horizon)
         if not (0 < t_lap <= horizon):
@@ -367,6 +388,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
     ver = _obj(ctx, data, "verify")
     ctx.push("verify")
+    _known(ctx, ver, "coupling_k", "trunc_k_list")
     coupling_k = _caps(ctx, ver, "coupling_k", count=2)
     if coupling_k is not None and coupling_k[0] > coupling_k[1]:
         ctx.push("coupling_k")

@@ -2,10 +2,10 @@
 
 Every report reduces to rows (t, statistic, estimate, se, target, z,
 pass); aggregation uses compensated summation so identical inputs give
-byte-identical reports.  Comparisons against exact targets allow a
-discretization bias of `bias_coeff * step * |target|` on top of the
-standard-error band (default 2; `richardson_bias` estimates
-the coefficient empirically on a reference scenario).
+byte-identical reports.  A row passes within `SE_MULTIPLE` standard
+errors of its target plus a discretization-bias allowance: moment rows
+allow `BIAS_COEFF * step * |target|` (`richardson_bias` estimates the
+coefficient on a reference scenario), martingale rows allow none.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
 from ._util import format_float, fsum_mean_se
 
 _DUST = 1e-9  # absorbs floating-point dust in exact (se = 0) comparisons
+SE_MULTIPLE = 3.0  # half-width of a row's pass band, in standard errors
+BIAS_COEFF = 2.0  # moment rows allow a bias of BIAS_COEFF * step * |target|
 
 
 @dataclass
@@ -44,7 +46,6 @@ class EstimateRow:
 class EstimateReport:
     name: str
     rows: list = field(default_factory=list)
-    se_multiple: float = 3.0
     notes: str = ""
 
     @property
@@ -57,7 +58,7 @@ class EstimateReport:
         else:
             gap = abs(estimate - target)
             z = 0.0 if gap == 0.0 else (estimate - target) / se if se > 0 else math.inf
-            ok = gap <= self.se_multiple * se + bias_allowance + _DUST * max(1.0, abs(target))
+            ok = gap <= SE_MULTIPLE * se + bias_allowance + _DUST * max(1.0, abs(target))
         self.rows.append(EstimateRow(float(t), statistic, float(estimate), float(se), float(target), float(z), bool(ok)))
 
     def csv_lines(self) -> list[str]:
@@ -84,8 +85,9 @@ def write_report_csv(path, report: EstimateReport) -> None:
         f.write("\n".join(report.csv_lines()) + "\n")
 
 
-def _default_record_times(scenario, k: int = 5) -> np.ndarray:
-    return scenario.horizon * np.arange(1, k + 1) / k
+def report_times(scenario) -> np.ndarray:
+    """The times the moment and martingale reports check: horizon * k / 5, k = 1..5."""
+    return scenario.horizon * np.arange(1, 6) / 5
 
 
 def estimate_moments(
@@ -93,25 +95,21 @@ def estimate_moments(
     n: int,
     paths: int,
     seed: int,
-    record_times=None,
-    se_multiple: float = 3.0,
-    bias_coeff: float = 2.0,
 ) -> EstimateReport:
-    """Sample means of X1^p X2^q against the moment-closure targets.
+    """Sample means of X1^p X2^q against the moment-closure targets at `report_times`.
 
     When the order-2n hypotheses fail the estimator variance is not
     guaranteed finite; the report is produced anyway and marked
     variance-unreliable.
     """
     pred = scenario.truncation
-    if record_times is None:
-        record_times = _default_record_times(scenario)
+    record_times = report_times(scenario)
     table = moment_table(
         scenario.environment, scenario.branching, scenario.x0, record_times, n, pred
     )
     times, states = scenario_states(scenario, paths, seed, record_times=record_times)
     x1, x2 = states[0, :, :, 0], states[0, :, :, 1]
-    report = EstimateReport(f"moments_n{n}", se_multiple=se_multiple)
+    report = EstimateReport(f"moments_n{n}")
     if not hypotheses_hold(scenario.environment, scenario.branching, 2 * n, pred):
         report.notes = "variance-unreliable: order-2n hypotheses fail"
     for p, q in monomial_basis(n):
@@ -126,7 +124,7 @@ def estimate_moments(
                 est,
                 se,
                 target,
-                bias_allowance=bias_coeff * scenario.step * abs(target),
+                bias_allowance=BIAS_COEFF * scenario.step * abs(target),
             )
     return report
 
@@ -136,8 +134,6 @@ def martingale_test(
     t_grid,
     paths: int,
     seed: int,
-    se_multiple: float = 3.0,
-    bias_coeff: float = 0.0,
 ) -> EstimateReport:
     """Constancy of the drift-corrected mean: E M(t) = x0 at every grid time.
 
@@ -148,7 +144,7 @@ def martingale_test(
         scenario.environment, scenario.branching, t_grid, scenario.truncation
     )
     times, states = scenario_states(scenario, paths, seed, record_times=t_grid)
-    report = EstimateReport("martingale", se_multiple=se_multiple)
+    report = EstimateReport("martingale")
     x0 = np.asarray(scenario.x0, dtype=float)
     for k, t in enumerate(times):
         m = states[0, :, k, :] @ factors[k].T
@@ -160,7 +156,6 @@ def martingale_test(
                 est,
                 se,
                 x0[i],
-                bias_allowance=bias_coeff * scenario.step * abs(x0[i]),
             )
     return report
 
@@ -171,34 +166,32 @@ def coupling_monotonicity_report(
     k2: float,
     paths: int,
     seed: int,
-    tol: float = 1e-12,
-    se_multiple: float = 3.0,
 ) -> EstimateReport:
     """Ordering of coupled truncated variants X^(k1) <= X^(k2), k1 <= k2.
 
     Each variant is the scenario's truncation with its branching rule
     replaced by the norm cap, so the environment clip is kept.  Pure-jump
-    mechanisms assert zero pathwise violations at every grid point; with
-    diffusion on, only the mean signed gap is tested (<= 0 within the SE
-    band).
+    mechanisms assert zero pathwise violations (a gap above 1e-12) at
+    every grid point; with diffusion on, only the mean signed gap is
+    tested (<= 0 within `SE_MULTIPLE` SEs).
     """
     if k1 > k2:
         raise ValueError("k1 must be <= k2")
     preds = [replace(scenario.truncation, branching=BranchingRule(NORM_CAP, k)) for k in (k1, k2)]
     pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
-    report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}", se_multiple=se_multiple)
+    report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
     max_gap = -math.inf
     for t, (lo, hi), _ in scenario_stream(scenario, paths, seed, predicates=preds):
         gap = lo - hi  # (paths, 2); ordering wants <= 0
         if pure_jump:
-            report.add(t, "ordering_violations", int((gap > tol).sum()), 0.0, 0.0)
+            report.add(t, "ordering_violations", int((gap > 1e-12).sum()), 0.0, 0.0)
             max_gap = max(max_gap, float(gap.max()))
     if pure_jump:
         report.add(t, "max_signed_gap", max_gap, 0.0, math.nan)
     else:
         for i in (0, 1):
             est, se = fsum_mean_se(gap[:, i])
-            ok = est <= se_multiple * se + _DUST
+            ok = est <= SE_MULTIPLE * se + _DUST
             z = est / se if se > 0 else 0.0
             report.rows.append(EstimateRow(float(t), f"mean_gap_{i + 1}", est, se, 0.0, z, ok))
     return report
@@ -209,29 +202,24 @@ def truncation_convergence_report(
     k_list,
     paths: int,
     seed: int,
-    t: float | None = None,
-    epsilon: float | None = None,
-    se_multiple: float = 2.0,
 ) -> EstimateReport:
-    """Coupled estimate of E|X - X^(k)| over increasing caps k.
+    """Coupled estimate of E|X - X^(k)| at the horizon over increasing caps k.
 
     X is the scenario's system with its environment clip and no branching
     truncation.  All variants share the randomness of the path of X, so
     the gap estimates are monotone up to thinning noise; the report
-    asserts the sequence is nonincreasing within `se_multiple` combined
-    SEs and that the final gap is below epsilon (default: 5% of |E X(t)|).
+    asserts the sequence is nonincreasing within 2 combined SEs and that
+    the final gap is below epsilon = 5% of |E X(horizon)|.
     """
     k_list = sorted(float(k) for k in k_list)
-    if t is None:
-        t = scenario.horizon
+    t = scenario.horizon
     base = TruncationPredicate(env_clip=scenario.truncation.env_clip)
     preds = [replace(base, branching=BranchingRule(NORM_CAP, k)) for k in k_list] + [base]
     times, states = scenario_states(scenario, paths, seed, record_times=[t], predicates=preds)
     full = states[-1][:, 0, :]
-    if epsilon is None:
-        epsilon = 0.05 * float(np.linalg.norm(first_moment_closed_form(
-            scenario.environment, scenario.branching, scenario.x0, t, base)))
-    report = EstimateReport("trunc_convergence", se_multiple=se_multiple)
+    epsilon = 0.05 * float(np.linalg.norm(first_moment_closed_form(
+        scenario.environment, scenario.branching, scenario.x0, t, base)))
+    report = EstimateReport("trunc_convergence")
     ests, ses = [], []
     for i, k in enumerate(k_list):
         gap = np.hypot(
@@ -243,7 +231,7 @@ def truncation_convergence_report(
         report.add(t, f"l1_gap_k{k:g}", est, se, math.nan)
     ok = True
     for i in range(1, len(ests)):
-        band = se_multiple * math.hypot(ses[i], ses[i - 1])
+        band = 2.0 * math.hypot(ses[i], ses[i - 1])
         if ests[i] > ests[i - 1] + band:
             ok = False
     final_ok = ests[-1] < epsilon
@@ -277,11 +265,11 @@ def richardson_bias(scenario, statistic: str, paths: int, seed: int) -> float:
     return abs(bias_h) / (scenario.step * abs(target[idx]))
 
 
-def se_scaling_check(scenario, paths: int, seed: int, factor: int = 4) -> tuple[float, float]:
-    """SEs of the first-moment estimate at `paths` and `factor*paths` paths."""
+def se_scaling_check(scenario, paths: int, seed: int) -> tuple[float, float]:
+    """SEs of the first-moment estimate at `paths` and `4 * paths` paths."""
     t = scenario.horizon
     _, s1 = scenario_states(scenario, paths, seed, record_times=[t])
-    _, s2 = scenario_states(scenario, factor * paths, seed + 1, record_times=[t])
+    _, s2 = scenario_states(scenario, 4 * paths, seed + 1, record_times=[t])
     _, se1 = fsum_mean_se(s1[0, :, 0, 0])
     _, se2 = fsum_mean_se(s2[0, :, 0, 0])
     return se1, se2

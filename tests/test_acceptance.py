@@ -142,7 +142,7 @@ def test_criterion_05_martingale_constancy(mixed_big_run):
 def test_criterion_06_coupling_ordering():
     """Pure-jump coupled variants: zero ordering violations at 1e-12 tolerance."""
     sc = coupling_scenario(n_paths=10_000)
-    rep = coupling_monotonicity_report(sc, 2.0, 5.0, 10_000, sc.seed, tol=1e-12)
+    rep = coupling_monotonicity_report(sc, 2.0, 5.0, 10_000, sc.seed)
     viol = sum(r.estimate for r in rep.rows if r.statistic == "ordering_violations")
     n_grid = sum(1 for r in rep.rows if r.statistic == "ordering_violations")
     ok = rep.passed and viol == 0.0

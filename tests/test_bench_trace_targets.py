@@ -6,6 +6,7 @@ in cbre2 would otherwise break `bench/run.py --trace 1` silently.
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -34,3 +35,14 @@ def test_traced_targets_resolve():
         if not callable(target):
             missing.append(f"{modname}.{attr}")
     assert not missing, f"bench/spans.py traces names cbre2 no longer has: {missing}"
+
+
+def test_positional_reads_match_signatures():
+    """`_count_annealed` and `_count_batch` in bench/spans.py read these arguments by position."""
+    from cbre2.moments import annealed_laplace_mc
+    from cbre2.simulate import scenario_states
+
+    annealed = list(inspect.signature(annealed_laplace_mc).parameters)
+    assert annealed[4:7] == ["t", "n_env_paths", "step"]
+    batch = list(inspect.signature(scenario_states).parameters)
+    assert (batch[1], batch[4]) == ("n_paths", "predicates")

@@ -370,7 +370,7 @@ def test_quenched_laplace_fixed_point_divergence():
 
     path = sample_env_path(LevyEnvSpec(), 1.0, 0.5, np.random.default_rng(0))
     with pytest.raises(FixedPointDivergence):
-        quenched_laplace(path, BranchingSpec(c1=80.0), (2.0, 0.0), 1.0, max_iter=30)
+        quenched_laplace(path, BranchingSpec(c1=80.0), (2.0, 0.0), 1.0)
 
 
 def test_phi_eval_vec_matches_scalar(phi_reference):

@@ -327,6 +327,11 @@ def _set(data, path, value):
                      "environment.trunc_level", id="trunc_level-removed"),
         pytest.param("couple", "coupling.json", ("environment", "trunc_level"), "inf",
                      "truncation.env_rule", id="trunc_level-points-to-env_rule"),
+        # a misspelled key: ignoring it would silently drop what it sets
+        pytest.param("simulate", "coupling.json", ("truncation", "env_rul"),
+                     {"kind": "clip_positive", "k": 1.0}, "truncation.env_rul", id="env_rul-unknown"),
+        pytest.param("simulate", "coupling.json", ("environment", "sigma"), 0.9,
+                     "environment.sigma", id="sigma-unknown"),
     ],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, name, path, value, key):
@@ -412,6 +417,14 @@ def test_cli_verify_martingale_on_the_truncated_system(tmp_path, capsys):
     assert rc == 0
     rows = (out / "verify_martingale.csv").read_text().splitlines()[1:]
     assert len(rows) == 10 and all(row.endswith(",True") for row in rows)
+
+
+def test_cli_verify_prints_report_notes(tmp_path, capsys):
+    """pareto.json at n = 2 fails the order-2n hypotheses; the summary line says so."""
+    args = ["verify", "--config", _scen("pareto.json"), "--n", "2", "--paths", "200",
+            "--out", str(tmp_path)]
+    assert main(args) in (0, 2)
+    assert "moments_n2: variance-unreliable" in capsys.readouterr().out
 
 
 def test_cli_laplace_on_the_clipped_environment(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_reports_reproducible_and_csv_stable(tmp_path):
 
 def test_se_scaling_with_path_budget():
     sc = env_only_scenario(step=0.01)
-    se1, se4 = se_scaling_check(sc, 4_000, 5, factor=4)
+    se1, se4 = se_scaling_check(sc, 4_000, 5)
     assert abs(se4 / se1 - 0.5) < 0.2 * 0.5
 
 
@@ -153,7 +153,7 @@ def test_richardson_bias_coefficient_is_small():
 
 
 def test_report_pass_flag_consistency():
-    rep = EstimateReport("demo", se_multiple=3.0)
+    rep = EstimateReport("demo")
     rep.add(1.0, "s", 1.0, 0.05, 1.2)  # gap 0.2 > 3 * 0.05
     assert not rep.rows[-1].ok and not rep.passed
     rep2 = EstimateReport("demo2")
@@ -173,7 +173,7 @@ def _full_record_coupling_report(sc, k1, k2, paths, seed, tol=1e-12, se_multiple
 
     times, states = scenario_states(sc, paths, seed, predicates=(norm_cap(k1), norm_cap(k2)))
     gaps = states[0] - states[1]
-    report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}", se_multiple=se_multiple)
+    report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
     if sc.branching.c1 == 0 and sc.branching.c2 == 0:
         for k, t in enumerate(times):
             report.add(t, "ordering_violations", int((gaps[:, k, :] > tol).sum()), 0.0, 0.0)
