@@ -9,19 +9,22 @@ once: `simulate_paths` keeps a few full paths on the base grid, and
 """
 
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 
 from cbre2 import (
     BranchingSpec,
     first_moment_closed_form,
+    load_scenario,
     scenario_states,
     simulate_paths,
 )
-from cbre2.presets import mixed_scenario
 from cbre2.scenario import ScenarioConfig
 
-sc = mixed_scenario()
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
+sc = replace(load_scenario(os.path.join(SCENARIOS, "mixed.json")), n_paths=100_000, step=1e-3)
 
 # a handful of full paths (one batch run; path i is row i of that run)
 paths = simulate_paths(sc, 3, rng_seed=2024)

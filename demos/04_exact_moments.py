@@ -7,17 +7,20 @@ which gives the first-moment closed form; the n-th own-moment is a
 polynomial of the initial state with degree <= n.
 """
 
+import os
+from dataclasses import replace
+
 import numpy as np
 
 from cbre2 import (
     build_moment_generator,
     first_moment_closed_form,
+    load_scenario,
     moment_table,
     polynomial_degree_check,
 )
-from cbre2.presets import mixed_scenario
-
-sc = mixed_scenario()
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
+sc = replace(load_scenario(os.path.join(SCENARIOS, "mixed.json")), n_paths=100_000, step=1e-3)
 env, spec, x0 = sc.environment, sc.branching, sc.x0
 
 gen = build_moment_generator(env, spec, 2)

@@ -9,10 +9,18 @@ taken exactly by one block matrix exponential, against the closure's
 own row is a two-route consistency check; residuals sit at rounding level.
 """
 
-from cbre2 import moment_table, recursion_check, recursion_coefficients
-from cbre2.presets import branching_only_scenario, env_only_scenario, mixed_scenario
+import os
+from dataclasses import replace
 
-for sc in (env_only_scenario(), branching_only_scenario(), mixed_scenario()):
+from cbre2 import load_scenario, moment_table, recursion_check, recursion_coefficients
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
+env_only, branching_only, mixed = (
+    replace(load_scenario(os.path.join(SCENARIOS, f"{name}.json")), n_paths=n_paths, step=1e-3)
+    for name, n_paths in (("env_only", 50_000), ("branching_only", 50_000), ("mixed", 100_000))
+)
+
+for sc in (env_only, branching_only, mixed):
     table = moment_table(sc.environment, sc.branching, sc.x0, [0.5, 1.0], 4)
     print(f"scenario: {sc.name}")
     for n in (2, 3, 4):
@@ -24,8 +32,7 @@ for sc in (env_only_scenario(), branching_only_scenario(), mixed_scenario()):
             print(f"  n={n} type={type_index}: residuals {res[0]:.2e} (t=0.5), {res[1]:.2e} (t=1)")
 
 # the coefficients themselves, for one case
-sc = mixed_scenario()
-a, b = recursion_coefficients(sc.branching, 3, 1)
+a, b = recursion_coefficients(mixed.branching, 3, 1)
 print("\norder-3 type-1 coefficients:")
 print("  A_j (own measure + diffusion add-on):", [f"{v:.4f}" for v in a])
 print("  B_j (cross measure + drift add-on):  ", [f"{v:.4f}" for v in b])

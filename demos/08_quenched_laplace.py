@@ -7,6 +7,7 @@ Carlo average of exp(-<lam, X(t)>) over simulated paths.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -14,12 +15,14 @@ from cbre2 import (
     BranchingSpec,
     LevyEnvSpec,
     annealed_laplace_mc,
+    load_scenario,
     quenched_laplace,
     sample_env_path,
     scenario_states,
 )
-from cbre2.presets import laplace_scenario
 from cbre2._util import fsum_mean_se
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 
 # deterministic environment, single-type square-root branching: the
 # transform has the classical closed form lam / (1 + c1 lam t)
@@ -30,7 +33,7 @@ closed = lam1 / (1.0 + c1 * lam1 * t)
 print(f"square-root diffusion: v0 = {ql.v0[0]:.10f}, closed form {closed:.10f}, gap {abs(ql.v0[0]-closed):.2e}")
 
 # one random environment: the whole backward trajectory is available
-sc = laplace_scenario()
+sc = load_scenario(os.path.join(SCENARIOS, "laplace.json"))
 path = sample_env_path(sc.environment, sc.laplace_t, sc.step, np.random.default_rng(1))
 ql = quenched_laplace(path, sc.branching, sc.laplace_lambda, sc.laplace_t)
 print(f"random environment: v_(0,{sc.laplace_t}) = ({ql.v0[0]:.6f}, {ql.v0[1]:.6f}) from lam = {sc.laplace_lambda}")

@@ -36,7 +36,6 @@ from .fmoment import (
     f_moment_verdict,
     power,
     power_log,
-    tail_integral_classify,
 )
 from .measures import (
     Atom1D,
@@ -53,7 +52,6 @@ from .moments import (
     annealed_laplace_mc,
     build_moment_generator,
     first_moment_closed_form,
-    martingale_transform,
     moment_table,
     monomial_basis,
     polynomial_degree_check,

@@ -44,15 +44,6 @@ class BranchingSpec:
     def b(self) -> np.ndarray:
         return np.array([[self.b11, self.b12], [self.b21, self.b22]])
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.b11 == self.b12 == self.b21 == self.b22 == 0.0
-            and self.c1 == self.c2 == 0.0
-            and self.m1.is_zero
-            and self.m2.is_zero
-        )
-
 
 def phi_eval(spec: BranchingSpec, lam) -> tuple[float, float]:
     """Evaluate (phi_1, phi_2) at a pair of nonnegative rates."""

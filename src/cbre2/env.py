@@ -194,9 +194,16 @@ def env_increments(
     first Gaussian, with uniform times, which makes the per-interval counts
     exactly Poisson; they are bucketed by interval with one sort, so memory
     stays O(n_paths).  Jumps above a level are clipped as in `effective_jump`.
+    Raises MassOverflow when first advanced if the expected jump count per
+    path over the grid exceeds DEFAULT_JUMP_CAP.
     """
     n_int = len(grid) - 1
     lam = spec.nu.total_mass()
+    expected = lam * (grid[-1] - grid[0])
+    if expected > DEFAULT_JUMP_CAP:
+        raise MassOverflow(
+            f"expected environment jump count {expected:.3g} exceeds cap {DEFAULT_JUMP_CAP:.3g}"
+        )
     drift = spec.a - spec.nu.mean_small()
     width = max(1, min(n_int, math.floor(1.0 / (lam * step)))) if lam > 0 else n_int
     for m in range(n_int):
@@ -235,8 +242,6 @@ def sample_xi_terminal(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized exact-in-law sample of the untruncated xi(horizon) for many paths."""
-    if spec.nu.total_mass() * horizon > DEFAULT_JUMP_CAP:
-        raise MassOverflow("expected environment jump count exceeds cap")
     grid = np.array([0.0, horizon])
     (xi,) = next(env_increments(spec, grid, horizon, n_paths, rng, [math.inf]))
     return xi + np.zeros(n_paths)

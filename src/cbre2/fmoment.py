@@ -29,7 +29,7 @@ from .branching import BranchingSpec
 from .env import LevyEnvSpec
 from .errors import ZeroInitialState
 from .measures import EXPONENTIAL, PARETO, JumpMeasure, JumpMeasure1D
-from .truncation import IDENTITY, KEEP_ALL, NORM_CAP, BranchingRule, TruncationPredicate
+from .truncation import IDENTITY, KEEP_ALL, BranchingRule, TruncationPredicate
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -239,15 +239,6 @@ def classify_env_tail(f: MomentTestFunction, nu: JumpMeasure1D, clip: float = ma
     return _combine(classes)
 
 
-def tail_integral_classify(f: MomentTestFunction, target, clip: float = math.inf) -> str:
-    """Classify one tail integral; target is a branching or environment measure."""
-    if isinstance(target, JumpMeasure1D):
-        return classify_env_tail(f, target, clip)
-    if isinstance(target, JumpMeasure):
-        return classify_branching_tail(f, target, rule=BranchingRule(NORM_CAP, clip))
-    raise TypeError("target must be a JumpMeasure or JumpMeasure1D")
-
-
 @dataclass
 class FMomentVerdict:
     verdict: str
@@ -283,22 +274,3 @@ def f_moment_verdict(
         "environment_tail": environment,
     }
     return FMomentVerdict(_combine(criteria.values()), criteria)
-
-
-def empirical_f_moment_probe(
-    scenario, f: MomentTestFunction, path_budgets, seed: int
-):
-    """Running truncated estimates of E f(|X(horizon)|) across growing path budgets.
-
-    Purely observational: a Finite verdict should show stabilizing
-    estimates, an Infinite one keeps growing with the budget.  Returned
-    as [(n_paths, estimate)], never asserted as a hard test.
-    """
-    from .simulate import scenario_states
-
-    t = scenario.horizon
-    budgets = sorted(int(b) for b in path_budgets)
-    _, states = scenario_states(scenario, budgets[-1], seed, record_times=[t])
-    norms = np.hypot(states[0, :, 0, 0], states[0, :, 0, 1])
-    vals = f(norms)
-    return [(b, float(np.mean(vals[:b]))) for b in budgets]

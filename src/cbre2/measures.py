@@ -105,14 +105,6 @@ class _Tail:
         if self.x0 < 0 or (self.family == PARETO and self.x0 <= 0):
             raise ValueError("invalid tail cutoff x0")
 
-    def density_mag(self, y):
-        """Density in the magnitude coordinate y > x0 (integrates to mass)."""
-        y = np.asarray(y, dtype=float)
-        if self.family == EXPONENTIAL:
-            return self.mass * self.shape * np.exp(-self.shape * (y - self.x0))
-        a = self.shape
-        return self.mass * a * self.x0**a * y ** (-a - 1.0)
-
     def sample_mag(self, rng, size):
         if self.family == EXPONENTIAL:
             return self.x0 + rng.exponential(1.0 / self.shape, size)

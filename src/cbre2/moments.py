@@ -26,7 +26,6 @@ from .errors import (
     HypothesisViolated,
     RankDeficientGrid,
 )
-from .simulate import StatePath
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2, fsum_mean_se
 
@@ -235,12 +234,6 @@ def first_moment_closed_form(
     bt = levy_exponent(env, 1, truncation.env_clip)
     btil = effective_drift_matrix(spec, truncation)
     return math.exp(bt * t) * (expm2(-t * btil.T) @ np.asarray(x0, dtype=float))
-
-
-def martingale_transform(env: LevyEnvSpec, spec: BranchingSpec, path: StatePath) -> np.ndarray:
-    """M(t) = e^{-beta~ t} exp(t b~^T) X(t) along a path's grid."""
-    factors = martingale_factors(env, spec, path.grid)
-    return np.array([f @ x for f, x in zip(factors, path.states)])
 
 
 def martingale_factors(

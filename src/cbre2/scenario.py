@@ -314,10 +314,13 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
     ctx.push("truncation")
     _known(ctx, trd, "branching_rule", "env_rule")
     try:
-        pred = TruncationPredicate(
-            branching=_rule(ctx, trd.get("branching_rule", "none")),
-            env_clip=_env_rule(ctx, trd.get("env_rule", "none")),
-        )
+        ctx.push("branching_rule")
+        rule = _rule(ctx, trd.get("branching_rule", "none"))
+        ctx.pop()
+        ctx.push("env_rule")
+        clip = _env_rule(ctx, trd.get("env_rule", "none"))
+        pred = TruncationPredicate(branching=rule, env_clip=clip)
+        ctx.pop()
     except ValueError as e:
         raise ctx.err(str(e)) from e
     ctx.pop()

@@ -124,7 +124,6 @@ def stream_states(
     rng: np.random.Generator,
     record_times=None,
     predicates=(IDENTITY,),
-    events_cap: float = DEFAULT_EVENTS_CAP,
 ):
     """Run the batch engine, yielding (t, states, xi) at each record time.
 
@@ -148,7 +147,7 @@ def stream_states(
     branching = lam.any()
     clips = list(dict.fromkeys(var.predicate.env_clip for var in variants))
     env_incs = env_increments(env, grid, step, n_paths, rng, clips)
-    max_events = events_cap * horizon
+    max_events = DEFAULT_EVENTS_CAP * horizon
 
     # states are kept as (2, n_paths): each coordinate is contiguous
     xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in variants]
@@ -233,7 +232,6 @@ def simulate_states(
     rng: np.random.Generator,
     record_times=None,
     predicates=(IDENTITY,),
-    events_cap: float = DEFAULT_EVENTS_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized simulation of many paths, one state array per variant.
 
@@ -248,7 +246,7 @@ def simulate_states(
     out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
     stream = stream_states(
         env, bspec, x0, horizon, step, n_paths, rng,
-        record_times=record_times, predicates=predicates, events_cap=events_cap,
+        record_times=record_times, predicates=predicates,
     )
     for r, (_, states, _) in enumerate(stream):
         for v, x in enumerate(states):
@@ -256,7 +254,7 @@ def simulate_states(
     return grid[rec_idx], out
 
 
-def _on_scenario(engine, scenario, n_paths, seed, record_times, predicates, events_cap):
+def _on_scenario(engine, scenario, n_paths, seed, record_times, predicates):
     if predicates is None:
         predicates = (scenario.truncation,)
     return engine(
@@ -269,7 +267,6 @@ def _on_scenario(engine, scenario, n_paths, seed, record_times, predicates, even
         np.random.default_rng(seed),
         record_times=record_times,
         predicates=predicates,
-        events_cap=events_cap,
     )
 
 
@@ -279,13 +276,12 @@ def scenario_states(
     seed: int,
     record_times=None,
     predicates=None,
-    events_cap: float = DEFAULT_EVENTS_CAP,
 ):
     """Batch-engine wrapper taking a scenario object.
 
     `predicates` defaults to the scenario's own truncation.
     """
-    return _on_scenario(simulate_states, scenario, n_paths, seed, record_times, predicates, events_cap)
+    return _on_scenario(simulate_states, scenario, n_paths, seed, record_times, predicates)
 
 
 def scenario_stream(
@@ -294,17 +290,15 @@ def scenario_stream(
     seed: int,
     record_times=None,
     predicates=None,
-    events_cap: float = DEFAULT_EVENTS_CAP,
 ):
     """Generator form of `scenario_states`; yields what `stream_states` yields."""
-    return _on_scenario(stream_states, scenario, n_paths, seed, record_times, predicates, events_cap)
+    return _on_scenario(stream_states, scenario, n_paths, seed, record_times, predicates)
 
 
 def simulate_paths(
     scenario,
     n_paths: int,
     rng_seed: int,
-    events_cap: float = DEFAULT_EVENTS_CAP,
 ) -> list[StatePath]:
     """Full paths on the base grid: one batch run of `n_paths` paths.
 
@@ -317,7 +311,7 @@ def simulate_paths(
     grid = _base_grid(scenario.horizon, scenario.step)
     states = np.empty((n_paths, len(grid), 2))
     xi = np.empty((n_paths, len(grid)))
-    stream = scenario_stream(scenario, n_paths, rng_seed, events_cap=events_cap)
+    stream = scenario_stream(scenario, n_paths, rng_seed)
     for r, (_, (x,), (xi_t,)) in enumerate(stream):
         states[:, r] = x
         xi[:, r] = xi_t

@@ -54,14 +54,6 @@ class BranchingRule:
             return np.ones(len(z), dtype=bool)
         return self.keeps(z[:, 0], z[:, 1])
 
-    def at_most_as_permissive_as(self, other: "BranchingRule") -> bool:
-        """True when every jump this rule keeps, `other` keeps too."""
-        if self.kind == UNIT_SQUARE:
-            return other.kind == UNIT_SQUARE or other.axis_bound >= math.sqrt(2.0)
-        if other.kind == UNIT_SQUARE:
-            return False
-        return self.axis_bound <= other.axis_bound
-
 
 KEEP_ALL = BranchingRule(NONE)
 
@@ -76,12 +68,6 @@ class TruncationPredicate:
     def __post_init__(self):
         if not (self.env_clip >= 1.0):
             raise ValueError("env clip level must be >= 1 (or inf)")
-
-    def at_most_as_permissive_as(self, other: "TruncationPredicate") -> bool:
-        return (
-            self.branching.at_most_as_permissive_as(other.branching)
-            and self.env_clip <= other.env_clip
-        )
 
 
 IDENTITY = TruncationPredicate()

@@ -1,13 +1,23 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cbre2.presets import mixed_scenario
+import cbre2
+from cbre2.scenario import load_scenario
 from cbre2.simulate import scenario_states
 
 RECORD_TIMES = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+SCENARIO_DIR = os.path.join(os.path.dirname(cbre2.__file__), "scenarios")
+
+
+def bundled_scenario(name, n_paths, step):
+    """The bundled scenario `<name>.json`, with its path count and step replaced."""
+    sc = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    return replace(sc, n_paths=n_paths, step=step)
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +26,7 @@ def mixed_big_run():
 
     10^5 paths at step 1e-3, states recorded at five grid times.
     """
-    sc = mixed_scenario(n_paths=100_000, step=1e-3)
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
     times, states = scenario_states(sc, sc.n_paths, sc.seed, record_times=RECORD_TIMES)
     return sc, times, states[0]
 

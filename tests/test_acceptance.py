@@ -26,23 +26,13 @@ from cbre2.moments import (
     quenched_laplace,
     recursion_check,
 )
-from cbre2.presets import (
-    branching_only_scenario,
-    coupling_scenario,
-    env_brownian_atom_spec,
-    env_brownian_spec,
-    env_drift_spec,
-    env_only_scenario,
-    laplace_scenario,
-    mixed_scenario,
-    pareto_scenario,
-)
 from cbre2.simulate import scenario_states
 from cbre2.verify import (
     coupling_monotonicity_report,
     truncation_convergence_report,
 )
 from cbre2._util import fsum_mean_se
+from tests.conftest import bundled_scenario
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -56,9 +46,9 @@ def test_criterion_01_levy_exponent_identity():
     """MC mean of e^{n xi(1)} vs e^{beta(n)} for three environments, n in {1,2}."""
     t0 = time.perf_counter()
     specs = {
-        "drift": env_drift_spec(),
-        "brownian": env_brownian_spec(),
-        "brownian+atom": env_brownian_atom_spec(),
+        "drift": LevyEnvSpec(a=0.4),
+        "brownian": LevyEnvSpec(a=-0.3, sigma1=1.0),
+        "brownian+atom": LevyEnvSpec(a=0.1, sigma1=0.5, nu=JumpMeasure1D(atoms=[Atom1D(0.5, 0.4)])),
     }
     worst = 0.0
     for name, spec in specs.items():
@@ -100,7 +90,11 @@ def test_criterion_03_recursion_consistency():
     """Recursion residual < 1e-6 for n in {2,3,4}, both types, t in {0.5, 1}."""
     t0 = time.perf_counter()
     worst = 0.0
-    for sc in (env_only_scenario(), branching_only_scenario(), mixed_scenario()):
+    for sc in (
+        bundled_scenario("env_only", 50_000, 1e-3),
+        bundled_scenario("branching_only", 50_000, 1e-3),
+        bundled_scenario("mixed", 100_000, 1e-3),
+    ):
         table = moment_table(sc.environment, sc.branching, sc.x0, [0.5, 1.0], 4)
         for n in (2, 3, 4):
             for type_index in (1, 2):
@@ -141,7 +135,7 @@ def test_criterion_05_martingale_constancy(mixed_big_run):
 
 def test_criterion_06_coupling_ordering():
     """Pure-jump coupled variants: zero ordering violations at 1e-12 tolerance."""
-    sc = coupling_scenario(n_paths=10_000)
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     rep = coupling_monotonicity_report(sc, 2.0, 5.0, 10_000, sc.seed)
     viol = sum(r.estimate for r in rep.rows if r.statistic == "ordering_violations")
     n_grid = sum(1 for r in rep.rows if r.statistic == "ordering_violations")
@@ -151,7 +145,7 @@ def test_criterion_06_coupling_ordering():
 
 def test_criterion_07_truncation_convergence():
     """E|X(1) - X^(k)(1)| nonincreasing over k = 2,4,8,16; final < 5% of |E X(1)|."""
-    sc = pareto_scenario(n_paths=10_000)
+    sc = bundled_scenario("pareto", 10_000, 2e-3)
     rep = truncation_convergence_report(sc, (2.0, 4.0, 8.0, 16.0), 10_000, sc.seed)
     gaps = [r.estimate for r in rep.rows if r.statistic.startswith("l1_gap")]
     eps_row = [r for r in rep.rows if r.statistic == "final_gap_below_eps"][0]
@@ -165,7 +159,7 @@ def test_criterion_07_truncation_convergence():
 
 def test_criterion_08_polynomial_degree():
     """E[X_i(t)^k] is a polynomial of the initial value with degree <= k <= 3."""
-    sc = mixed_scenario()
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
     rng = np.random.default_rng(88)
     grid = [(0.2 + 2.5 * rng.random(), 0.15 + 2.2 * rng.random()) for _ in range(10)]
     worst_res, worst_deg = 0.0, 0
@@ -218,7 +212,7 @@ def test_criterion_10_quenched_laplace():
     path = sample_env_path(LevyEnvSpec(), t, 1e-4, np.random.default_rng(0))
     ql = quenched_laplace(path, BranchingSpec(c1=c1), (lam1, 0.0), t)
     feller_gap = abs(ql.v0[0] - lam1 / (1.0 + c1 * lam1 * t))
-    sc = laplace_scenario(n_paths=10_000)
+    sc = bundled_scenario("laplace", 10_000, 2e-3)
     lam, tl = sc.laplace_lambda, sc.laplace_t
     ann, ann_se = annealed_laplace_mc(
         sc.environment, sc.branching, sc.x0, lam, tl, 10_000, sc.step, sc.seed + 1

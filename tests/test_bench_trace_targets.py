@@ -1,9 +1,12 @@
-"""Every function the benchmark's span tracer wraps still exists in cbre2.
+"""Every name the benchmark reads from cbre2 still exists.
 
-`bench/spans.py` looks its targets up by name, so a deletion or a rename
-in cbre2 would otherwise break `bench/run.py --trace 1` silently.
+`bench/spans.py` looks its targets up by name, and the workloads import
+or call cbre2 names directly, so a deletion or a rename in cbre2 would
+otherwise break `bench/run.py` with no failing test.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import inspect
@@ -46,3 +49,34 @@ def test_positional_reads_match_signatures():
     assert annealed[4:7] == ["t", "n_env_paths", "step"]
     batch = list(inspect.signature(scenario_states).parameters)
     assert (batch[1], batch[4]) == ("n_paths", "predicates")
+
+
+def _resolves(modname, name):
+    mod = importlib.import_module(modname)
+    if hasattr(mod, name):
+        return True
+    try:  # a submodule, as in `from cbre2 import cli`
+        importlib.import_module(f"{modname}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_direct_names_resolve():
+    """Each `from cbre2... import X` and each `cbre2.X` in bench/*.py names something."""
+    used = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "bench", "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cbre2":
+                used.update((node.module, alias.name) for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cbre2"
+            ):
+                used.add(("cbre2", node.attr))
+    assert ("cbre2", "moment_table") in used  # the walk sees the workloads' calls
+    missing = sorted(f"{mod}.{name}" for mod, name in used if not _resolves(mod, name))
+    assert not missing, f"bench/ reads names cbre2 no longer has: {missing}"

@@ -73,7 +73,7 @@ def test_tail_vs_atom_discretization_consistency():
     m_tail = JumpMeasure(tails=[tail])
     edges = np.linspace(0.1, 30.0, 60_001)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    masses = tail.density_mag(mids) * np.diff(edges)
+    masses = tail.mass * tail.shape * np.exp(-tail.shape * (mids - tail.x0)) * np.diff(edges)
     atoms = [Atom2D(float(w), float(z), 0.0) for w, z in zip(masses, mids) if w > 0]
     m_atoms = JumpMeasure(atoms=atoms)
     for r in (1, 2, 3):

@@ -10,12 +10,13 @@ from cbre2.errors import ZeroInitialState
 from cbre2.fmoment import (
     FINITE,
     INFINITE,
+    classify_branching_tail,
+    classify_env_tail,
     condition_b_check,
     exp_power,
     f_moment_verdict,
     power,
     power_log,
-    tail_integral_classify,
 )
 from cbre2.measures import Atom1D, Atom2D, AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
 from cbre2.moments import hypotheses_hold
@@ -78,36 +79,36 @@ def test_family_parameter_validation():
 
 
 def test_classify_power_vs_pareto():
-    assert tail_integral_classify(power(3.0), _pareto_m(4.0)) == FINITE
-    assert tail_integral_classify(power(3.0), _pareto_m(2.5)) == INFINITE
+    assert classify_branching_tail(power(3.0), _pareto_m(4.0)) == FINITE
+    assert classify_branching_tail(power(3.0), _pareto_m(2.5)) == INFINITE
     # boundary: equal index diverges (the integral picks up a log)
-    assert tail_integral_classify(power(2.5), _pareto_m(2.5)) == INFINITE
-    assert tail_integral_classify(power_log(2.5), _pareto_m(2.5)) == INFINITE
+    assert classify_branching_tail(power(2.5), _pareto_m(2.5)) == INFINITE
+    assert classify_branching_tail(power_log(2.5), _pareto_m(2.5)) == INFINITE
 
 
 def test_classify_power_vs_env_exponential():
-    assert tail_integral_classify(power(2.0), _env_exp(3.0)) == FINITE
-    assert tail_integral_classify(power(2.0), _env_exp(1.5)) == INFINITE
-    assert tail_integral_classify(power(2.0), _env_exp(2.0)) == INFINITE  # boundary
+    assert classify_env_tail(power(2.0), _env_exp(3.0)) == FINITE
+    assert classify_env_tail(power(2.0), _env_exp(1.5)) == INFINITE
+    assert classify_env_tail(power(2.0), _env_exp(2.0)) == INFINITE  # boundary
 
 
 def test_classify_exp_power():
-    assert tail_integral_classify(exp_power(1.0), _pareto_m(10.0)) == INFINITE
+    assert classify_branching_tail(exp_power(1.0), _pareto_m(10.0)) == INFINITE
     exp_m = JumpMeasure(tails=[AxisTail(2, "exponential", 0.5, 2.0, 0.0)])
-    assert tail_integral_classify(exp_power(1.0, 0.5), exp_m) == FINITE
-    assert tail_integral_classify(exp_power(1.0), exp_m) == FINITE  # theta < rate
-    assert tail_integral_classify(exp_power(2.5), exp_m) == INFINITE
-    assert tail_integral_classify(exp_power(0.5), _env_exp(3.0)) == INFINITE
+    assert classify_branching_tail(exp_power(1.0, 0.5), exp_m) == FINITE
+    assert classify_branching_tail(exp_power(1.0), exp_m) == FINITE  # theta < rate
+    assert classify_branching_tail(exp_power(2.5), exp_m) == INFINITE
+    assert classify_env_tail(exp_power(0.5), _env_exp(3.0)) == INFINITE
 
 
 def test_classify_negative_env_tail_is_finite():
     nu = JumpMeasure1D(tails=[Tail1D("exponential", 0.5, 1.0, 1.0, side=-1)])
-    assert tail_integral_classify(power(5.0), nu) == FINITE
+    assert classify_env_tail(power(5.0), nu) == FINITE
 
 
 def test_truncation_makes_everything_finite():
-    assert tail_integral_classify(power(9.0), _pareto_m(2.5), clip=10.0) == FINITE
-    assert tail_integral_classify(power(9.0), _env_exp(1.0), clip=3.0) == FINITE
+    assert classify_branching_tail(power(9.0), _pareto_m(2.5), rule=norm_cap(10.0).branching) == FINITE
+    assert classify_env_tail(power(9.0), _env_exp(1.0), 3.0) == FINITE
 
 
 def test_verdict_atoms_only_always_finite():

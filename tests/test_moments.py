@@ -22,7 +22,6 @@ from cbre2.moments import (
     first_moment_closed_form,
     initial_moment_vector,
     martingale_factors,
-    martingale_transform,
     max_feasible_degree,
     moment_table,
     monomial_basis,
@@ -33,11 +32,11 @@ from cbre2.moments import (
     recursion_coefficients,
     solve_moment_ode,
 )
-from cbre2.presets import laplace_scenario, mixed_scenario
 from cbre2.simulate import simulate_paths
 from cbre2.truncation import TruncationPredicate, norm_cap, unit_square
+from tests.conftest import bundled_scenario
 
-MIXED = mixed_scenario()
+MIXED = bundled_scenario("mixed", 100_000, 1e-3)
 ENV, BSPEC, X0 = MIXED.environment, MIXED.branching, MIXED.x0
 
 
@@ -248,7 +247,7 @@ def test_moment_table_all_infinite_when_env_divergent():
 
 
 def test_truncation_never_increases_moments():
-    sc = mixed_scenario()
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
     spec = BranchingSpec(
         b11=sc.branching.b11,
         b12=sc.branching.b12,
@@ -291,10 +290,10 @@ def test_cauchy_schwarz_on_tables(m1_mass, z1, z2, c1, a):
 
 
 def test_martingale_transform_trivia():
-    sc = mixed_scenario()
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
     paths = simulate_paths(sc, 2, 99)
     for p in paths:
-        m = martingale_transform(ENV, BSPEC, p)
+        m = [f @ x for f, x in zip(martingale_factors(ENV, BSPEC, p.grid), p.states)]
         assert np.allclose(m[0], sc.x0)
     frozen = simulate_paths(
         type(sc)(**{**sc.__dict__, "environment": LevyEnvSpec(), "branching": BranchingSpec()}),
@@ -302,7 +301,8 @@ def test_martingale_transform_trivia():
         1,
     )
     for p in frozen:
-        m = martingale_transform(LevyEnvSpec(), BranchingSpec(), p)
+        factors = martingale_factors(LevyEnvSpec(), BranchingSpec(), p.grid)
+        m = [f @ x for f, x in zip(factors, p.states)]
         assert np.allclose(m, np.tile(sc.x0, (len(p.grid), 1)))
 
 
@@ -430,7 +430,7 @@ def test_backward_solver_batches_paths():
 
 
 def test_annealed_laplace_matches_quenched_average():
-    sc = laplace_scenario()
+    sc = bundled_scenario("laplace", 10_000, 2e-3)
     est, se = annealed_laplace_mc(
         sc.environment, sc.branching, sc.x0, sc.laplace_lambda, 0.5, 3000, 0.01, 123
     )

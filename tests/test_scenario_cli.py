@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from cbre2.cli import SUBCOMMANDS, main
 from cbre2.errors import ConfigError
-from cbre2.presets import SCENARIO_DIR
 from cbre2.scenario import (
     dump_scenario,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from tests.conftest import SCENARIO_DIR
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -332,6 +332,17 @@ def _set(data, path, value):
                      {"kind": "clip_positive", "k": 1.0}, "truncation.env_rul", id="env_rul-unknown"),
         pytest.param("simulate", "coupling.json", ("environment", "sigma"), 0.9,
                      "environment.sigma", id="sigma-unknown"),
+        # an error inside a truncation rule names the rule's own key path
+        pytest.param("simulate", "coupling.json", ("truncation", "branching_rule"),
+                     {"kind": "norm_cap", "k": "x"}, "truncation.branching_rule.k", id="rule-k-text"),
+        pytest.param("simulate", "coupling.json", ("truncation", "branching_rule"),
+                     {"kind": "norm_cap", "k": 2.0, "kk": 1.0}, "truncation.branching_rule.kk",
+                     id="rule-kk-unknown"),
+        pytest.param("simulate", "coupling.json", ("truncation", "env_rule"),
+                     {"kind": "clip_positive", "k": 2.0, "kk": 1.0}, "truncation.env_rule.kk",
+                     id="env_rule-kk-unknown"),
+        pytest.param("simulate", "coupling.json", ("truncation", "branching_rule"), "bogus",
+                     "truncation.branching_rule: unknown branching rule 'bogus'", id="rule-bogus"),
     ],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, name, path, value, key):

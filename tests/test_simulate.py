@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cbre2 import simulate
 from cbre2.branching import BranchingSpec
+from cbre2.cli import main
 from cbre2.env import LevyEnvSpec
 from cbre2.errors import ConfigError, MassOverflow
 from cbre2.measures import Atom1D, JumpMeasure1D
 from cbre2.moments import first_moment_closed_form
-from cbre2.presets import coupling_scenario, mixed_scenario
-from cbre2.scenario import ScenarioConfig
+from cbre2.scenario import ScenarioConfig, dump_scenario
 from cbre2.simulate import (
     scenario_states,
     scenario_stream,
@@ -18,6 +19,7 @@ from cbre2.simulate import (
     simulate_paths,
 )
 from cbre2.truncation import BranchingRule, TruncationPredicate, norm_cap
+from tests.conftest import bundled_scenario
 
 
 def _plain_scenario(env, branching, x0, horizon, step, **kw):
@@ -48,7 +50,7 @@ def test_environment_factorization_exact():
 
 
 def test_nonnegativity_and_zero_absorbing():
-    sc = mixed_scenario(n_paths=0)
+    sc = bundled_scenario("mixed", 0, 1e-3)
     paths = simulate_paths(sc, 30, 12)
     for p in paths:
         assert (p.states >= 0).all()
@@ -59,13 +61,13 @@ def test_nonnegativity_and_zero_absorbing():
 
 
 def test_batch_engine_nonnegativity():
-    sc = mixed_scenario()
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
     _, states = scenario_states(sc, 2000, 3, record_times=[0.25, 0.5, 1.0])
     assert states.min() >= 0.0
 
 
 def test_mean_against_closed_form_batch():
-    sc = mixed_scenario(n_paths=0, step=1e-3)
+    sc = bundled_scenario("mixed", 0, 1e-3)
     target = first_moment_closed_form(sc.environment, sc.branching, sc.x0, 1.0)
     _, states = scenario_states(sc, 40_000, 91, record_times=[1.0])
     x = states[0, :, 0, :]
@@ -75,7 +77,7 @@ def test_mean_against_closed_form_batch():
 
 
 def test_exact_engine_consistent_with_closed_form():
-    sc = mixed_scenario(n_paths=0, step=5e-3)
+    sc = bundled_scenario("mixed", 0, 5e-3)
     target = first_moment_closed_form(sc.environment, sc.branching, sc.x0, 0.5)
     paths = simulate_paths(
         _plain_scenario(sc.environment, sc.branching, sc.x0, 0.5, 5e-3), 1500, 77
@@ -87,7 +89,7 @@ def test_exact_engine_consistent_with_closed_form():
 
 
 def test_identical_predicates_bitwise_equal():
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     preds = (norm_cap(2.0), norm_cap(2.0))
     _, (a, b) = scenario_states(sc, 6, 3, predicates=preds, record_times=None)
     assert (a == b).all()
@@ -96,7 +98,7 @@ def test_identical_predicates_bitwise_equal():
 
 
 def test_pure_jump_coupling_ordered_pathwise():
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     preds = (norm_cap(2.0), norm_cap(5.0))
     _, (a, b) = scenario_states(sc, 40, 11, predicates=preds, record_times=None)
     assert (a <= b + 1e-12).all()
@@ -105,7 +107,7 @@ def test_pure_jump_coupling_ordered_pathwise():
 
 
 def test_coupled_batch_ordering_full_grid():
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     _, states = scenario_states(
         sc, 2000, sc.seed, predicates=(norm_cap(2.0), norm_cap(5.0))
     )
@@ -113,23 +115,35 @@ def test_coupled_batch_ordering_full_grid():
 
 
 def test_env_clip_coupling_ordered():
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     pa = TruncationPredicate(env_clip=1.2)
     pb = TruncationPredicate(env_clip=2.0)
     _, states = scenario_states(sc, 1500, 4, predicates=(pa, pb))
     assert (states[0] <= states[1] + 1e-12).all()
 
 
-def test_mass_overflow_fail_fast():
-    sc = mixed_scenario()
+def test_mass_overflow_fail_fast(monkeypatch):
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
+    monkeypatch.setattr(simulate, "DEFAULT_EVENTS_CAP", 1.0)  # ~2 events/path expected
     with pytest.raises(MassOverflow):
-        simulate_paths(sc, 20, 0, events_cap=1.0)  # ~2 events/path expected
+        simulate_paths(sc, 20, 0)
     with pytest.raises(MassOverflow):
-        scenario_states(sc, 50, 0, record_times=[1.0], events_cap=1.0)
+        scenario_states(sc, 50, 0, record_times=[1.0])
+
+
+def test_env_jump_cap_fails_fast(tmp_path):
+    """An environment atom of mass 2e6 over horizon 1 exceeds the jump cap in the engine too."""
+    env = LevyEnvSpec(nu=JumpMeasure1D(atoms=[Atom1D(2e6, 0.1)]))
+    sc = _plain_scenario(env, BranchingSpec(), (1.0, 1.0), 1.0, 1.0, n_paths=2)
+    with pytest.raises(MassOverflow):
+        scenario_states(sc, 2, 0)
+    config = tmp_path / "jumpy.json"
+    config.write_text(dump_scenario(sc))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_batch_engine_deterministic():
-    sc = mixed_scenario()
+    sc = bundled_scenario("mixed", 100_000, 1e-3)
     _, s1 = scenario_states(sc, 500, 42, record_times=[0.5, 1.0])
     _, s2 = scenario_states(sc, 500, 42, record_times=[0.5, 1.0])
     assert (s1 == s2).all()
@@ -146,7 +160,7 @@ def test_truncated_system_mean_matches_truncated_table():
     """
     from cbre2.moments import moment_table
 
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     for pred in (norm_cap(2.0), RESTRICTED):
         table = moment_table(sc.environment, sc.branching, sc.x0, [1.0], 1, pred)
         _, states = scenario_states(sc, 20_000, 55, predicates=(pred,))
@@ -159,7 +173,7 @@ def test_truncated_system_mean_matches_truncated_table():
 
 def test_restricted_system_configuration_runs():
     """Unit-square branching rule + env clip at 1: only small jumps act."""
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     for p in simulate_paths(replace(sc, truncation=RESTRICTED), 20, 9):
         assert (p.states >= 0).all()
     # positive environment jumps above 1 contribute nothing under the clip
@@ -172,7 +186,7 @@ def test_restricted_system_configuration_runs():
 
 def test_dump_paths_are_rows_of_the_batch_run():
     """Path i of a dump is row i of the batch run with the same seed and count."""
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     paths = simulate_paths(sc, 5, 123)
     times, states = scenario_states(sc, 5, 123, record_times=None)
     for i, p in enumerate(paths):
@@ -232,7 +246,7 @@ def test_environment_only_moments_at_off_grid_times():
 
 @pytest.mark.parametrize("n_paths", [0, -3])
 def test_batch_engine_rejects_empty_path_count(n_paths):
-    sc = mixed_scenario(n_paths=0)
+    sc = bundled_scenario("mixed", 0, 1e-3)
     with pytest.raises(ConfigError, match="n_paths"):
         scenario_states(sc, n_paths, 0)
     with pytest.raises(ConfigError, match="n_paths"):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cbre2.measures import Atom2D, AxisTail, JumpMeasure
-from cbre2.truncation import (
-    IDENTITY,
-    BranchingRule,
-    TruncationPredicate,
-    norm_cap,
-    unit_square,
-)
+from cbre2.truncation import BranchingRule, TruncationPredicate
 
 
 def test_norm_cap_infinite_equals_none_semantically():
@@ -32,17 +26,6 @@ def test_unit_square_rule():
     rule = BranchingRule("unit_square")
     z = np.array([[1.0, 1.0], [1.1, 0.0], [0.0, 2.0]])
     assert rule.keep(z).tolist() == [True, False, False]
-
-
-def test_restrictiveness_partial_order():
-    assert norm_cap(2.0).at_most_as_permissive_as(norm_cap(5.0))
-    assert not norm_cap(5.0).at_most_as_permissive_as(norm_cap(2.0))
-    assert norm_cap(3.0).at_most_as_permissive_as(IDENTITY)
-    assert unit_square().at_most_as_permissive_as(norm_cap(2.0))
-    assert not norm_cap(1.0).at_most_as_permissive_as(unit_square())
-    tight_env = TruncationPredicate(env_clip=1.5)
-    assert tight_env.at_most_as_permissive_as(IDENTITY)
-    assert not IDENTITY.at_most_as_permissive_as(tight_env)
 
 
 def test_invalid_rules_rejected():

@@ -3,12 +3,6 @@ from dataclasses import replace
 import pytest
 
 import cbre2.verify as verify_mod
-from cbre2.presets import (
-    coupling_scenario,
-    env_only_scenario,
-    mixed_scenario,
-    pareto_scenario,
-)
 from cbre2.verify import (
     EstimateReport,
     coupling_monotonicity_report,
@@ -20,10 +14,11 @@ from cbre2.verify import (
     write_report_csv,
 )
 from cbre2.truncation import NORM_CAP, BranchingRule, TruncationPredicate
+from tests.conftest import bundled_scenario
 
 
 def test_estimate_moments_env_only_passes():
-    sc = env_only_scenario()
+    sc = bundled_scenario("env_only", 50_000, 1e-3)
     rep = estimate_moments(sc, 1, 20_000, sc.seed)
     assert rep.passed
     assert rep.notes == ""
@@ -31,14 +26,14 @@ def test_estimate_moments_env_only_passes():
 
 
 def test_estimate_moments_mixed_degree2():
-    sc = mixed_scenario(step=2e-3)
+    sc = bundled_scenario("mixed", 100_000, 2e-3)
     rep = estimate_moments(sc, 2, 20_000, sc.seed)
     assert rep.passed
     assert len(rep.rows) == 5 * 5  # five monomials, five times
 
 
 def test_estimate_moments_variance_unreliable_note():
-    sc = pareto_scenario()
+    sc = bundled_scenario("pareto", 10_000, 2e-3)
     rep = estimate_moments(sc, 2, 4_000, sc.seed)
     assert "variance-unreliable" in rep.notes
     # infinite-moment monomials are not reported as rows
@@ -47,7 +42,7 @@ def test_estimate_moments_variance_unreliable_note():
 
 
 def test_martingale_report_passes():
-    sc = mixed_scenario(step=2e-3)
+    sc = bundled_scenario("mixed", 100_000, 2e-3)
     rep = martingale_test(sc, [0.25, 0.5, 0.75, 1.0], 20_000, sc.seed + 1)
     assert rep.passed
     assert len(rep.rows) == 8
@@ -71,7 +66,7 @@ def test_martingale_frozen_process_exact():
 
 
 def test_coupling_report_zero_violations():
-    sc = coupling_scenario()
+    sc = bundled_scenario("coupling", 10_000, 0.01)
     rep = coupling_monotonicity_report(sc, 2.0, 5.0, 2_000, sc.seed)
     assert rep.passed
     viol = [r for r in rep.rows if r.statistic == "ordering_violations"]
@@ -79,7 +74,7 @@ def test_coupling_report_zero_violations():
 
 
 def test_coupling_report_with_diffusion_uses_mean_gap():
-    sc = mixed_scenario(step=5e-3)
+    sc = bundled_scenario("mixed", 100_000, 5e-3)
     rep = coupling_monotonicity_report(sc, 2.0, 5.0, 4_000, sc.seed)
     stats = {r.statistic for r in rep.rows}
     assert stats == {"mean_gap_1", "mean_gap_2"}
@@ -88,11 +83,11 @@ def test_coupling_report_with_diffusion_uses_mean_gap():
 
 def test_coupling_k_order_validated():
     with pytest.raises(ValueError):
-        coupling_monotonicity_report(coupling_scenario(), 5.0, 2.0, 10, 0)
+        coupling_monotonicity_report(bundled_scenario("coupling", 10_000, 0.01), 5.0, 2.0, 10, 0)
 
 
 def test_truncation_convergence_decreasing():
-    sc = pareto_scenario()
+    sc = bundled_scenario("pareto", 10_000, 2e-3)
     rep = truncation_convergence_report(sc, (2, 4, 8, 16), 4_000, sc.seed)
     assert rep.passed
     gaps = [r.estimate for r in rep.rows if r.statistic.startswith("l1_gap")]
@@ -100,7 +95,7 @@ def test_truncation_convergence_decreasing():
 
 
 def test_truncation_gap_zero_when_inactive():
-    sc = coupling_scenario()  # atoms only, largest norm 3
+    sc = bundled_scenario("coupling", 10_000, 0.01)  # atoms only, largest norm 3
     rep = truncation_convergence_report(sc, (4.0, 8.0), 500, sc.seed)
     gaps = [r.estimate for r in rep.rows if r.statistic.startswith("l1_gap")]
     assert gaps == [0.0, 0.0]
@@ -108,7 +103,8 @@ def test_truncation_gap_zero_when_inactive():
 
 def test_truncation_convergence_keeps_the_scenario_env_clip():
     """The default eps is 5% of |E X(1)| of the clipped system (0.17948 unclipped)."""
-    sc = replace(mixed_scenario(), truncation=TruncationPredicate(env_clip=1.0))
+    clipped = TruncationPredicate(env_clip=1.0)
+    sc = replace(bundled_scenario("mixed", 100_000, 1e-3), truncation=clipped)
     rep = truncation_convergence_report(sc, [2, 4], 200, sc.seed)
     (eps,) = [r.target for r in rep.rows if r.statistic == "final_gap_below_eps"]
     assert eps == pytest.approx(0.15706, abs=5e-6)
@@ -123,13 +119,14 @@ def test_coupling_variants_keep_the_scenario_env_clip(monkeypatch):
         return stream(scenario, paths, seed, predicates=predicates)
 
     monkeypatch.setattr(verify_mod, "scenario_stream", spy)
-    sc = replace(coupling_scenario(), truncation=TruncationPredicate(env_clip=1.0))
+    clipped = TruncationPredicate(env_clip=1.0)
+    sc = replace(bundled_scenario("coupling", 10_000, 0.01), truncation=clipped)
     coupling_monotonicity_report(sc, 2.0, 5.0, 50, 0)
     assert seen == [TruncationPredicate(BranchingRule(NORM_CAP, k), 1.0) for k in (2.0, 5.0)]
 
 
 def test_reports_reproducible_and_csv_stable(tmp_path):
-    sc = pareto_scenario()
+    sc = bundled_scenario("pareto", 10_000, 2e-3)
     rep1 = truncation_convergence_report(sc, (2, 4), 1_000, sc.seed)
     rep2 = truncation_convergence_report(sc, (2, 4), 1_000, sc.seed)
     assert rep1.rows == rep2.rows
@@ -140,14 +137,14 @@ def test_reports_reproducible_and_csv_stable(tmp_path):
 
 
 def test_se_scaling_with_path_budget():
-    sc = env_only_scenario(step=0.01)
+    sc = bundled_scenario("env_only", 50_000, 0.01)
     se1, se4 = se_scaling_check(sc, 4_000, 5)
     assert abs(se4 / se1 - 0.5) < 0.2 * 0.5
 
 
 def test_richardson_bias_coefficient_is_small():
     """The splitting scheme's first-moment bias coefficient is well under 2."""
-    sc = mixed_scenario(step=0.02)
+    sc = bundled_scenario("mixed", 100_000, 0.02)
     c = richardson_bias(sc, "X1", 30_000, 17)
     assert c < 2.0
 
