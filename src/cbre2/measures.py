@@ -115,6 +115,8 @@ class _Tail:
 
         Exponential: mass e^{-th (lo - x0)} sum_i C(r, i) lo^{r-i} i! / th^i
         P(Gamma(i+1, th) <= bound - lo), the moments of lo + Exp(th) cut at bound.
+        Pareto, bounded: mass a x0^a lo^m expm1(m w) / m with m = r - a and
+        w = log1p((bound - lo) / lo), or mass a x0^a w when m = 0.
         """
         lo = max(lo, self.x0)
         if bound <= lo:
@@ -125,10 +127,12 @@ class _Tail:
                 if r >= a:
                     return math.inf
                 return self.mass * a * self.x0**r / (a - r) * (self.x0 / lo) ** (a - r)
+            # log1p and expm1 of the relative width keep their digits when bound ~ lo
+            w = math.log1p((bound - lo) / lo)
             if r == a:
-                return self.mass * a * self.x0**a * math.log(bound / lo)
-            c = self.mass * a * self.x0**a / (r - a)
-            return c * (bound ** (r - a) - lo ** (r - a))
+                return self.mass * a * self.x0**a * w
+            m = r - a
+            return self.mass * a * self.x0**a * lo**m * math.expm1(m * w) / m
         th = self.shape
         u = th * (bound - lo)
         return self.mass * math.exp(-th * (lo - self.x0)) * math.fsum(

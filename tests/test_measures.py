@@ -81,6 +81,18 @@ def test_truncated_moments_match_quadrature(tail_reference, tail, width, r):
     assert tail.moment_mag(r, 0.5 * tail.x0) == 0.0  # a cap below the support
 
 
+@pytest.mark.parametrize("r", range(8))
+def test_pareto_moment_with_a_bound_next_to_x0_keeps_its_digits(r):
+    """bound = 1.000001 x0: a difference of powers would cancel about 6 digits."""
+    mp = pytest.importorskip("mpmath")
+    tail, bound = AxisTail(1, "pareto", 0.5, 2.5, 1.0), 1.000001
+    with mp.workdps(40):
+        a, m = mp.mpf(tail.shape), r - mp.mpf(tail.shape)
+        ref = tail.mass * a * (mp.mpf(bound) ** m - 1) / m  # x0 = 1
+        got = tail.moment_mag(r, bound)
+        assert abs((got - ref) / ref) <= 1e-14
+
+
 def test_unit_square_restriction():
     m = JumpMeasure(atoms=[Atom2D(1.0, 0.5, 0.5), Atom2D(1.0, 0.5, 1.5)])
     assert m.moment(1, 0, BranchingRule("unit_square")) == pytest.approx(0.5)
