@@ -142,7 +142,10 @@ class _Tail:
 
 
 class _Measure:
-    """Atoms plus tail components, with their total mass and a mixture sampler."""
+    """Atoms plus tail components, with their total mass and a mixture sampler.
+
+    Two measures are equal when they have the same type, atoms and tails.
+    """
 
     def __init__(self, atoms=(), tails=()):
         self.atoms = tuple(atoms)
@@ -153,6 +156,12 @@ class _Measure:
 
     def __repr__(self):
         return f"{type(self).__name__}(atoms={self.atoms!r}, tails={self.tails!r})"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.atoms, self.tails) == (other.atoms, other.tails)
+
+    def __hash__(self):
+        return hash((type(self), self.atoms, self.tails))
 
     @property
     def is_zero(self) -> bool:

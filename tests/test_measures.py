@@ -93,6 +93,16 @@ def test_pareto_moment_with_a_bound_next_to_x0_keeps_its_digits(r):
         assert abs((got - ref) / ref) <= 1e-14
 
 
+def test_measures_compare_by_value():
+    atoms, tails = [Atom2D(0.4, 0.3, 0.2)], [AxisTail(1, "pareto", 0.5, 2.5, 1.0)]
+    m = JumpMeasure(atoms=atoms, tails=tails)
+    assert m == JumpMeasure(atoms=list(atoms), tails=list(tails))
+    assert hash(m) == hash(JumpMeasure(atoms=atoms, tails=tails))
+    assert m != JumpMeasure(atoms=[Atom2D(0.41, 0.3, 0.2)], tails=tails)
+    assert JumpMeasure1D(atoms=[Atom1D(0.3, 0.5)]) != JumpMeasure1D(atoms=[Atom1D(0.31, 0.5)])
+    assert JumpMeasure() != JumpMeasure1D()  # equal parts, different kinds
+
+
 def test_unit_square_restriction():
     m = JumpMeasure(atoms=[Atom2D(1.0, 0.5, 0.5), Atom2D(1.0, 0.5, 1.5)])
     assert m.moment(1, 0, BranchingRule("unit_square")) == pytest.approx(0.5)

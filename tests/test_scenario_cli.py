@@ -74,6 +74,13 @@ def test_all_bundled_scenarios_roundtrip():
         assert scenario_to_dict(back) == scenario_to_dict(sc), name
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(SCEN_DIR)))
+def test_two_loads_of_a_bundled_scenario_are_equal(name):
+    """Scenarios, and the jump measures inside them, compare by value."""
+    a, b = load_scenario(_scen(name)), load_scenario(_scen(name))
+    assert a == b and hash(a) == hash(b)
+
+
 @pytest.mark.parametrize(
     "mutate, key",
     [
