@@ -150,25 +150,16 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
 
 
 def _cmd_verify(sc: ScenarioConfig, degree: int) -> int:
+    """Write verify_<report>.csv for each report of `verify_reports`.
+
+    All reports come from one engine pass at the scenario seed, which runs
+    the union of the truncation variants they need.
+    """
     out = _out_dir(sc)
-    reports = []
-    rep = verify_mod.estimate_moments(sc, degree, sc.n_paths, sc.seed)
-    verify_mod.write_report_csv(os.path.join(out, "verify_moments.csv"), rep)
-    reports.append(rep)
-    rep = verify_mod.martingale_test(sc, verify_mod.report_times(sc), sc.n_paths, sc.seed + 1)
-    verify_mod.write_report_csv(os.path.join(out, "verify_martingale.csv"), rep)
-    reports.append(rep)
-    if sc.coupling_k is not None:
-        k1, k2 = sc.coupling_k
-        rep = verify_mod.coupling_monotonicity_report(sc, k1, k2, sc.n_paths, sc.seed + 2)
-        verify_mod.write_report_csv(os.path.join(out, "verify_coupling.csv"), rep)
-        reports.append(rep)
-    if sc.trunc_k_list is not None:
-        rep = verify_mod.truncation_convergence_report(
-            sc, sc.trunc_k_list, sc.n_paths, sc.seed + 3
-        )
-        verify_mod.write_report_csv(os.path.join(out, "verify_convergence.csv"), rep)
-        reports.append(rep)
+    by_name = verify_mod.verify_reports(sc, degree, sc.n_paths, sc.seed)
+    for name, rep in by_name.items():
+        verify_mod.write_report_csv(os.path.join(out, f"verify_{name}.csv"), rep)
+    reports = list(by_name.values())
     n_pass = sum(r.passed for r in reports)
     ok = n_pass == len(reports)
     names = ", ".join(f"{r.name}={'PASS' if r.passed else 'FAIL'}" for r in reports)

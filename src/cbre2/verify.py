@@ -6,6 +6,13 @@ byte-identical reports.  A row passes within `SE_MULTIPLE` standard
 errors of its target plus a discretization-bias allowance: moment rows
 allow `BIAS_COEFF * step * |target|` (`richardson_bias` estimates the
 coefficient on a reference scenario), martingale rows allow none.
+
+Reports come from engine passes.  `verify_reports` runs the engine once
+for every report of `cbre2 verify`: the union of the truncation variants
+they read, on one random stream at one seed, each report reducing only
+its own variants at its own times.  `estimate_moments`, `martingale_test`,
+`coupling_monotonicity_report` and `truncation_convergence_report` are the
+one-report case of the same pass.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .env import _base_grid
 from .moments import (
     first_moment_closed_form,
     hypotheses_hold,
@@ -90,6 +98,190 @@ def report_times(scenario) -> np.ndarray:
     return scenario.horizon * np.arange(1, 6) / 5
 
 
+class _Moments:
+    """Sample means of X1^p X2^q against the moment-closure targets at `report_times`."""
+
+    def __init__(self, scenario, n: int):
+        self.scenario, self.n = scenario, n
+        self.predicates = (scenario.truncation,)
+        self.times = report_times(scenario)
+        self.table = moment_table(
+            scenario.environment, scenario.branching, scenario.x0, self.times, n,
+            scenario.truncation,
+        )
+        self.states = []  # (t, (paths, 2) copy) at each report time
+
+    def feed(self, t, states) -> None:
+        self.states.append((t, states[0].copy()))
+
+    def report(self) -> EstimateReport:
+        sc, n = self.scenario, self.n
+        report = EstimateReport(f"moments_n{n}")
+        if not hypotheses_hold(sc.environment, sc.branching, 2 * n, sc.truncation):
+            report.notes = "variance-unreliable: order-2n hypotheses fail"
+        for p, q in monomial_basis(n):
+            if not self.table.finite.get((p, q), False):
+                continue
+            for t, x in self.states:
+                est, se = fsum_mean_se(x[:, 0] ** p * x[:, 1] ** q)
+                target = self.table.entry(p, q, t)
+                report.add(
+                    t,
+                    f"m_{p}{q}",
+                    est,
+                    se,
+                    target,
+                    bias_allowance=BIAS_COEFF * sc.step * abs(target),
+                )
+        return report
+
+
+class _Martingale:
+    """E M(t) = x0 at each time of `t_grid`, M built for the scenario's truncated system."""
+
+    def __init__(self, scenario, t_grid):
+        self.predicates = (scenario.truncation,)
+        self.times = np.unique(np.asarray(t_grid, dtype=float))
+        factors = martingale_factors(
+            scenario.environment, scenario.branching, self.times, scenario.truncation
+        )
+        self.factors = dict(zip(self.times.tolist(), factors))
+        self.x0 = np.asarray(scenario.x0, dtype=float)
+        self.out = EstimateReport("martingale")
+
+    def feed(self, t, states) -> None:
+        m = states[0] @ self.factors[t].T
+        for i in (0, 1):
+            est, se = fsum_mean_se(m[:, i])
+            self.out.add(t, f"M{i + 1}", est, se, self.x0[i])
+
+    def report(self) -> EstimateReport:
+        return self.out
+
+
+class _Coupling:
+    """Ordering X^(k1) <= X^(k2) of two norm-cap variants at every grid time."""
+
+    times = None  # every grid time
+
+    def __init__(self, scenario, k1: float, k2: float):
+        if k1 > k2:
+            raise ValueError("k1 must be <= k2")
+        self.predicates = tuple(
+            replace(scenario.truncation, branching=BranchingRule(NORM_CAP, k)) for k in (k1, k2)
+        )
+        self.pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
+        self.out = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
+        self.max_gap = -math.inf
+
+    def feed(self, t, states) -> None:
+        lo, hi = states
+        self.t, self.gap = t, lo - hi  # (paths, 2); ordering wants <= 0
+        if self.pure_jump:
+            self.out.add(t, "ordering_violations", int((self.gap > 1e-12).sum()), 0.0, 0.0)
+            self.max_gap = max(self.max_gap, float(self.gap.max()))
+
+    def report(self) -> EstimateReport:
+        t, report = self.t, self.out
+        if self.pure_jump:
+            report.add(t, "max_signed_gap", self.max_gap, 0.0, math.nan)
+            return report
+        for i in (0, 1):
+            est, se = fsum_mean_se(self.gap[:, i])
+            ok = est <= SE_MULTIPLE * se + _DUST
+            z = est / se if se > 0 else 0.0
+            report.rows.append(EstimateRow(float(t), f"mean_gap_{i + 1}", est, se, 0.0, z, ok))
+        return report
+
+
+class _Convergence:
+    """E|X - X^(k)| at the horizon over increasing caps k, X untruncated but clipped."""
+
+    def __init__(self, scenario, k_list):
+        self.k_list = sorted(float(k) for k in k_list)
+        self.t = scenario.horizon
+        self.times = np.array([self.t])
+        base = TruncationPredicate(env_clip=scenario.truncation.env_clip)
+        self.predicates = tuple(
+            replace(base, branching=BranchingRule(NORM_CAP, k)) for k in self.k_list
+        ) + (base,)
+        self.epsilon = 0.05 * float(np.linalg.norm(first_moment_closed_form(
+            scenario.environment, scenario.branching, scenario.x0, self.t, base)))
+
+    def feed(self, t, states) -> None:
+        self.states = [x.copy() for x in states]
+
+    def report(self) -> EstimateReport:
+        t, full = self.t, self.states[-1]
+        report = EstimateReport("trunc_convergence")
+        ests, ses = [], []
+        for x, k in zip(self.states, self.k_list):
+            gap = np.hypot(full[:, 0] - x[:, 0], full[:, 1] - x[:, 1])
+            est, se = fsum_mean_se(gap)
+            ests.append(est)
+            ses.append(se)
+            report.add(t, f"l1_gap_k{k:g}", est, se, math.nan)
+        ok = True
+        for i in range(1, len(ests)):
+            band = 2.0 * math.hypot(ses[i], ses[i - 1])
+            if ests[i] > ests[i - 1] + band:
+                ok = False
+        final_ok = ests[-1] < self.epsilon
+        report.rows.append(
+            EstimateRow(t, "nonincreasing", float(ok), 0.0, 1.0, 0.0, ok)
+        )
+        report.rows.append(
+            EstimateRow(t, "final_gap_below_eps", ests[-1], ses[-1], self.epsilon, 0.0, final_ok)
+        )
+        return report
+
+
+def _one_pass(scenario, parts, paths: int, seed: int) -> list[EstimateReport]:
+    """Run the engine once for `parts` and return their reports, in order.
+
+    Each part names the truncation variants it reads (`predicates`), the
+    times it reads (`times`, None for every grid time), and reduces what
+    it is fed (`feed(t, states)`, its own variants in its own order) into
+    `report()`.  The pass runs the union of the variants, deduplicated by
+    equality, on one random stream.  It records every grid time when a
+    part asks for that, and the union of the parts' times otherwise; a
+    time off the base grid joins the grid either way.
+    """
+    preds = list(dict.fromkeys(p for part in parts for p in part.predicates))
+    wanted = [part.times for part in parts if part.times is not None]
+    times = np.unique(np.concatenate(wanted)) if wanted else np.empty(0)
+    if any(part.times is None for part in parts):  # every grid time, off-grid times joining it
+        grid = _base_grid(scenario.horizon, scenario.step)
+        times = None if np.isin(times, grid).all() else np.union1d(grid, times)
+    record = {} if times is None else {"record_times": times}
+    slots = [[preds.index(p) for p in part.predicates] for part in parts]
+    reads = [None if part.times is None else set(part.times.tolist()) for part in parts]
+    for t, states, _ in scenario_stream(scenario, paths, seed, predicates=preds, **record):
+        for part, slot, at in zip(parts, slots, reads):
+            if at is None or t in at:
+                part.feed(t, [states[i] for i in slot])
+    return [part.report() for part in parts]
+
+
+def verify_reports(scenario, n: int, paths: int, seed: int) -> dict[str, EstimateReport]:
+    """Every report of `cbre2 verify`, from one engine pass at `seed`.
+
+    Keys: "moments" (degree `n`) and "martingale" always, "coupling" when
+    `scenario.coupling_k` is set and "convergence" when
+    `scenario.trunc_k_list` is.  Each report reduces only its own variants
+    of the shared stream.
+    """
+    parts = {
+        "moments": _Moments(scenario, n),
+        "martingale": _Martingale(scenario, report_times(scenario)),
+    }
+    if scenario.coupling_k is not None:
+        parts["coupling"] = _Coupling(scenario, *scenario.coupling_k)
+    if scenario.trunc_k_list is not None:
+        parts["convergence"] = _Convergence(scenario, scenario.trunc_k_list)
+    return dict(zip(parts, _one_pass(scenario, list(parts.values()), paths, seed)))
+
+
 def estimate_moments(
     scenario,
     n: int,
@@ -102,31 +294,7 @@ def estimate_moments(
     guaranteed finite; the report is produced anyway and marked
     variance-unreliable.
     """
-    pred = scenario.truncation
-    record_times = report_times(scenario)
-    table = moment_table(
-        scenario.environment, scenario.branching, scenario.x0, record_times, n, pred
-    )
-    times, states = scenario_states(scenario, paths, seed, record_times=record_times)
-    x1, x2 = states[0, :, :, 0], states[0, :, :, 1]
-    report = EstimateReport(f"moments_n{n}")
-    if not hypotheses_hold(scenario.environment, scenario.branching, 2 * n, pred):
-        report.notes = "variance-unreliable: order-2n hypotheses fail"
-    for p, q in monomial_basis(n):
-        if not table.finite.get((p, q), False):
-            continue
-        for k, t in enumerate(times):
-            est, se = fsum_mean_se(x1[:, k] ** p * x2[:, k] ** q)
-            target = table.entry(p, q, t)
-            report.add(
-                t,
-                f"m_{p}{q}",
-                est,
-                se,
-                target,
-                bias_allowance=BIAS_COEFF * scenario.step * abs(target),
-            )
-    return report
+    return _one_pass(scenario, [_Moments(scenario, n)], paths, seed)[0]
 
 
 def martingale_test(
@@ -139,25 +307,7 @@ def martingale_test(
 
     M is built for the scenario's truncated system (see `martingale_factors`).
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    factors = martingale_factors(
-        scenario.environment, scenario.branching, t_grid, scenario.truncation
-    )
-    times, states = scenario_states(scenario, paths, seed, record_times=t_grid)
-    report = EstimateReport("martingale")
-    x0 = np.asarray(scenario.x0, dtype=float)
-    for k, t in enumerate(times):
-        m = states[0, :, k, :] @ factors[k].T
-        for i in (0, 1):
-            est, se = fsum_mean_se(m[:, i])
-            report.add(
-                t,
-                f"M{i + 1}",
-                est,
-                se,
-                x0[i],
-            )
-    return report
+    return _one_pass(scenario, [_Martingale(scenario, t_grid)], paths, seed)[0]
 
 
 def coupling_monotonicity_report(
@@ -175,26 +325,7 @@ def coupling_monotonicity_report(
     every grid point; with diffusion on, only the mean signed gap is
     tested (<= 0 within `SE_MULTIPLE` SEs).
     """
-    if k1 > k2:
-        raise ValueError("k1 must be <= k2")
-    preds = [replace(scenario.truncation, branching=BranchingRule(NORM_CAP, k)) for k in (k1, k2)]
-    pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
-    report = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
-    max_gap = -math.inf
-    for t, (lo, hi), _ in scenario_stream(scenario, paths, seed, predicates=preds):
-        gap = lo - hi  # (paths, 2); ordering wants <= 0
-        if pure_jump:
-            report.add(t, "ordering_violations", int((gap > 1e-12).sum()), 0.0, 0.0)
-            max_gap = max(max_gap, float(gap.max()))
-    if pure_jump:
-        report.add(t, "max_signed_gap", max_gap, 0.0, math.nan)
-    else:
-        for i in (0, 1):
-            est, se = fsum_mean_se(gap[:, i])
-            ok = est <= SE_MULTIPLE * se + _DUST
-            z = est / se if se > 0 else 0.0
-            report.rows.append(EstimateRow(float(t), f"mean_gap_{i + 1}", est, se, 0.0, z, ok))
-    return report
+    return _one_pass(scenario, [_Coupling(scenario, k1, k2)], paths, seed)[0]
 
 
 def truncation_convergence_report(
@@ -211,37 +342,7 @@ def truncation_convergence_report(
     asserts the sequence is nonincreasing within 2 combined SEs and that
     the final gap is below epsilon = 5% of |E X(horizon)|.
     """
-    k_list = sorted(float(k) for k in k_list)
-    t = scenario.horizon
-    base = TruncationPredicate(env_clip=scenario.truncation.env_clip)
-    preds = [replace(base, branching=BranchingRule(NORM_CAP, k)) for k in k_list] + [base]
-    times, states = scenario_states(scenario, paths, seed, record_times=[t], predicates=preds)
-    full = states[-1][:, 0, :]
-    epsilon = 0.05 * float(np.linalg.norm(first_moment_closed_form(
-        scenario.environment, scenario.branching, scenario.x0, t, base)))
-    report = EstimateReport("trunc_convergence")
-    ests, ses = [], []
-    for i, k in enumerate(k_list):
-        gap = np.hypot(
-            full[:, 0] - states[i][:, 0, 0], full[:, 1] - states[i][:, 0, 1]
-        )
-        est, se = fsum_mean_se(gap)
-        ests.append(est)
-        ses.append(se)
-        report.add(t, f"l1_gap_k{k:g}", est, se, math.nan)
-    ok = True
-    for i in range(1, len(ests)):
-        band = 2.0 * math.hypot(ses[i], ses[i - 1])
-        if ests[i] > ests[i - 1] + band:
-            ok = False
-    final_ok = ests[-1] < epsilon
-    report.rows.append(
-        EstimateRow(t, "nonincreasing", float(ok), 0.0, 1.0, 0.0, ok)
-    )
-    report.rows.append(
-        EstimateRow(t, "final_gap_below_eps", ests[-1], ses[-1], epsilon, 0.0, final_ok)
-    )
-    return report
+    return _one_pass(scenario, [_Convergence(scenario, k_list)], paths, seed)[0]
 
 
 def richardson_bias(scenario, statistic: str, paths: int, seed: int) -> float:

@@ -199,3 +199,59 @@ def test_streamed_coupling_report_equals_full_record(name):
         assert stats == {"mean_gap_1", "mean_gap_2"}
     else:
         assert stats == {"ordering_violations", "max_signed_gap"}
+
+
+def _verify_cli(tmp_path, name, paths, seed):
+    """Run `cbre2 verify` on a bundled scenario; return the scenario it ran and its output dir."""
+    import os
+
+    from cbre2.cli import main
+    from cbre2.scenario import load_scenario
+    from tests.conftest import SCENARIO_DIR
+
+    config = os.path.join(SCENARIO_DIR, f"{name}.json")
+    out = tmp_path / name
+    args = ["--config", config, "--paths", str(paths), "--seed", str(seed), "--out", str(out)]
+    assert main(["verify", *args]) in (0, 2)
+    return replace(load_scenario(config), n_paths=paths, seed=seed), out
+
+
+@pytest.mark.parametrize("name", ["verify", "mixed"])
+def test_verify_runs_the_engine_once(tmp_path, monkeypatch, name):
+    import cbre2.simulate as simulate_mod
+
+    calls = []
+    real = simulate_mod.env_increments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_mod, "env_increments", counted)
+    _verify_cli(tmp_path, name, 200, 5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["verify", "pareto"])
+def test_one_pass_reports_equal_the_standalone_reports(tmp_path, name):
+    """The untruncated variant dominates every norm-cap variant here, so adding
+    variants to the pass leaves the shared thinning stream as it was."""
+    sc, out = _verify_cli(tmp_path, name, 1_500, 31)
+    alone = {
+        "moments": estimate_moments(sc, sc.moment_degree, sc.n_paths, sc.seed),
+        "martingale": martingale_test(sc, verify_mod.report_times(sc), sc.n_paths, sc.seed),
+        "convergence": truncation_convergence_report(sc, sc.trunc_k_list, sc.n_paths, sc.seed),
+    }
+    for key, rep in alone.items():
+        assert (out / f"verify_{key}.csv").read_text().splitlines() == rep.csv_lines(), key
+
+
+def test_one_pass_coupling_report_covers_every_grid_time(tmp_path):
+    from cbre2.env import _base_grid
+
+    sc, out = _verify_cli(tmp_path, "verify", 1_500, 31)
+    rows = [line.split(",") for line in (out / "verify_coupling.csv").read_text().splitlines()[1:]]
+    violations = [row for row in rows if row[1] == "ordering_violations"]
+    times = [float(row[0]) for row in violations]
+    assert times == _base_grid(sc.horizon, sc.step).tolist()
+    assert all(row[2] == "0" for row in violations)
