@@ -40,10 +40,10 @@ for n in (1, 2):
     target = math.exp(levy_exponent(spec, n))
     print(f"mean e^({n} xi(1)) = {est:.5f} vs e^beta({n}) = {target:.5f}  (z = {(est-target)/se:+.2f})")
 
-# One path on the refined grid: jump times are grid points, so partial
-# sums of the increments reconstruct xi exactly.
+# One path on the base grid: the jumps of an interval are summed into its
+# increment, so partial sums of the increments give xi exactly at grid points.
 path = sample_env_path(spec, 2.0, 0.25, np.random.default_rng(7))
-print(f"\npath grid has {len(path.grid)} points ({len(path.big_jump_marks)} large jumps logged)")
+print(f"\npath grid has {len(path.grid)} points")
 print("xi(2.0) =", path.xi_values()[-1])
 
 # Truncation: positive jumps above the clip level are removed entirely.

@@ -36,13 +36,19 @@ SUBCOMMANDS = ("simulate", "moments", "recursion-check", "laplace", "verify", "f
 
 
 def _write(path: str, lines: list[str]) -> None:
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise ConfigError(f"output.directory: cannot write {path}: {e.strerror}") from e
 
 
 def _out_dir(sc: ScenarioConfig) -> str:
     d = sc.output.directory
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output.directory: cannot create {d}: {e.strerror}") from e
     return d
 
 
@@ -52,7 +58,7 @@ def _cmd_simulate(sc: ScenarioConfig) -> int:
     summary = verify_mod.EstimateReport("simulate")
     for i in (0, 1):
         summary.add(sc.horizon, f"mean_X{i + 1}", *fsum_mean_se(states[0, :, 0, i]))
-    verify_mod.write_report_csv(os.path.join(out, "simulate_summary.csv"), summary)
+    _write(os.path.join(out, "simulate_summary.csv"), summary.csv_lines())
     m1, m2 = (r.estimate for r in summary.rows)
     n_dump = min(sc.output.dump_paths, sc.n_paths)
     if n_dump > 0:
@@ -140,7 +146,8 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
     direct, direct_se = fsum_mean_se(
         np.exp(-(states[0, :, 0, 0] * lam[0] + states[0, :, 0, 1] * lam[1]))
     )
-    z = (ann - direct) / math.hypot(ann_se, direct_se) if (ann_se or direct_se) else 0.0
+    gap, se = ann - direct, math.hypot(ann_se, direct_se)
+    z = 0.0 if gap == 0.0 else gap / se if se > 0 else math.copysign(math.inf, gap)
     print(
         f"laplace [{sc.name or 'scenario'}]: v0 = ({ql.v0[0]:.8g}, {ql.v0[1]:.8g}); "
         f"annealed {ann:.6g} (se {ann_se:.2g}) vs direct MC {direct:.6g} "
@@ -158,7 +165,7 @@ def _cmd_verify(sc: ScenarioConfig, degree: int) -> int:
     out = _out_dir(sc)
     by_name = verify_mod.verify_reports(sc, degree, sc.n_paths, sc.seed)
     for name, rep in by_name.items():
-        verify_mod.write_report_csv(os.path.join(out, f"verify_{name}.csv"), rep)
+        _write(os.path.join(out, f"verify_{name}.csv"), rep.csv_lines())
     reports = list(by_name.values())
     n_pass = sum(r.passed for r in reports)
     ok = n_pass == len(reports)
@@ -175,9 +182,8 @@ def _cmd_fmoment(sc: ScenarioConfig) -> int:
     verdict = f_moment_verdict(
         sc.environment, sc.branching, sc.x0, sc.fmoment_function, sc.truncation
     )
-    payload = json.dumps(verdict.to_dict(), indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(out, "fmoment.json"), "w") as f:
-        f.write(payload)
+    payload = json.dumps(verdict.to_dict(), indent=2, sort_keys=True)
+    _write(os.path.join(out, "fmoment.json"), [payload])
     print(
         f"fmoment [{sc.name or 'scenario'}]: f = {sc.fmoment_function.describe()} -> "
         f"{verdict.verdict} (branching {verdict.criteria['branching_tail']}, "
@@ -192,7 +198,7 @@ def _cmd_couple(sc: ScenarioConfig) -> int:
     out = _out_dir(sc)
     k1, k2 = sc.coupling_k
     rep = verify_mod.coupling_monotonicity_report(sc, k1, k2, sc.n_paths, sc.seed)
-    verify_mod.write_report_csv(os.path.join(out, "coupling.csv"), rep)
+    _write(os.path.join(out, "coupling.csv"), rep.csv_lines())
     print(
         f"couple [{sc.name or 'scenario'}]: k1={k1:g} <= k2={k2:g} over {sc.n_paths} paths: "
         f"{'PASS' if rep.passed else 'FAIL'}"

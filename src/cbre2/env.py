@@ -6,7 +6,8 @@ e^{xi} is exactly the stochastic exponential of L.  Only finite-activity
 jump measures are sampled.  The spec is the untruncated environment; a
 function that clips takes the level as `clip` (a truncated system's
 `TruncationPredicate.env_clip`), and positive jumps above it become 0,
-i.e. the multiplier becomes 1.
+i.e. the multiplier becomes 1.  `env_increments` makes every draw of the
+environment; a skeleton holds only the seed that a path replays.
 """
 
 from __future__ import annotations
@@ -63,42 +64,32 @@ def levy_exponent(spec: LevyEnvSpec, n: int, clip: float = math.inf) -> float:
 
 @dataclass
 class EnvPath:
-    """A sampled environment path on a refined grid, at one clip level.
+    """A sampled environment path on the base grid, at one clip level.
 
     Partial sums of `xi_increments` reconstruct xi exactly at grid points
     for the sampled jump set; the per-interval environment multiplier is
-    exp(increment).  `big_jump_marks` records (time, raw z) for |z| > 1.
+    exp(increment).
     """
 
     grid: np.ndarray
     xi_increments: np.ndarray
-    big_jump_marks: list
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
 
     def xi_values(self) -> np.ndarray:
         """xi at every grid point (xi(0) = 0)."""
-        out = np.empty(len(self.grid))
-        out[0] = 0.0
-        np.cumsum(self.xi_increments, out=out[1:])
-        return out
+        return np.concatenate(([0.0], np.cumsum(self.xi_increments)))
 
 
 @dataclass
 class EnvSkeleton:
-    """Raw random ingredients of one environment path, before truncation.
+    """One environment path before truncation: its base grid and the seed of its draws.
 
-    Shared across truncation levels so that coupled variants differ only
-    through the clipping rule.
+    Every clip level realized from one skeleton replays the same draws, so
+    coupled variants differ only through the clipping rule.
     """
 
     grid: np.ndarray
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    normals: np.ndarray  # one standard normal per refined interval
-    jump_index: np.ndarray  # position of each jump time in the grid
+    step: float
+    seed: int
 
 
 def effective_jump(z, clip):
@@ -128,43 +119,15 @@ def sample_env_skeleton(
     step: float,
     rng: np.random.Generator,
 ) -> EnvSkeleton:
-    """Sample jump times/sizes and Gaussian increments on the refined grid."""
-    base = _base_grid(horizon, step)
-    lam = spec.nu.total_mass()
-    if lam * horizon > DEFAULT_JUMP_CAP:
-        raise MassOverflow(
-            f"expected environment jump count {lam * horizon:.3g} exceeds cap {DEFAULT_JUMP_CAP:.3g}"
-        )
-    n_jumps = int(rng.poisson(lam * horizon)) if lam > 0 else 0
-    if n_jumps > 0:
-        u = rng.random(n_jumps)
-        u[u == 0.0] = 0.5  # keep jump times strictly inside (0, horizon)
-        times = np.sort(u * horizon)
-        sizes = spec.nu.sample(rng, n_jumps)
-        grid = np.unique(np.concatenate([base, times]))
-        jump_index = np.searchsorted(grid, times)
-    else:
-        times = np.empty(0)
-        sizes = np.empty(0)
-        grid = base
-        jump_index = np.empty(0, dtype=int)
-    normals = rng.standard_normal(len(grid) - 1)
-    return EnvSkeleton(grid, times, sizes, normals, jump_index)
+    """The base grid of [0, horizon] and one seed drawn from `rng`."""
+    return EnvSkeleton(_base_grid(horizon, step), step, int(rng.integers(2**63)))
 
 
 def realize_env_path(spec: LevyEnvSpec, skel: EnvSkeleton, clip: float = math.inf) -> EnvPath:
-    """Build the path from a skeleton, positive jumps above `clip` removed."""
-    dt = np.diff(skel.grid)
-    incr = (spec.a - spec.nu.mean_small()) * dt + spec.sigma1 * np.sqrt(dt) * skel.normals
-    if len(skel.jump_times):
-        eff = effective_jump(skel.jump_sizes, clip)
-        np.add.at(incr, skel.jump_index - 1, eff)
-    marks = [
-        (float(t), float(z))
-        for t, z in zip(skel.jump_times, skel.jump_sizes)
-        if abs(z) > 1.0
-    ]
-    return EnvPath(skel.grid, incr, marks)
+    """One path of `env_increments` at the skeleton's seed, positive jumps above `clip` removed."""
+    rng = np.random.default_rng(skel.seed)
+    incs = env_increments(spec, skel.grid, skel.step, 1, rng, [clip])
+    return EnvPath(skel.grid, np.hstack([dxi for (dxi,) in incs]))
 
 
 def sample_env_path(
@@ -173,9 +136,8 @@ def sample_env_path(
     step: float,
     rng: np.random.Generator,
 ) -> EnvPath:
-    """Sample one untruncated environment path; grid includes all jump times."""
-    skel = sample_env_skeleton(spec, horizon, step, rng)
-    return realize_env_path(spec, skel)
+    """Sample one untruncated environment path on the base grid."""
+    return realize_env_path(spec, sample_env_skeleton(spec, horizon, step, rng))
 
 
 def env_increments(

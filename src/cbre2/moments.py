@@ -406,8 +406,9 @@ def quenched_laplace(
 ) -> QuenchedLaplace:
     """Solve the backward equation for v_{r,t} given one environment path.
 
-    Implicit trapezoidal stepping on the refined grid with a fixed-point
-    solve per step; t must be a grid point of the path.
+    Implicit trapezoidal stepping on the path's grid, the solver of
+    `annealed_laplace_mc` on one row, with a fixed-point solve per step;
+    t must be a grid point of the path.
     """
     lam = np.asarray(lam, dtype=float)
     if (lam < 0).any():

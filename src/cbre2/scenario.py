@@ -426,8 +426,13 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path) as f:
+            text = f.read()
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read the config: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: the config is not UTF-8 text") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

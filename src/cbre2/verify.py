@@ -88,11 +88,6 @@ class EstimateReport:
         return out
 
 
-def write_report_csv(path, report: EstimateReport) -> None:
-    with open(path, "w") as f:
-        f.write("\n".join(report.csv_lines()) + "\n")
-
-
 def report_times(scenario) -> np.ndarray:
     """The times the moment and martingale reports check: horizon * k / 5, k = 1..5."""
     return scenario.horizon * np.arange(1, 6) / 5

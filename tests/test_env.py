@@ -87,23 +87,19 @@ def test_mass_overflow_guard():
         sample_env_path(LevyEnvSpec(nu=nu), 1.0, 0.5, np.random.default_rng(0))
 
 
-def test_grid_contains_base_and_jump_times():
+def test_skeleton_path_is_one_path_of_env_increments():
     nu = JumpMeasure1D(atoms=[Atom1D(3.0, 0.9)])
     spec = LevyEnvSpec(a=0.1, sigma1=0.3, nu=nu)
     rng = np.random.default_rng(5)
     skel = sample_env_skeleton(spec, 1.0, 0.125, rng)
     base = 0.125 * np.arange(9)
-    assert np.isin(np.round(base, 12), np.round(skel.grid, 12)).all()
-    assert np.isin(skel.jump_times, skel.grid).all()
+    np.testing.assert_array_equal(skel.grid, base)
     path = realize_env_path(spec, skel)
+    incs = env_increments(spec, base, 0.125, 1, np.random.default_rng(skel.seed), [math.inf])
+    replayed = np.hstack([dxi for (dxi,) in incs])
+    np.testing.assert_array_equal(path.xi_increments, replayed)
     # partial sums reconstruct xi at grid points for the sampled jump set
-    xi = path.xi_values()
-    drift = (spec.a - nu.mean_small()) * skel.grid
-    gauss = np.concatenate(([0.0], np.cumsum(spec.sigma1 * np.sqrt(np.diff(skel.grid)) * skel.normals)))
-    jumps = np.zeros_like(skel.grid)
-    for t, z in zip(skel.jump_times, skel.jump_sizes):
-        jumps[skel.grid >= t - 1e-15] += z
-    assert np.allclose(xi, drift + gauss + jumps, atol=1e-12)
+    assert np.allclose(path.xi_values(), np.concatenate(([0.0], np.cumsum(replayed))), atol=1e-12)
 
 
 def test_gaussian_terminal_statistics():
@@ -116,19 +112,20 @@ def test_gaussian_terminal_statistics():
 def test_clipping_kills_large_atom():
     nu = JumpMeasure1D(atoms=[Atom1D(2.0, 1.5)])
     spec = LevyEnvSpec(nu=nu)
-    path = realize_env_path(spec, sample_env_skeleton(spec, 1.0, 0.25, np.random.default_rng(1)), 1.2)
-    assert path.xi_values()[-1] == 0.0
-    assert len(path.big_jump_marks) > 0  # raw jumps retained for diagnostics
+    skel = sample_env_skeleton(spec, 1.0, 0.25, np.random.default_rng(1))
+    assert realize_env_path(spec, skel, 1.2).xi_values()[-1] == 0.0
+    k = realize_env_path(spec, skel).xi_values()[-1] / 1.5  # the same jumps, unclipped
+    assert k >= 1 and k == round(k)
 
 
 def test_negative_jumps_never_clipped():
     nu = JumpMeasure1D(atoms=[Atom1D(2.0, -1.5)])
     spec = LevyEnvSpec(nu=nu)
     rng = np.random.default_rng(2)
-    path = realize_env_path(spec, sample_env_skeleton(spec, 1.0, 0.25, rng), 1.2)
-    n_jumps = len(path.big_jump_marks)
-    if n_jumps:
-        assert path.xi_values()[-1] == pytest.approx(-1.5 * n_jumps)
+    skel = sample_env_skeleton(spec, 1.0, 0.25, rng)
+    clipped = realize_env_path(spec, skel, 1.2)
+    assert (clipped.xi_increments == -1.5).any()  # a jump below -1 that no clip may touch
+    np.testing.assert_array_equal(clipped.xi_increments, realize_env_path(spec, skel).xi_increments)
 
 
 def test_truncation_monotone_under_shared_randomness():

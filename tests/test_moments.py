@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbre2.branching import BranchingSpec, effective_drift_matrix
-from cbre2.env import LevyEnvSpec, levy_exponent, sample_env_path
+from cbre2.env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent, sample_env_path
 from cbre2.errors import (
     DivergentCoefficient,
     ExponentOverflow,
@@ -407,7 +407,8 @@ TAIL_SPEC = BranchingSpec(
 
 def test_quenched_laplace_is_the_shared_solver_on_one_path():
     path = _jumpy_path(4)
-    assert len(path.grid) > 105 and path.big_jump_marks  # several jumps, some large
+    jumps = np.abs(path.xi_increments)  # Gaussian increments have sd 0.03 here
+    assert (jumps > 0.3).sum() > 4 and (jumps > 1.0).any()  # several jumps, some large
     lam = np.array([0.7, 0.4])
     ql = quenched_laplace(path, TAIL_SPEC, lam, 1.0)
     increments = zip(np.diff(path.grid)[::-1], path.xi_increments[::-1])
@@ -427,6 +428,24 @@ def test_backward_solver_batches_paths():
     *_, v0 = _backward_steps(TAIL_SPEC, lam, increments, 1e-13, 100)
     for k, p in enumerate(paths):
         np.testing.assert_allclose(v0[k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["laplace", "pareto"])
+def test_annealed_laplace_is_the_mean_of_quenched_solves(name):
+    """The annealed estimate averages exp(-<x0, v0>) over quenched solves of the same increments."""
+    sc = bundled_scenario(name, 10_000, 2e-3)
+    lam, t, step, n, seed = (0.7, 0.4), 0.5, 0.01, 200, 123
+    est, _ = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
+    grid = _base_grid(t, step)
+    reflected = t - grid[::-1]
+    incs = env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed), [math.inf])
+    dxi = np.array([np.broadcast_to(d, (n,)) for (d,) in incs])[::-1]  # forward in time
+    assert np.ptp(dxi.sum(axis=0)) > 0.5  # the paths differ
+    vals = []
+    for k in range(n):
+        v0 = quenched_laplace(EnvPath(grid, dxi[:, k]), sc.branching, lam, t).v0
+        vals.append(math.exp(-(v0[0] * sc.x0[0] + v0[1] * sc.x0[1])))
+    assert est == pytest.approx(math.fsum(vals) / n, rel=1e-13, abs=0)
 
 
 def test_annealed_laplace_matches_quenched_average():

@@ -144,6 +144,32 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, kind):
+    """A config that cannot be read is a config error naming its path, not a traceback."""
+    p = tmp_path / "config.json"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "not-utf8":
+        p.write_bytes(b"\xff\xfe{}")
+    assert main(["simulate", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(p) in err
+
+
+@pytest.mark.parametrize("kind", ["under-a-file", "a-file", "unwritable-csv"])
+def test_cli_unusable_out_exit_code(tmp_path, capsys, kind):
+    """An output directory that cannot be made or written is a config error naming output.directory."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = {"under-a-file": blocker / "sub", "a-file": blocker, "unwritable-csv": tmp_path / "o"}[kind]
+    if kind == "unwritable-csv":
+        (out / "moments.csv").mkdir(parents=True)  # a directory where the CSV goes
+    assert main(["moments", "--config", _scen("mixed.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.directory") and str(out) in err
+
+
 def test_cli_moments_csv_contract(tmp_path, capsys):
     out = tmp_path / "m"
     rc = main(["moments", "--config", _scen("mixed.json"), "--out", str(out), "--n", "2"])
@@ -454,6 +480,16 @@ def test_cli_laplace_on_the_clipped_environment(tmp_path, capsys):
     assert main(["laplace", "--config", config, "--out", str(tmp_path / "o")]) == 0
     z = float(re.search(r"z = ([-+]?[0-9.]+)", capsys.readouterr().out).group(1))
     assert abs(z) < 4
+
+
+def test_cli_laplace_z_with_zero_standard_errors(tmp_path, capsys):
+    """One path on each side: both se are 0, and estimates that differ give an infinite z."""
+    args = ["laplace", "--config", _scen("laplace.json"), "--paths", "1", "--out", str(tmp_path)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    ann, direct = (float(x) for x in re.search(r"annealed (\S+) .* direct MC (\S+) ", out).groups())
+    assert "(se 0)" in out and ann != direct
+    assert f"z = {'+' if ann > direct else '-'}inf" in out
 
 
 def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):

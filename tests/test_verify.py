@@ -11,7 +11,6 @@ from cbre2.verify import (
     richardson_bias,
     se_scaling_check,
     truncation_convergence_report,
-    write_report_csv,
 )
 from cbre2.truncation import NORM_CAP, BranchingRule, TruncationPredicate
 from tests.conftest import bundled_scenario
@@ -125,15 +124,12 @@ def test_coupling_variants_keep_the_scenario_env_clip(monkeypatch):
     assert seen == [TruncationPredicate(BranchingRule(NORM_CAP, k), 1.0) for k in (2.0, 5.0)]
 
 
-def test_reports_reproducible_and_csv_stable(tmp_path):
+def test_reports_reproducible_and_csv_stable():
     sc = bundled_scenario("pareto", 10_000, 2e-3)
     rep1 = truncation_convergence_report(sc, (2, 4), 1_000, sc.seed)
     rep2 = truncation_convergence_report(sc, (2, 4), 1_000, sc.seed)
     assert rep1.rows == rep2.rows
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_report_csv(p1, rep1)
-    write_report_csv(p2, rep2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert rep1.csv_lines() == rep2.csv_lines()
 
 
 def test_se_scaling_with_path_budget():
