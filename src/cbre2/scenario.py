@@ -427,7 +427,7 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
 
 def load_scenario(path: str) -> ScenarioConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"{path}: cannot read the config: {e.strerror}") from e
