@@ -50,6 +50,13 @@ def fsum_mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def z_score(gap: float, se: float) -> float:
+    """gap / se, signed: 0 when the gap is 0, and +-inf when only the standard error is 0."""
+    if gap == 0.0:
+        return 0.0
+    return gap / se if se > 0 else math.copysign(math.inf, gap)
+
+
 def format_float(x) -> str:
     """Shortest round-trip decimal representation; used by all CSV writers."""
     if isinstance(x, (bool, np.bool_)):

@@ -7,12 +7,10 @@ the first cross-moments of the jump measures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentCrossMoment
 from .measures import ZERO_MEASURE_2D, JumpMeasure
 from .truncation import IDENTITY, TruncationPredicate
 
@@ -77,8 +75,6 @@ def effective_drift_matrix(
     rule = truncation.branching
     mu1_z2 = spec.m1.moment(0, 1, rule)
     mu2_z1 = spec.m2.moment(1, 0, rule)
-    if math.isinf(mu1_z2) or math.isinf(mu2_z1):
-        raise DivergentCrossMoment("first cross-moment of a jump measure diverges")
     return np.array(
         [[spec.b11, spec.b12 - mu1_z2], [spec.b21 - mu2_z1, spec.b22]]
     )
@@ -95,6 +91,4 @@ def compensator_moments(
     """
     mu1 = spec.m1.moment(1, 0, predicate.branching)
     mu2 = spec.m2.moment(0, 1, predicate.branching)
-    if math.isinf(mu1) or math.isinf(mu2):
-        raise DivergentCrossMoment("compensated first moment diverges")
     return mu1, mu2

@@ -30,7 +30,7 @@ from .moments import (
 from .env import realize_env_path, sample_env_skeleton
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
 from .simulate import scenario_states, simulate_paths
-from ._util import format_float, fsum_mean_se
+from ._util import format_float, fsum_mean_se, z_score
 
 SUBCOMMANDS = ("simulate", "moments", "recursion-check", "laplace", "verify", "fmoment", "couple")
 
@@ -146,8 +146,7 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
     direct, direct_se = fsum_mean_se(
         np.exp(-(states[0, :, 0, 0] * lam[0] + states[0, :, 0, 1] * lam[1]))
     )
-    gap, se = ann - direct, math.hypot(ann_se, direct_se)
-    z = 0.0 if gap == 0.0 else gap / se if se > 0 else math.copysign(math.inf, gap)
+    z = z_score(ann - direct, math.hypot(ann_se, direct_se))
     print(
         f"laplace [{sc.name or 'scenario'}]: v0 = ({ql.v0[0]:.8g}, {ql.v0[1]:.8g}); "
         f"annealed {ann:.6g} (se {ann_se:.2g}) vs direct MC {direct:.6g} "

@@ -45,15 +45,14 @@ class MomentTestFunction:
     """A curated test function with growth metadata.
 
     `rho` is the infimum exponent with f(x) = O(x^rho) (inf for
-    exp-power); `rho_attained` says whether f is actually Theta(x^rho),
-    which decides the boundary case against a Pareto tail of index rho.
+    exp-power).  Against a Pareto tail of index exactly rho, both power
+    and power-log are Infinite (`_classify_branching_component`).
     """
 
     family: str
     params: tuple
     K: float
     rho: float
-    rho_attained: bool
     b_certified: bool
 
     def __call__(self, x):
@@ -79,13 +78,13 @@ class MomentTestFunction:
 def power(p: float) -> MomentTestFunction:
     if p < 1:
         raise ValueError("power family requires p >= 1 (convexity)")
-    return MomentTestFunction(POWER, (float(p),), 2.0, float(p), True, True)
+    return MomentTestFunction(POWER, (float(p),), 2.0, float(p), True)
 
 
 def power_log(p: float) -> MomentTestFunction:
     if p < 1:
         raise ValueError("power-log family requires p >= 1 (convexity)")
-    return MomentTestFunction(POWER_LOG, (float(p),), 4.0, float(p), False, True)
+    return MomentTestFunction(POWER_LOG, (float(p),), 4.0, float(p), True)
 
 
 def exp_power(theta: float, gamma: float = 1.0) -> MomentTestFunction:
@@ -93,7 +92,7 @@ def exp_power(theta: float, gamma: float = 1.0) -> MomentTestFunction:
     if theta <= 0 or not (0 < gamma <= 1):
         raise ValueError("exp-power family requires theta > 0 and gamma in (0, 1]")
     return MomentTestFunction(
-        EXP_POWER, (float(theta), float(gamma)), 1.0, math.inf, False, False
+        EXP_POWER, (float(theta), float(gamma)), 1.0, math.inf, False
     )
 
 

@@ -371,14 +371,12 @@ class JumpMeasure(_Measure):
 
     Validity (finite first moments in both coordinates, which for
     finite-activity measures is the standard integrability requirement on
-    branching jump measures) is enforced at construction; pass
-    ``validate=False`` to build a deliberately divergent measure for
-    error-path testing.
+    branching jump measures) is enforced at construction.
     """
 
-    def __init__(self, atoms=(), tails=(), validate=True):
+    def __init__(self, atoms=(), tails=()):
         super().__init__(atoms, tails)
-        if validate and (math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1))):
+        if math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1)):
             raise DivergentCrossMoment(
                 "jump measure must have finite first moments in both coordinates"
             )

@@ -74,355 +74,267 @@ class ScenarioConfig:
         return sc
 
 
-class _Ctx:
-    """Key-path context for validation error messages."""
-
-    def __init__(self, source_text=None):
-        self.path = []
-        self.text = source_text
-
-    def push(self, key):
-        self.path.append(str(key))
-
-    def pop(self):
-        self.path.pop()
-
-    def err(self, msg) -> ConfigError:
-        path = ".".join(self.path) or "<root>"
-        line = self._line_of(self.path[-1] if self.path else None)
-        where = f" (near line {line})" if line else ""
-        return ConfigError(f"{path}: {msg}{where}")
-
-    def _line_of(self, leaf):
-        """The line of the leaf key, only when the key occurs once in the file."""
-        key = leaf.split("[")[0] if leaf else ""
-        if not self.text or not key:
-            return None
-        needle = f'"{key}"'
-        if self.text.count(needle) != 1:
-            return None
-        return self.text.count("\n", 0, self.text.find(needle)) + 1
-
-
-def _need(ctx, d, key, kind=None):
-    if key not in d:
-        ctx.push(key)
-        raise ctx.err("missing required key")
-    val = d[key]
-    if kind is not None and not isinstance(val, kind):
-        ctx.push(key)
-        raise ctx.err(f"expected {kind.__name__ if hasattr(kind, '__name__') else kind}")
-    return val
-
-
-def _known(ctx, d, *keys):
-    """Reject a key of `d` outside `keys`: a misspelled key would drop what it sets."""
-    for key in d:
-        if key not in keys:
-            ctx.push(key)
-            raise ctx.err(f"unknown key; expected one of {', '.join(keys)}")
-
-
-def _real(ctx, key, val, finite=True):
-    """A JSON number as a float; never NaN, and infinite ("inf") only if not `finite`."""
-    if not finite and val in ("inf", "Infinity", math.inf):
-        return math.inf
-    # NaN, infinities and integers beyond the float range all fail the bound
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
-        ctx.push(key)
-        raise ctx.err(f"expected a {'finite ' if finite else ''}number, got {val!r}")
-    return float(val)
-
-
-def _num(ctx, d, key, default=None, finite=True):
-    if key not in d and default is not None:
-        return default
-    return _real(ctx, key, _need(ctx, d, key), finite)
-
-
 def _is_int_at_least(val, low: int) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= low
 
 
-def _int(ctx, d, key, default, low):
-    val = d.get(key, default)
-    if not _is_int_at_least(val, low):
-        ctx.push(key)
-        raise ctx.err(f"expected an integer >= {low}, got {val!r}")
-    return val
+class _Reader:
+    """One JSON object of the config, read at its key path.
 
+    Every read names its key, and `close` rejects the keys no read asked
+    for, so a block lists its keys once: in its reads.
+    """
 
-def _obj(ctx, d, key, required=False):
-    """The object under `key`; unless required, absent or null reads as {}."""
-    val = d.get(key)
-    if val is None and not required:
-        return {}
-    if not isinstance(val, dict):
-        ctx.push(key)
-        raise ctx.err("missing required object" if val is None else "expected an object")
-    return val
+    def __init__(self, d, path=(), text=None):
+        self.d, self.path, self.text, self.asked = d, path, text, {}
 
+    def err(self, msg, *keys) -> ConfigError:
+        """A ConfigError at this path plus `keys`, near the leaf key's line if it occurs once."""
+        path = self.path + keys
+        leaf = f'"{path[-1].split("[")[0]}"' if path else ""
+        if self.text and leaf != '""' and self.text.count(leaf) == 1:
+            msg += f" (near line {self.text.count(chr(10), 0, self.text.find(leaf)) + 1})"
+        return ConfigError(f"{'.'.join(path) or '<root>'}: {msg}")
 
-def _pair(ctx, key, val, what, nonneg=False):
-    """Two finite numbers (nonnegative if asked) at `key`, as a tuple."""
-    ctx.push(key)
-    if not (isinstance(val, list) and len(val) == 2):
-        raise ctx.err(f"expected {what}")
-    pair = tuple(_real(ctx, f"[{i}]", v) for i, v in enumerate(val))
-    if nonneg and min(pair) < 0:
-        raise ctx.err(f"expected nonnegative {what}")
-    ctx.pop()
-    return pair
+    def get(self, key, default=None, kind=object):
+        """The value under `key`, `default` when absent (`...`: a required key)."""
+        self.asked[key] = None
+        val = self.d.get(key, default)
+        if val is ...:
+            raise self.err("missing required key", key)
+        if not isinstance(val, kind):
+            raise self.err(f"expected {kind.__name__}", key)
+        return val
 
+    def need(self, key, kind=object):
+        return self.get(key, ..., kind)
 
-def _caps(ctx, ver, key, count=None):
-    """Positive finite truncation caps under verify.<key> (None when absent)."""
-    if key not in ver:
-        return None
-    ctx.push(key)
-    caps = ver[key]
-    if not isinstance(caps, list) or not caps or (count is not None and len(caps) != count):
-        raise ctx.err(f"expected a list of {count or 'one or more'} positive finite numbers")
-    out = tuple(_real(ctx, f"[{i}]", k) for i, k in enumerate(caps))
-    if min(out) <= 0:
-        raise ctx.err(f"expected positive finite numbers, got {caps!r}")
-    ctx.pop()
-    return out
+    def num(self, key, default=..., finite=True) -> float:
+        """A JSON number as a float; never NaN, and infinite ("inf") only if not `finite`."""
+        val = self.get(key, default)
+        if not finite and val in ("inf", "Infinity", math.inf):
+            return math.inf
+        # NaN, infinities and integers beyond the float range all fail the bound
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
+            raise self.err(f"expected a {'finite ' if finite else ''}number, got {val!r}", key)
+        return float(val)
 
+    def int(self, key, default, low):
+        val = self.get(key, default)
+        if not _is_int_at_least(val, low):
+            raise self.err(f"expected an integer >= {low}, got {val!r}", key)
+        return val
 
-def _component(ctx, d, planar):
-    """One jump component: an atom or a tail (on an axis when `planar`, else on a side)."""
-    kind = _need(ctx, d, "kind", str)
-    if kind == "atom":
-        _known(ctx, d, "kind", "mass", "z")
-        if planar:
-            return Atom2D(_num(ctx, d, "mass"), *_pair(ctx, "z", _need(ctx, d, "z"), "[z1, z2]"))
-        return Atom1D(_num(ctx, d, "mass"), _num(ctx, d, "z"))
-    if kind not in ("exponential", "pareto"):
-        ctx.push("kind")
-        raise ctx.err(f"unknown component kind {kind!r}")
-    _known(ctx, d, "kind", "mass", "rate" if kind == "exponential" else "alpha", "x0",
-           "axis" if planar else "side")
-    shape = _num(ctx, d, "rate" if kind == "exponential" else "alpha")
-    mass = _num(ctx, d, "mass")
-    x0 = _num(ctx, d, "x0", 0.0 if kind == "exponential" else None)
-    if planar:
-        axis = d.get("axis")
-        if isinstance(axis, bool) or axis not in (1, 2):
-            ctx.push("axis")
-            raise ctx.err("axis must be 1 or 2")
-        return AxisTail(axis, kind, mass, shape, x0)
-    try:
-        side = {"+": 1, "-": -1, 1: 1, -1: -1}[d.get("side", "+")]
-    except (KeyError, TypeError):
-        ctx.push("side")
-        raise ctx.err("side must be '+' or '-'") from None
-    return Tail1D(kind, mass, shape, x0, side)
+    def obj(self, key, required=False) -> _Reader:
+        """The object under `key`; unless required, absent or null reads as {}."""
+        val = self.get(key)
+        if val is None and not required:
+            val = {}
+        elif not isinstance(val, dict):
+            raise self.err("missing required object" if val is None else "expected an object", key)
+        return _Reader(val, self.path + (key,), self.text)
 
+    def list(self, key, what, size=None, default=...) -> _Reader:
+        """The list under `key` (of `size` entries if given), read by the keys [0], [1], ..."""
+        val = self.get(key, default)
+        if not (isinstance(val, list) and (size is None or len(val) == size)):
+            raise self.err(f"expected {what}", key)
+        return _Reader({f"[{i}]": v for i, v in enumerate(val)}, self.path + (key,), self.text)
 
-def _measure(ctx, d, key, planar):
-    """The jump measure listed under `key` (absent reads as empty)."""
-    ctx.push(key)
-    items = d.get(key, [])
-    if not isinstance(items, list):
-        raise ctx.err("expected a list of jump components")
-    atoms, tails = [], []
-    for i, item in enumerate(items):
-        ctx.push(f"[{i}]")
-        if not isinstance(item, dict):
-            raise ctx.err("expected an object")
+    def pair(self, key, what, nonneg=False) -> tuple:
+        """Two finite numbers (nonnegative if asked) under `key`."""
+        items = self.list(key, what, 2)
+        pair = tuple(items.num(i) for i in items.d)
+        if nonneg and min(pair) < 0:
+            raise self.err(f"expected nonnegative {what}", key)
+        return pair
+
+    def caps(self, key, count=None):
+        """Positive finite truncation caps under `key` (None when absent)."""
+        if key not in self.d:
+            return self.get(key)  # None, and the key is asked for
+        what = f"a list of {count or 'one or more'} positive finite numbers"
+        items = self.list(key, what, count)
+        caps = tuple(items.num(i) for i in items.d)
+        if not caps:
+            raise self.err(f"expected {what}", key)
+        if min(caps) <= 0:
+            raise self.err(f"expected positive finite numbers, got {self.d[key]!r}", key)
+        return caps
+
+    def make(self, constructor, *args, **kwargs):
+        """Call `constructor`; its ValueError, ArithmeticError or Cbre2Error is a ConfigError here."""
         try:
-            comp = _component(ctx, item, planar)
-        except ValueError as e:
-            raise ctx.err(str(e)) from e
+            return constructor(*args, **kwargs)
+        except ConfigError:
+            raise
+        except (ValueError, ArithmeticError, Cbre2Error) as e:
+            raise self.err(str(e)) from e
+
+    def close(self):
+        """Reject a key no read asked for: a misspelled key would drop what it sets."""
+        for key in self.d:
+            if key not in self.asked:
+                raise self.err(f"unknown key; expected one of {', '.join(self.asked)}", str(key))
+
+
+def _component(c: _Reader, planar):
+    """One jump component: an atom or a tail (on an axis when `planar`, else on a side)."""
+    kind = c.need("kind", str)
+    if kind == "atom":
+        if planar:
+            comp = c.make(Atom2D, c.num("mass"), *c.pair("z", "[z1, z2]"))
+        else:
+            comp = c.make(Atom1D, c.num("mass"), c.num("z"))
+    elif kind in ("exponential", "pareto"):
+        shape = c.num("rate" if kind == "exponential" else "alpha")
+        mass = c.num("mass")
+        x0 = c.num("x0", 0.0 if kind == "exponential" else ...)
+        if planar:
+            axis = c.get("axis")
+            if isinstance(axis, bool) or axis not in (1, 2):
+                raise c.err("axis must be 1 or 2", "axis")
+            comp = c.make(AxisTail, axis, kind, mass, shape, x0)
+        else:
+            try:
+                side = {"+": 1, "-": -1, 1: 1, -1: -1}[c.get("side", "+")]
+            except (KeyError, TypeError):
+                raise c.err("side must be '+' or '-'", "side") from None
+            comp = c.make(Tail1D, kind, mass, shape, x0, side)
+    else:
+        raise c.err(f"unknown component kind {kind!r}", "kind")
+    c.close()
+    return comp
+
+
+def _measure(r: _Reader, key, planar):
+    """The jump measure listed under `key` (absent reads as empty)."""
+    items = r.list(key, "a list of jump components", default=[])
+    atoms, tails = [], []
+    for i, item in items.d.items():
+        if not isinstance(item, dict):
+            raise items.err("expected an object", i)
+        comp = _component(items.obj(i), planar)
         (tails if isinstance(comp, (Tail1D, AxisTail)) else atoms).append(comp)
-        ctx.pop()
-    try:
-        measure = (JumpMeasure if planar else JumpMeasure1D)(atoms, tails)
-    except (ArithmeticError, Cbre2Error) as e:  # mass overflow, divergent first moments
-        raise ctx.err(str(e)) from e
-    ctx.pop()
-    return measure
+    return items.make(JumpMeasure if planar else JumpMeasure1D, atoms, tails)
 
 
-def _rule(ctx, val) -> BranchingRule:
-    if val in (None, "none"):
-        return BranchingRule(NONE)
-    if val == "unit_square":
-        return BranchingRule(UNIT_SQUARE)
+def _truncation(tr: _Reader) -> TruncationPredicate:
+    """The branching rule ("none", "unit_square" or a kind with level k) and the env clip."""
+    val = tr.get("branching_rule")
+    kind = NONE if val is None else val
     if isinstance(val, dict):
-        _known(ctx, val, "kind", "k")
-        kind = val.get("kind")
-        if kind == "none":
-            return BranchingRule(NONE)
-        if kind == "unit_square":
-            return BranchingRule(UNIT_SQUARE)
-        if kind == "norm_cap":
-            return BranchingRule(NORM_CAP, _num(ctx, val, "k", finite=False))
-    raise ctx.err(f"unknown branching rule {val!r}")
+        br = tr.obj("branching_rule")
+        kind, _ = br.get("kind"), br.get("k")  # the kinds without a level ignore k
+        br.close()
+    if isinstance(val, dict) and kind == NORM_CAP:
+        rule = br.make(BranchingRule, NORM_CAP, br.num("k", finite=False))
+    elif kind in (NONE, UNIT_SQUARE):
+        rule = BranchingRule(kind)
+    else:
+        raise tr.err(f"unknown branching rule {val!r}", "branching_rule")
+    val = tr.get("env_rule")
+    if val in (None, NONE):
+        return TruncationPredicate(rule)
+    clip = tr.obj("env_rule") if isinstance(val, dict) else None
+    if clip is None or clip.get("kind") != "clip_positive":
+        raise tr.err(f"unknown env rule {val!r}", "env_rule")
+    pred = clip.make(TruncationPredicate, rule, clip.num("k", finite=False))
+    clip.close()
+    return pred
 
 
-def _env_rule(ctx, val) -> float:
-    if val in (None, "none"):
-        return math.inf
-    if isinstance(val, dict) and val.get("kind") == "clip_positive":
-        _known(ctx, val, "kind", "k")
-        return _num(ctx, val, "k", finite=False)
-    raise ctx.err(f"unknown env rule {val!r}")
-
-
-def _fmoment_fn(ctx, d):
-    family = _need(ctx, d, "family", str)
-    if family not in ("power", "power_log", "exp_power"):
-        ctx.push("family")
-        raise ctx.err(f"unknown test-function family {family!r}")
-    _known(ctx, d, "family", *(("theta", "gamma") if family == "exp_power" else ("p",)))
-    try:
-        if family == "power":
-            return fmoment.power(_num(ctx, d, "p"))
-        if family == "power_log":
-            return fmoment.power_log(_num(ctx, d, "p"))
-        return fmoment.exp_power(_num(ctx, d, "theta"), _num(ctx, d, "gamma", 1.0))
-    except ValueError as e:
-        raise ctx.err(str(e)) from e
+def _fmoment_fn(fm: _Reader):
+    family = fm.need("family", str)
+    if family == "exp_power":
+        fn = fm.make(fmoment.exp_power, fm.num("theta"), fm.num("gamma", 1.0))
+    elif family in ("power", "power_log"):
+        fn = fm.make(fmoment.power if family == "power" else fmoment.power_log, fm.num("p"))
+    else:
+        raise fm.err(f"unknown test-function family {family!r}", "family")
+    fm.close()
+    return fn
 
 
 def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioConfig:
-    ctx = _Ctx(source_text)
+    root = _Reader(data, (), source_text)
     if not isinstance(data, dict):
-        raise ctx.err("config root must be an object")
-    _known(ctx, data, "name", "environment", "branching", "x0", "horizon", "step", "n_paths", "seed",
-           "truncation", "output", "moment_degree", "recursion_tol", "laplace", "fmoment", "verify")
+        raise root.err("config root must be an object")
 
-    envd = _obj(ctx, data, "environment", required=True)
-    ctx.push("environment")
-    if "trunc_level" in envd:  # a removed key: ignoring it would drop the clip
-        ctx.push("trunc_level")
-        raise ctx.err("removed key; clip the environment with "
-                      'truncation.env_rule = {"kind": "clip_positive", "k": ...}')
-    _known(ctx, envd, "a", "sigma1", "nu")
-    nu = _measure(ctx, envd, "nu", planar=False)
-    try:
-        env = LevyEnvSpec(
-            a=_num(ctx, envd, "a", 0.0), sigma1=_num(ctx, envd, "sigma1", 0.0), nu=nu
-        )
-    except ValueError as e:
-        raise ctx.err(str(e)) from e
-    ctx.pop()
+    env = root.obj("environment", required=True)
+    if "trunc_level" in env.d:  # a removed key: ignoring it would drop the clip
+        raise env.err("removed key; clip the environment with "
+                      'truncation.env_rule = {"kind": "clip_positive", "k": ...}', "trunc_level")
+    nu = _measure(env, "nu", planar=False)
+    environment = env.make(LevyEnvSpec, a=env.num("a", 0.0), sigma1=env.num("sigma1", 0.0), nu=nu)
+    env.close()
 
-    trd = _obj(ctx, data, "truncation")
-    ctx.push("truncation")
-    _known(ctx, trd, "branching_rule", "env_rule")
-    try:
-        ctx.push("branching_rule")
-        rule = _rule(ctx, trd.get("branching_rule", "none"))
-        ctx.pop()
-        ctx.push("env_rule")
-        clip = _env_rule(ctx, trd.get("env_rule", "none"))
-        pred = TruncationPredicate(branching=rule, env_clip=clip)
-        ctx.pop()
-    except ValueError as e:
-        raise ctx.err(str(e)) from e
-    ctx.pop()
+    tr = root.obj("truncation")
+    pred = _truncation(tr)
+    tr.close()
 
-    brd = _obj(ctx, data, "branching", required=True)
-    ctx.push("branching")
-    _known(ctx, brd, "b", "c1", "c2", "m1", "m2")
-    b = brd.get("b", [[0.0, 0.0], [0.0, 0.0]])
-    ctx.push("b")
-    if not (isinstance(b, list) and len(b) == 2):
-        raise ctx.err("expected a 2x2 matrix [[b11,b12],[b21,b22]]")
-    (b11, b12), (b21, b22) = (_pair(ctx, f"[{i}]", row, "a row [bi1, bi2]") for i, row in enumerate(b))
-    ctx.pop()
-    m1 = _measure(ctx, brd, "m1", planar=True)
-    m2 = _measure(ctx, brd, "m2", planar=True)
-    try:
-        branching = BranchingSpec(
-            b11=b11,
-            b12=b12,
-            b21=b21,
-            b22=b22,
-            c1=_num(ctx, brd, "c1", 0.0),
-            c2=_num(ctx, brd, "c2", 0.0),
-            m1=m1,
-            m2=m2,
-        )
-    except ValueError as e:
-        raise ctx.err(str(e)) from e
-    ctx.pop()
+    br = root.obj("branching", required=True)
+    b = br.list("b", "a 2x2 matrix [[b11,b12],[b21,b22]]", 2, default=[[0.0, 0.0], [0.0, 0.0]])
+    (b11, b12), (b21, b22) = (b.pair(i, "a row [bi1, bi2]") for i in b.d)
+    m1, m2 = _measure(br, "m1", planar=True), _measure(br, "m2", planar=True)
+    branching = br.make(BranchingSpec, b11=b11, b12=b12, b21=b21, b22=b22,
+                        c1=br.num("c1", 0.0), c2=br.num("c2", 0.0), m1=m1, m2=m2)
+    br.close()
 
-    x0 = _pair(ctx, "x0", data.get("x0"), "[x1, x2]", nonneg=True)
-
-    horizon = _num(ctx, data, "horizon")
-    step = _num(ctx, data, "step")
+    x0 = root.pair("x0", "[x1, x2]", nonneg=True)
+    horizon, step = root.num("horizon"), root.num("step")
     if horizon <= 0:
-        ctx.push("horizon")
-        raise ctx.err("must be > 0")
+        raise root.err("must be > 0", "horizon")
     if not (0 < step <= horizon):
-        ctx.push("step")
-        raise ctx.err("must satisfy 0 < step <= horizon")
+        raise root.err("must satisfy 0 < step <= horizon", "step")
 
-    out = _obj(ctx, data, "output")
-    ctx.push("output")
-    _known(ctx, out, "directory", "dump_paths")
-    output = OutputSpec(
-        directory=_need(ctx, out, "directory", str) if "directory" in out else "out",
-        dump_paths=_int(ctx, out, "dump_paths", 5, 0),
-    )
-    ctx.pop()
+    out = root.obj("output")
+    output = OutputSpec(out.get("directory", "out", str), out.int("dump_paths", 5, 0))
+    out.close()
 
     lam = t_lap = fm_fn = None
-    if data.get("laplace") is not None:
-        lap = _obj(ctx, data, "laplace")
-        ctx.push("laplace")
-        _known(ctx, lap, "lambda", "t")
-        lam = _pair(ctx, "lambda", _need(ctx, lap, "lambda"), "[l1, l2]", nonneg=True)
-        t_lap = _num(ctx, lap, "t", horizon)
+    if root.get("laplace") is not None:
+        lap = root.obj("laplace")
+        lam = lap.pair("lambda", "[l1, l2]", nonneg=True)
+        t_lap = lap.num("t", horizon)
         if not (0 < t_lap <= horizon):
-            ctx.push("t")
-            raise ctx.err("must satisfy 0 < t <= horizon")
-        ctx.pop()
+            raise lap.err("must satisfy 0 < t <= horizon", "t")
+        lap.close()
+    if root.get("fmoment") is not None:
+        fm_fn = _fmoment_fn(root.obj("fmoment"))
 
-    if data.get("fmoment") is not None:
-        fm = _obj(ctx, data, "fmoment")
-        ctx.push("fmoment")
-        fm_fn = _fmoment_fn(ctx, fm)
-        ctx.pop()
-
-    ver = _obj(ctx, data, "verify")
-    ctx.push("verify")
-    _known(ctx, ver, "coupling_k", "trunc_k_list")
-    coupling_k = _caps(ctx, ver, "coupling_k", count=2)
+    ver = root.obj("verify")
+    coupling_k = ver.caps("coupling_k", count=2)
     if coupling_k is not None and coupling_k[0] > coupling_k[1]:
-        ctx.push("coupling_k")
-        raise ctx.err("expected [k1, k2] with k1 <= k2")
-    trunc_k_list = _caps(ctx, ver, "trunc_k_list")
-    ctx.pop()
+        raise ver.err("expected [k1, k2] with k1 <= k2", "coupling_k")
+    trunc_k_list = ver.caps("trunc_k_list")
+    ver.close()
 
-    recursion_tol = _num(ctx, data, "recursion_tol", 1e-6)
+    recursion_tol = root.num("recursion_tol", 1e-6)
     if recursion_tol <= 0:
-        ctx.push("recursion_tol")
-        raise ctx.err("must be > 0")
+        raise root.err("must be > 0", "recursion_tol")
 
-    return ScenarioConfig(
-        environment=env,
+    sc = ScenarioConfig(
+        environment=environment,
         branching=branching,
         x0=x0,
         horizon=horizon,
         step=step,
-        n_paths=_int(ctx, data, "n_paths", 1000, 1),
-        seed=_int(ctx, data, "seed", 0, 0),
+        n_paths=root.int("n_paths", 1000, 1),
+        seed=root.int("seed", 0, 0),
         truncation=pred,
         output=output,
-        moment_degree=_int(ctx, data, "moment_degree", 2, 1),
+        moment_degree=root.int("moment_degree", 2, 1),
         recursion_tol=recursion_tol,
         laplace_lambda=lam,
         laplace_t=t_lap,
         fmoment_function=fm_fn,
         coupling_k=coupling_k,
         trunc_k_list=trunc_k_list,
-        name=str(data.get("name", "")),
+        name=str(root.get("name", "")),
     )
+    root.close()
+    return sc
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -32,7 +32,7 @@ from .moments import (
 )
 from .simulate import scenario_states, scenario_stream
 from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
-from ._util import format_float, fsum_mean_se
+from ._util import format_float, fsum_mean_se, z_score
 
 _DUST = 1e-9  # absorbs floating-point dust in exact (se = 0) comparisons
 SE_MULTIPLE = 3.0  # half-width of a row's pass band, in standard errors
@@ -64,9 +64,8 @@ class EstimateReport:
         if math.isnan(target):
             z, ok = math.nan, True
         else:
-            gap = abs(estimate - target)
-            z = 0.0 if gap == 0.0 else (estimate - target) / se if se > 0 else math.inf
-            ok = gap <= SE_MULTIPLE * se + bias_allowance + _DUST * max(1.0, abs(target))
+            z = z_score(estimate - target, se)
+            ok = abs(estimate - target) <= SE_MULTIPLE * se + bias_allowance + _DUST * max(1.0, abs(target))
         self.rows.append(EstimateRow(float(t), statistic, float(estimate), float(se), float(target), float(z), bool(ok)))
 
     def csv_lines(self) -> list[str]:
@@ -184,7 +183,7 @@ class _Coupling:
         for i in (0, 1):
             est, se = fsum_mean_se(self.gap[:, i])
             ok = est <= SE_MULTIPLE * se + _DUST
-            z = est / se if se > 0 else 0.0
+            z = z_score(est, se)
             report.rows.append(EstimateRow(float(t), f"mean_gap_{i + 1}", est, se, 0.0, z, ok))
         return report
 

@@ -9,7 +9,6 @@ from cbre2.branching import (
     effective_drift_matrix,
     phi_eval,
 )
-from cbre2.errors import DivergentCrossMoment
 from cbre2.measures import Atom2D, AxisTail, JumpMeasure
 from cbre2.truncation import norm_cap, unit_square
 
@@ -93,13 +92,6 @@ def test_effective_drift_examples():
         b11=1.0, b12=-1.0, b21=-2.0, b22=3.0, m1=JumpMeasure(atoms=[Atom2D(2.0, 0.0, 1.0)])
     )
     assert effective_drift_matrix(spec)[0, 1] == -3.0
-
-
-def test_effective_drift_divergence():
-    m2 = JumpMeasure(tails=[AxisTail(1, "pareto", 1.0, 0.9, 1.0)], validate=False)
-    spec = BranchingSpec(m2=m2)
-    with pytest.raises(DivergentCrossMoment):
-        effective_drift_matrix(spec)
 
 
 def test_off_diagonal_sign_constraint():

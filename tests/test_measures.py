@@ -112,9 +112,6 @@ def test_unit_square_restriction():
 def test_validity_enforced_at_construction():
     with pytest.raises(DivergentCrossMoment):
         JumpMeasure(tails=[AxisTail(1, "pareto", 1.0, 0.8, 1.0)])
-    # escape hatch for error-path testing
-    m = JumpMeasure(tails=[AxisTail(1, "pareto", 1.0, 0.8, 1.0)], validate=False)
-    assert math.isinf(m.moment(1, 0))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -155,14 +156,21 @@ def test_report_pass_flag_consistency():
     assert rep2.rows[-1].z == pytest.approx(-1.5)
 
 
+@pytest.mark.parametrize("estimate, z", [(1.0, -math.inf), (3.0, math.inf), (2.0, 0.0)])
+def test_report_z_with_zero_se_keeps_the_sign(estimate, z):
+    """With se = 0, an estimate below its target gives z = -inf, above it +inf."""
+    rep = EstimateReport("demo")
+    rep.add(1.0, "s", estimate, 0.0, 2.0)
+    assert rep.rows[-1].z == z
+    assert rep.rows[-1].ok == (estimate == 2.0)
+
+
 def _full_record_coupling_report(sc, k1, k2, paths, seed, tol=1e-12, se_multiple=3.0):
     """The coupling report's reductions over a record of every grid time."""
-    import math
-
     from cbre2.simulate import scenario_states
     from cbre2.truncation import norm_cap
     from cbre2.verify import EstimateRow
-    from cbre2._util import fsum_mean_se
+    from cbre2._util import fsum_mean_se, z_score
 
     times, states = scenario_states(sc, paths, seed, predicates=(norm_cap(k1), norm_cap(k2)))
     gaps = states[0] - states[1]
@@ -174,7 +182,7 @@ def _full_record_coupling_report(sc, k1, k2, paths, seed, tol=1e-12, se_multiple
     else:
         for i in (0, 1):
             est, se = fsum_mean_se(gaps[:, -1, i])
-            z = est / se if se > 0 else 0.0
+            z = z_score(est, se)
             ok = est <= se_multiple * se + 1e-9
             report.rows.append(EstimateRow(float(times[-1]), f"mean_gap_{i + 1}", est, se, 0.0, z, ok))
     return report
