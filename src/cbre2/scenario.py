@@ -192,14 +192,15 @@ def _component(c: _Reader, planar):
         x0 = c.num("x0", 0.0 if kind == "exponential" else ...)
         if planar:
             axis = c.get("axis")
-            if isinstance(axis, bool) or axis not in (1, 2):
+            if type(axis) is not int or axis not in (1, 2):  # not true, not 1.0
                 raise c.err("axis must be 1 or 2", "axis")
             comp = c.make(AxisTail, axis, kind, mass, shape, x0)
         else:
-            try:
-                side = {"+": 1, "-": -1, 1: 1, -1: -1}[c.get("side", "+")]
-            except (KeyError, TypeError):
-                raise c.err("side must be '+' or '-'", "side") from None
+            side = c.get("side", "+")
+            if isinstance(side, str):
+                side = {"+": 1, "-": -1}.get(side)
+            if type(side) is not int or side not in (1, -1):
+                raise c.err("side must be '+' or '-'", "side")
             comp = c.make(Tail1D, kind, mass, shape, x0, side)
     else:
         raise c.err(f"unknown component kind {kind!r}", "kind")

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbre2.branching import (
     BranchingSpec,
     compensator_moments,
     effective_drift_matrix,
     phi_eval,
+    phi_eval_vec,
 )
 from cbre2.measures import Atom2D, AxisTail, JumpMeasure
 from cbre2.truncation import norm_cap, unit_square
@@ -51,6 +54,54 @@ def test_phi_tail_against_quadrature():
         np.inf,
     )
     assert phi_eval(spec, lam)[0] == pytest.approx(ref, abs=1e-10)
+
+
+COORD = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+ATOMS = st.lists(
+    st.tuples(st.floats(0.01, 2.0), COORD, COORD).filter(lambda a: a[1] or a[2]).map(lambda a: Atom2D(*a)),
+    max_size=4,
+)
+AXES = st.sampled_from([1, 2])
+TAILS = st.lists(
+    st.one_of(
+        st.builds(AxisTail, AXES, st.just("exponential"), st.floats(0.01, 2.0),
+                  st.floats(0.3, 5.0), st.one_of(st.just(0.0), st.floats(0.01, 2.0))),
+        st.builds(AxisTail, AXES, st.just("pareto"), st.floats(0.01, 2.0),
+                  st.floats(1.2, 4.0), st.floats(0.05, 2.0)),
+    ),
+    max_size=3,
+)
+RATE = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    diag=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    off=st.tuples(st.floats(-1.0, 0.0), st.floats(-1.0, 0.0)),
+    c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    atoms=st.tuples(ATOMS, ATOMS),
+    tails=st.tuples(TAILS, TAILS),
+    rows=st.lists(st.tuples(RATE, RATE), min_size=1, max_size=8),
+)
+def test_phi_kernel_matches_per_measure_reference(diag, off, c, atoms, tails, rows):
+    """phi_eval_vec's kernel equals lam b^T + c lam^2 + m_i.phi_integral, and one row
+    evaluated alone has the bits of the same row evaluated in a batch."""
+    m1, m2 = (JumpMeasure(a, t) for a, t in zip(atoms, tails))
+    spec = BranchingSpec(diag[0], off[0], off[1], diag[1], *c, m1, m2)
+    lam = np.array(rows)
+    got = phi_eval_vec(spec, lam)
+    l1, l2 = lam.T
+    jumps, sizes = np.zeros_like(lam), np.zeros_like(lam)
+    for i, m in enumerate((m1, m2)):
+        jumps[:, i] = m.phi_integral(l1, l2, i + 1)
+        for a in m.atoms:  # the sizes of an atom's terms, 1 and lam_own z_own, times its mass
+            sizes[:, i] += a.mass * (1.0 + lam[:, i] * (a.z1, a.z2)[i])
+    ref = lam @ spec.b.T + c * lam**2 + jumps
+    # a floor of a few ulps of the largest term, where terms of both signs cancel
+    terms = lam @ abs(spec.b.T) + c * lam**2 + abs(jumps) + sizes
+    assert (abs(got - ref) <= 1e-12 * abs(ref) + 1e-15 * terms).all()
+    for k in range(len(lam)):
+        assert phi_eval_vec(spec, lam[k : k + 1].copy()).tobytes() == got[k : k + 1].tobytes()
 
 
 def test_phi_rejects_negative_rates():

@@ -373,6 +373,25 @@ def test_quenched_laplace_fixed_point_divergence():
         quenched_laplace(path, BranchingSpec(c1=80.0), (2.0, 0.0), 1.0)
 
 
+def test_backward_steps_reuse_phi(monkeypatch):
+    """Each step's explicit half is the phi of the step before's last iterate, so a Feller
+    solve makes at most 3 phi calls a step and one to start, not 4 a step."""
+    import cbre2.moments
+
+    calls = []
+
+    def counted(spec, lam):
+        calls.append(len(lam))
+        return phi_eval_vec(spec, lam)
+
+    monkeypatch.setattr(cbre2.moments, "phi_eval_vec", counted)
+    steps = 1000
+    path = sample_env_path(LevyEnvSpec(), 1.0, 1.0 / steps, np.random.default_rng(0))
+    ql = quenched_laplace(path, BranchingSpec(c1=0.6), (1.0, 0.0), 1.0)
+    assert len(ql.v) == steps + 1
+    assert len(calls) <= 3 * steps + 1
+
+
 def test_phi_eval_vec_matches_scalar(phi_reference):
     from cbre2.branching import phi_eval
 

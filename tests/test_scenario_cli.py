@@ -376,6 +376,13 @@ def _set(data, path, value):
                      id="env_rule-kk-unknown"),
         pytest.param("simulate", "coupling.json", ("truncation", "branching_rule"), "bogus",
                      "truncation.branching_rule: unknown branching rule 'bogus'", id="rule-bogus"),
+        # a side or axis is "+"/"-" or an integer, never a bool or a float equal to one
+        *(pytest.param("simulate", "mixed.json", ("environment", "nu"),
+                       [{"kind": "exponential", "mass": 1.0, "rate": 2.0, "side": side}],
+                       "environment.nu.[0].side", id=f"side-{side}") for side in (True, 1.0, -1.0)),
+        *(pytest.param("simulate", "mixed.json", ("branching", "m1"),
+                       [{"kind": "exponential", "mass": 0.5, "rate": 2.0, "axis": axis}],
+                       "branching.m1.[0].axis", id=f"axis-{axis}") for axis in (1.0, 2.0, True)),
     ],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, name, path, value, key):
