@@ -1,8 +1,13 @@
+import hashlib
+import io
 import json
 import math
 import os
+import pathlib
 import re
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -440,12 +445,49 @@ def test_scenario_from_dict_loads_or_raises_config_error(target, value):
     assert dump_scenario(back) == dump_scenario(sc)
 
 
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "cli_digests.json")
+
+
+def _contract_run(kind, name, command, tmp_path):
+    """Run one contract case; return its exit code and the SHA-256 of everything it produced.
+
+    The digest covers the exit code, stdout and stderr with `tmp_path` and
+    `SCENARIO_DIR` replaced by fixed tokens, and each output file's name
+    and bytes in sorted order.  `kind` is "bundled" (the config as shipped)
+    or "truncated" (the config restricted to its truncated system).
+    """
+    if kind == "bundled":
+        config, out = os.path.join(SCENARIO_DIR, name), tmp_path
+    else:
+        config, out = _truncated_config(tmp_path, name), tmp_path / "o"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        rc = main([command, "--config", config, "--paths", "200", "--out", str(out)])
+
+    def norm(text):
+        return text.replace(str(tmp_path), "<tmp>").replace(SCENARIO_DIR, "<scenarios>")
+
+    h = hashlib.sha256(json.dumps([rc, norm(stdout.getvalue()), norm(stderr.getvalue())]).encode())
+    for f in sorted(out.iterdir()) if out.is_dir() else ():
+        data = f.read_bytes()
+        h.update(f"\n{f.name}\n{len(data)}\n".encode())
+        h.update(data)
+    return rc, h.hexdigest()
+
+
+def _golden_digest(kind, name, command):
+    with open(DIGESTS_PATH) as f:
+        return json.load(f)[kind][f"{name} {command}"]
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
 def test_cli_contract_on_bundled_scenarios(tmp_path, command, name):
-    """Every subcommand on every bundled scenario exits 0, 1 or 2 and raises nothing."""
-    config = os.path.join(SCENARIO_DIR, name)
-    assert main([command, "--config", config, "--paths", "200", "--out", str(tmp_path)]) in (0, 1, 2)
+    """Every subcommand on every bundled scenario exits 0, 1 or 2, raises nothing,
+    and produces the bytes recorded in tests/data/cli_digests.json."""
+    rc, digest = _contract_run("bundled", name, command, tmp_path)
+    assert rc in (0, 1, 2)
+    assert digest == _golden_digest("bundled", name, command)
 
 
 RESTRICTED = {"branching_rule": "unit_square", "env_rule": {"kind": "clip_positive", "k": 1.0}}
@@ -540,5 +582,25 @@ def test_cli_moments_unit_square_is_norm_cap_one_on_axis_tails(tmp_path, capsys)
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
 def test_cli_contract_on_truncated_bundled_scenarios(tmp_path, command, name):
     """The same contract on each bundled scenario restricted to its truncated system."""
-    config = _truncated_config(tmp_path, name)
-    assert main([command, "--config", config, "--paths", "200", "--out", str(tmp_path / "o")]) in (0, 1, 2)
+    rc, digest = _contract_run("truncated", name, command, tmp_path)
+    assert rc in (0, 1, 2)
+    assert digest == _golden_digest("truncated", name, command)
+
+
+if __name__ == "__main__":
+    # Rewrites tests/data/cli_digests.json from the current code: run
+    # `PYTHONPATH=src python -m tests.test_scenario_cli` from the repository
+    # root, only for a deliberate change of the outputs, declared in CHANGES.md.
+    digests = {}
+    for kind in ("bundled", "truncated"):
+        digests[kind] = {}
+        for name in sorted(os.listdir(SCENARIO_DIR)):
+            for command in SUBCOMMANDS:
+                with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+                    _, digests[kind][f"{name} {command}"] = _contract_run(
+                        kind, name, command, pathlib.Path(tmp)
+                    )
+    os.makedirs(os.path.dirname(DIGESTS_PATH), exist_ok=True)
+    with open(DIGESTS_PATH, "w") as f:
+        json.dump(digests, f, indent=1, sort_keys=True)
+        f.write("\n")
