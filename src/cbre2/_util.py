@@ -69,3 +69,10 @@ def format_float(x) -> str:
     if xf == int(xf) and abs(xf) < 1e16:
         return str(int(xf))
     return repr(xf)
+
+
+def csv_lines(header: str, rows) -> list[str]:
+    """`header`, then one line per row: strings pass through, the rest goes through `format_float`."""
+    return [header] + [
+        ",".join(v if isinstance(v, str) else format_float(v) for v in row) for row in rows
+    ]

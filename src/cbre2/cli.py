@@ -30,9 +30,7 @@ from .moments import (
 from .env import realize_env_path, sample_env_skeleton
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
 from .simulate import scenario_states, simulate_paths
-from ._util import format_float, fsum_mean_se, z_score
-
-SUBCOMMANDS = ("simulate", "moments", "recursion-check", "laplace", "verify", "fmoment", "couple")
+from ._util import csv_lines, fsum_mean_se, z_score
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -63,12 +61,8 @@ def _cmd_simulate(sc: ScenarioConfig) -> int:
     n_dump = min(sc.output.dump_paths, sc.n_paths)
     if n_dump > 0:
         for i, path in enumerate(simulate_paths(sc, n_dump, sc.seed)):
-            lines = ["t,X1,X2,xi"]
-            lines += [
-                f"{format_float(t)},{format_float(x1)},{format_float(x2)},{format_float(x)}"
-                for t, x1, x2, x in zip(path.grid, path.states[:, 0], path.states[:, 1], path.xi)
-            ]
-            _write(os.path.join(out, f"path_{i:03d}.csv"), lines)
+            rows = zip(path.grid, path.states[:, 0], path.states[:, 1], path.xi)
+            _write(os.path.join(out, f"path_{i:03d}.csv"), csv_lines("t,X1,X2,xi", rows))
     print(
         f"simulate [{sc.name or 'scenario'}]: {sc.n_paths} paths to t={sc.horizon:g}; "
         f"mean X({sc.horizon:g}) = ({m1:.6g}, {m2:.6g}); dumped {n_dump} paths to {out}"
@@ -76,18 +70,17 @@ def _cmd_simulate(sc: ScenarioConfig) -> int:
     return 0
 
 
-def _cmd_moments(sc: ScenarioConfig, degree: int) -> int:
+def _cmd_moments(sc: ScenarioConfig) -> int:
     out = _out_dir(sc)
+    degree = sc.moment_degree
     t_grid = np.linspace(0.0, sc.horizon, 11)
     table = moment_table(sc.environment, sc.branching, sc.x0, t_grid, degree, sc.truncation)
-    lines = ["t,p,q,value,finite_flag"]
-    for p, q in monomial_basis(degree):
-        for k, t in enumerate(t_grid):
-            v = table.values[(p, q)][k]
-            lines.append(
-                f"{format_float(t)},{p},{q},{format_float(v)},{table.finite[(p, q)]}"
-            )
-    _write(os.path.join(out, "moments.csv"), lines)
+    rows = [
+        (t, p, q, table.values[(p, q)][k], table.finite[(p, q)])
+        for p, q in monomial_basis(degree)
+        for k, t in enumerate(t_grid)
+    ]
+    _write(os.path.join(out, "moments.csv"), csv_lines("t,p,q,value,finite_flag", rows))
     n_inf = sum(1 for pq in table.finite if not table.finite[pq])
     print(
         f"moments [{sc.name or 'scenario'}]: degree {degree} on {len(t_grid)} times; "
@@ -96,23 +89,21 @@ def _cmd_moments(sc: ScenarioConfig, degree: int) -> int:
     return 0
 
 
-def _cmd_recursion_check(sc: ScenarioConfig, degree: int) -> int:
+def _cmd_recursion_check(sc: ScenarioConfig) -> int:
     out = _out_dir(sc)
-    degree = max(2, degree)
+    degree = max(2, sc.moment_degree)
     t_grid = [sc.horizon / 2.0, sc.horizon]
     table = moment_table(sc.environment, sc.branching, sc.x0, t_grid, degree, sc.truncation)
-    lines = ["t,n,type,lhs,rhs,residual"]
-    worst = 0.0
-    for n in range(2, degree + 1):
-        for type_index in (1, 2):
-            for t in t_grid:
-                lhs, rhs, res = recursion_check(sc.branching, table, n, type_index, t)
-                worst = max(worst, res)
-                lines.append(
-                    f"{format_float(t)},{n},{type_index},"
-                    f"{format_float(lhs)},{format_float(rhs)},{format_float(res)}"
-                )
-    _write(os.path.join(out, "recursion_check.csv"), lines)
+    rows = [
+        (t, n, type_index, *recursion_check(sc.branching, table, n, type_index, t))
+        for n in range(2, degree + 1)
+        for type_index in (1, 2)
+        for t in t_grid
+    ]
+    worst = 0.0  # max(worst, nan) is worst: a NaN residual leaves the verdict as it is
+    for *_, res in rows:
+        worst = max(worst, res)
+    _write(os.path.join(out, "recursion_check.csv"), csv_lines("t,n,type,lhs,rhs,residual", rows))
     ok = worst < sc.recursion_tol
     print(
         f"recursion-check [{sc.name or 'scenario'}]: orders 2..{degree}, both types; "
@@ -133,12 +124,8 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
     skel = sample_env_skeleton(env, t, sc.step, np.random.default_rng(sc.seed))
     env_path = realize_env_path(env, skel, clip)
     ql = quenched_laplace(env_path, sc.branching, lam, t)
-    lines = ["r,v1,v2"]
-    lines += [
-        f"{format_float(r)},{format_float(v1)},{format_float(v2)}"
-        for r, (v1, v2) in zip(ql.r_grid, ql.v)
-    ]
-    _write(os.path.join(out, "laplace.csv"), lines)
+    rows = zip(ql.r_grid, ql.v[:, 0], ql.v[:, 1])
+    _write(os.path.join(out, "laplace.csv"), csv_lines("r,v1,v2", rows))
     ann, ann_se = annealed_laplace_mc(
         env, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1, clip=clip
     )
@@ -155,14 +142,14 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
     return 0
 
 
-def _cmd_verify(sc: ScenarioConfig, degree: int) -> int:
+def _cmd_verify(sc: ScenarioConfig) -> int:
     """Write verify_<report>.csv for each report of `verify_reports`.
 
     All reports come from one engine pass at the scenario seed, which runs
     the union of the truncation variants they need.
     """
     out = _out_dir(sc)
-    by_name = verify_mod.verify_reports(sc, degree, sc.n_paths, sc.seed)
+    by_name = verify_mod.verify_reports(sc, sc.moment_degree, sc.n_paths, sc.seed)
     for name, rep in by_name.items():
         _write(os.path.join(out, f"verify_{name}.csv"), rep.csv_lines())
     reports = list(by_name.values())
@@ -205,6 +192,18 @@ def _cmd_couple(sc: ScenarioConfig) -> int:
     return 0 if rep.passed else 2
 
 
+COMMANDS = {
+    "simulate": _cmd_simulate,
+    "moments": _cmd_moments,
+    "recursion-check": _cmd_recursion_check,
+    "laplace": _cmd_laplace,
+    "verify": _cmd_verify,
+    "fmoment": _cmd_fmoment,
+    "couple": _cmd_couple,
+}
+SUBCOMMANDS = tuple(COMMANDS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbre2",
@@ -237,22 +236,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             sys.stdout.write(dump_scenario(sc))
             return 0
-        degree = sc.moment_degree
-        if args.command == "simulate":
-            return _cmd_simulate(sc)
-        if args.command == "moments":
-            return _cmd_moments(sc, degree)
-        if args.command == "recursion-check":
-            return _cmd_recursion_check(sc, degree)
-        if args.command == "laplace":
-            return _cmd_laplace(sc)
-        if args.command == "verify":
-            return _cmd_verify(sc, degree)
-        if args.command == "fmoment":
-            return _cmd_fmoment(sc)
-        if args.command == "couple":
-            return _cmd_couple(sc)
-        raise AssertionError(args.command)  # pragma: no cover
+        return COMMANDS[args.command](sc)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -27,10 +27,11 @@ The engine is vectorized over paths and event-driven:
   jumps per path once per window of floor(1 / (lambda_env * step))
   intervals and pre-buckets them by grid interval, so each step only
   adds its own slice;
-- records are streamed: `stream_states` yields the live states and xi at
-  each record time, `simulate_states` stacks the states, `simulate_paths`
-  collects a few full paths, and reductions such as the coupling report
-  consume the stream without a full-grid record.
+- records are streamed: `scenario_stream`, the one engine generator,
+  yields the live states and xi at each record time, `scenario_states`
+  stacks the states, `simulate_paths` collects a few full paths, and
+  reductions such as the coupling report consume the stream without a
+  full-grid record.
 
 In law this is the splitting scheme with per-step thinning and per-step
 Poisson counts; only the order of the random stream differs.
@@ -49,6 +50,7 @@ import numpy as np
 from .branching import BranchingSpec, compensator_moments
 from .env import LevyEnvSpec, _base_grid, env_increments
 from .errors import ConfigError, MassOverflow, NegativeState
+from .scenario import ScenarioConfig
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2
 
@@ -114,23 +116,23 @@ def _max_over(xs: list, cols=slice(None)) -> np.ndarray:
     return out
 
 
-def stream_states(
-    env: LevyEnvSpec,
-    bspec: BranchingSpec,
-    x0,
-    horizon: float,
-    step: float,
+def scenario_stream(
+    scenario,
     n_paths: int,
-    rng: np.random.Generator,
+    seed: int | np.random.Generator,
     record_times=None,
-    predicates=(IDENTITY,),
+    predicates=None,
 ):
-    """Run the batch engine, yielding (t, states, xi) at each record time.
+    """Run the batch engine on `scenario`, yielding (t, states, xi) at each record time.
 
-    `states` lists one (n_paths, 2) array per variant and `xi` one
-    (n_paths,) array of xi(t) per variant, at that variant's environment
-    clip.  They are live views of the engine's state, valid until the
-    generator is resumed.  Record times default to every grid time.
+    The engine reads the scenario's environment, branching, x0, horizon
+    and step.  `seed` is an int or a `np.random.Generator` (passed through
+    `np.random.default_rng`, which returns a generator unchanged), and
+    `predicates` defaults to the scenario's own truncation.  `states`
+    lists one (n_paths, 2) array per variant and `xi` one (n_paths,)
+    array of xi(t) per variant, at that variant's environment clip.  They
+    are live views of the engine's state, valid until the generator is
+    resumed.  Record times default to every grid time.
 
     Branching uses integrated-intensity clocks: each path carries a unit
     exponential budget that every interval decreases by rate * h, with
@@ -140,6 +142,11 @@ def stream_states(
     event picks its type and jump from the shared stream, and each variant
     accepts it with u * ownmax <= own plus its own keep rule.
     """
+    rng = np.random.default_rng(seed)
+    if predicates is None:
+        predicates = (scenario.truncation,)
+    env, bspec, x0 = scenario.environment, scenario.branching, scenario.x0
+    horizon, step = scenario.horizon, scenario.step
     _check_n_paths(n_paths)
     variants = _make_variants(bspec, predicates)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
@@ -222,6 +229,31 @@ def stream_states(
             yield grid[m + 1], [x.T for x in xs], xi_of
 
 
+def scenario_states(
+    scenario,
+    n_paths: int,
+    seed: int | np.random.Generator,
+    record_times=None,
+    predicates=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack what `scenario_stream` yields: (record_times, states).
+
+    `states` is shaped (n_variants, n_paths, n_records, 2).  Environment
+    jumps are aggregated per grid interval (their law at grid points is
+    exact); shared draws across variants implement the monotone coupling.
+    """
+    _check_n_paths(n_paths)
+    if predicates is None:
+        predicates = (scenario.truncation,)
+    grid, rec_idx = _batch_grid(scenario.horizon, scenario.step, record_times)
+    out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
+    stream = scenario_stream(scenario, n_paths, seed, record_times, predicates)
+    for r, (_, states, _) in enumerate(stream):
+        for v, x in enumerate(states):
+            out[v, :, r, :] = x
+    return grid[rec_idx], out
+
+
 def simulate_states(
     env: LevyEnvSpec,
     bspec: BranchingSpec,
@@ -233,66 +265,10 @@ def simulate_states(
     record_times=None,
     predicates=(IDENTITY,),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized simulation of many paths, one state array per variant.
-
-    Environment jumps are aggregated per grid interval (their law at grid
-    points is exact); shared draws across variants implement the monotone
-    coupling.  Stacks what `stream_states` yields and returns
-    (record_times, states) with states shaped
-    (n_variants, n_paths, n_records, 2).
-    """
-    _check_n_paths(n_paths)
-    grid, rec_idx = _batch_grid(horizon, step, record_times)
-    out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
-    stream = stream_states(
-        env, bspec, x0, horizon, step, n_paths, rng,
-        record_times=record_times, predicates=predicates,
+    """`scenario_states` on the scenario made of these inputs."""
+    return scenario_states(
+        ScenarioConfig(env, bspec, x0, horizon, step), n_paths, rng, record_times, predicates
     )
-    for r, (_, states, _) in enumerate(stream):
-        for v, x in enumerate(states):
-            out[v, :, r, :] = x
-    return grid[rec_idx], out
-
-
-def _on_scenario(engine, scenario, n_paths, seed, record_times, predicates):
-    if predicates is None:
-        predicates = (scenario.truncation,)
-    return engine(
-        scenario.environment,
-        scenario.branching,
-        scenario.x0,
-        scenario.horizon,
-        scenario.step,
-        n_paths,
-        np.random.default_rng(seed),
-        record_times=record_times,
-        predicates=predicates,
-    )
-
-
-def scenario_states(
-    scenario,
-    n_paths: int,
-    seed: int,
-    record_times=None,
-    predicates=None,
-):
-    """Batch-engine wrapper taking a scenario object.
-
-    `predicates` defaults to the scenario's own truncation.
-    """
-    return _on_scenario(simulate_states, scenario, n_paths, seed, record_times, predicates)
-
-
-def scenario_stream(
-    scenario,
-    n_paths: int,
-    seed: int,
-    record_times=None,
-    predicates=None,
-):
-    """Generator form of `scenario_states`; yields what `stream_states` yields."""
-    return _on_scenario(stream_states, scenario, n_paths, seed, record_times, predicates)
 
 
 def simulate_paths(

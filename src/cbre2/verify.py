@@ -18,7 +18,7 @@ one-report case of the same pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .moments import (
 )
 from .simulate import scenario_states, scenario_stream
 from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
-from ._util import format_float, fsum_mean_se, z_score
+from ._util import csv_lines, fsum_mean_se, z_score
 
 _DUST = 1e-9  # absorbs floating-point dust in exact (se = 0) comparisons
 SE_MULTIPLE = 3.0  # half-width of a row's pass band, in standard errors
@@ -69,22 +69,7 @@ class EstimateReport:
         self.rows.append(EstimateRow(float(t), statistic, float(estimate), float(se), float(target), float(z), bool(ok)))
 
     def csv_lines(self) -> list[str]:
-        out = ["t,statistic,estimate,se,target,z,pass"]
-        for r in self.rows:
-            out.append(
-                ",".join(
-                    [
-                        format_float(r.t),
-                        r.statistic,
-                        format_float(r.estimate),
-                        format_float(r.se),
-                        format_float(r.target),
-                        format_float(r.z),
-                        str(r.ok),
-                    ]
-                )
-            )
-        return out
+        return csv_lines("t,statistic,estimate,se,target,z,pass", map(astuple, self.rows))
 
 
 def report_times(scenario) -> np.ndarray:

@@ -41,14 +41,26 @@ def test_traced_targets_resolve():
 
 
 def test_positional_reads_match_signatures():
-    """`_count_annealed` and `_count_batch` in bench/spans.py read these arguments by position."""
-    from cbre2.moments import annealed_laplace_mc
-    from cbre2.simulate import scenario_states
+    """`_count_annealed` and `_count_batch` in bench/spans.py read these arguments by
+    position, and bench/run.py and bench/workloads.py pass the others positionally."""
+    from cbre2.env import sample_env_path
+    from cbre2.fmoment import f_moment_verdict
+    from cbre2.moments import annealed_laplace_mc, moment_table, quenched_laplace
+    from cbre2.simulate import scenario_states, simulate_states
 
     annealed = list(inspect.signature(annealed_laplace_mc).parameters)
     assert annealed[4:7] == ["t", "n_env_paths", "step"]
     batch = list(inspect.signature(scenario_states).parameters)
     assert (batch[1], batch[4]) == ("n_paths", "predicates")
+    calls = [  # (function, positional arguments, keywords) as the bench calls it
+        (simulate_states, 7, ["record_times"]),
+        (sample_env_path, 4, []),
+        (quenched_laplace, 4, []),
+        (moment_table, 5, []),
+        (f_moment_verdict, 4, []),
+    ]
+    for f, n_args, keywords in calls:
+        inspect.signature(f).bind(*[None] * n_args, **dict.fromkeys(keywords))  # TypeError if not
 
 
 def _resolves(modname, name):

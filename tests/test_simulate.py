@@ -18,7 +18,7 @@ from cbre2.simulate import (
     simulate_states,
     simulate_paths,
 )
-from cbre2.truncation import BranchingRule, TruncationPredicate, norm_cap
+from cbre2.truncation import IDENTITY, BranchingRule, TruncationPredicate, norm_cap, unit_square
 from tests.conftest import bundled_scenario
 
 
@@ -256,3 +256,32 @@ def test_batch_engine_rejects_empty_path_count(n_paths):
             sc.environment, sc.branching, sc.x0, sc.horizon, sc.step, n_paths,
             np.random.default_rng(0),
         )
+
+
+def _stream_bytes(stream):
+    """Every (t, states, xi) the stream yields, as bytes (its arrays are live views)."""
+    return [
+        (t, [x.tobytes() for x in states], [x.tobytes() for x in xi]) for t, states, xi in stream
+    ]
+
+
+def test_one_engine_entry():
+    """`scenario_stream` is the one engine: the env-first `simulate_states` and a
+    Generator seed reach it unchanged, and `predicates=None` runs the scenario's
+    own truncation."""
+    restricted = TruncationPredicate(unit_square().branching, env_clip=1.0)
+    sc = replace(bundled_scenario("mixed", 0, 0.01), truncation=restricted)
+    n, s, kw = 200, 5, dict(record_times=[0.25, 1.0], predicates=(norm_cap(1.0), IDENTITY))
+
+    t_env, x_env = simulate_states(
+        sc.environment, sc.branching, sc.x0, sc.horizon, sc.step, n,
+        np.random.default_rng(s), **kw,
+    )
+    t_sc, x_sc = scenario_states(sc, n, s, **kw)
+    assert t_env.tobytes() == t_sc.tobytes() and x_env.tobytes() == x_sc.tobytes()
+
+    by_int = _stream_bytes(scenario_stream(sc, n, s))
+    assert _stream_bytes(scenario_stream(sc, n, np.random.default_rng(s))) == by_int
+
+    assert by_int == _stream_bytes(scenario_stream(sc, n, s, predicates=(restricted,)))
+    assert by_int != _stream_bytes(scenario_stream(sc, n, s, predicates=(IDENTITY,)))
