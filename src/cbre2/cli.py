@@ -139,7 +139,7 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
         f"annealed {ann:.6g} (se {ann_se:.2g}) vs direct MC {direct:.6g} "
         f"(se {direct_se:.2g}), z = {z:+.2f}"
     )
-    return 0
+    return 0 if abs(z) <= 4.0 else 2  # also 2 for an infinite or NaN z
 
 
 def _cmd_verify(sc: ScenarioConfig) -> int:

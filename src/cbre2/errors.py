@@ -10,7 +10,7 @@ class DivergentExponent(Cbre2Error):
 
 
 class ExponentOverflow(Cbre2Error):
-    """An exponential moment of the environment is finite but leaves the float range."""
+    """A finite exponential moment, jump moment or drift flow leaves the float range."""
 
 
 class DivergentCrossMoment(Cbre2Error):

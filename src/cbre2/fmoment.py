@@ -2,8 +2,8 @@
 
 Classification is symbolic: the growth exponent of the test function is
 compared against the decay of each parametric tail component, so the
-finite/infinite verdict is exact wherever the comparison table has a
-rule, and Unknown elsewhere.  Numeric quadrature is never used to decide
+verdict, Finite or Infinite, is exact for every curated family against
+every tail family.  Numeric quadrature is never used to decide
 divergence.
 
 Curated families: power (1+x)^p, power-log (1+x)^p log(e+x) with p >= 1,
@@ -33,7 +33,6 @@ from .truncation import IDENTITY, KEEP_ALL, BranchingRule, TruncationPredicate
 
 FINITE = "Finite"
 INFINITE = "Infinite"
-UNKNOWN = "Unknown"
 
 POWER = "power"
 POWER_LOG = "power_log"
@@ -46,7 +45,7 @@ class MomentTestFunction:
 
     `rho` is the infimum exponent with f(x) = O(x^rho) (inf for
     exp-power).  Against a Pareto tail of index exactly rho, both power
-    and power-log are Infinite (`_classify_branching_component`).
+    and power-log are Infinite (`classify_branching_tail`).
     """
 
     family: str
@@ -54,6 +53,10 @@ class MomentTestFunction:
     K: float
     rho: float
     b_certified: bool
+
+    def __post_init__(self):
+        if self.family not in (POWER, POWER_LOG, EXP_POWER):
+            raise ValueError(f"unknown test-function family {self.family!r}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -163,79 +166,36 @@ def condition_b_check(f) -> ConditionBResult:
 # Tail classification
 # ---------------------------------------------------------------------------
 
-def _classify_branching_component(f: MomentTestFunction, family: str, shape: float) -> str:
-    """Integral of f(|z|) against an unbounded axis tail over |z| >= 1."""
-    if family == PARETO:
-        alpha = shape
-        if f.family in (POWER, POWER_LOG):
-            if f.rho < alpha:
-                return FINITE
-            return INFINITE  # equality diverges: pure power picks up a log,
-            # power-log carries the log explicitly
-        if f.family == EXP_POWER:
-            return INFINITE
-        return UNKNOWN
-    if family == EXPONENTIAL:
-        rate = shape
-        if f.family in (POWER, POWER_LOG):
-            return FINITE
-        if f.family == EXP_POWER:
-            theta, gamma = f.params
-            if gamma < 1.0:
-                return FINITE
-            return FINITE if theta < rate else INFINITE
-        return UNKNOWN
-    return UNKNOWN
-
-
-def _classify_env_component(f: MomentTestFunction, family: str, shape: float) -> str:
-    """Integral of f(e^z) against an unbounded positive tail over z > 1."""
-    if family == EXPONENTIAL:
-        rate = shape
-        if f.family in (POWER, POWER_LOG):
-            return FINITE if f.rho < rate else INFINITE
-        if f.family == EXP_POWER:
-            return INFINITE  # f(e^z) grows superexponentially in z
-        return UNKNOWN
-    if family == PARETO:
-        # polynomial decay in z cannot integrate any e^{rho z} growth
-        return INFINITE
-    return UNKNOWN
-
-
-def _combine(classes) -> str:
-    classes = list(classes)
-    if INFINITE in classes:
-        return INFINITE
-    if UNKNOWN in classes:
-        return UNKNOWN
-    return FINITE
-
-
 def classify_branching_tail(
     f: MomentTestFunction, *measures: JumpMeasure, rule: BranchingRule = KEEP_ALL
 ) -> str:
-    """Classify the integral of f(|z|) over |z| >= 1 against branching measures."""
-    classes = [FINITE]
-    for m in measures:
-        for t in m.tails:
-            if math.isfinite(rule.axis_bound):
-                continue  # truncated tail has bounded support
-            classes.append(_classify_branching_component(f, t.family, t.shape))
-        # atoms always integrate finitely
-    return _combine(classes)
+    """Whether f(|z|) integrates over |z| >= 1 against branching measures: Finite or Infinite.
+
+    Atoms and tails the rule bounds integrate everything.  A Pareto tail
+    integrates growth of exponent rho only below its index (at equality a
+    pure power picks up a log, and power-log carries one); an exponential
+    tail integrates everything except exp(theta z) with theta >= its rate.
+    """
+    finite = math.isfinite(rule.axis_bound) or all(
+        f.rho < t.shape
+        if t.family == PARETO
+        else not (f.family == EXP_POWER and f.params[1] == 1.0 and f.params[0] >= t.shape)
+        for m in measures for t in m.tails
+    )
+    return FINITE if finite else INFINITE
 
 
 def classify_env_tail(f: MomentTestFunction, nu: JumpMeasure1D, clip: float = math.inf) -> str:
-    """Classify the integral of f(e^z) over z > 1 against the environment measure."""
-    classes = [FINITE]
-    if math.isfinite(clip):
-        return FINITE
-    for t in nu.tails:
-        if t.side < 0:
-            continue
-        classes.append(_classify_env_component(f, t.family, t.shape))
-    return _combine(classes)
+    """Whether f(e^z) integrates over z > 1 against the environment measure: Finite or Infinite.
+
+    It does iff the positive jumps are clipped or every positive tail is
+    exponential with a rate above rho: polynomial decay in z integrates no
+    e^{rho z} growth, and exp-power outgrows every exponential in z.
+    """
+    finite = math.isfinite(clip) or all(
+        t.family == EXPONENTIAL and f.rho < t.shape for t in nu.tails if t.side > 0
+    )
+    return FINITE if finite else INFINITE
 
 
 @dataclass
@@ -254,7 +214,7 @@ def f_moment_verdict(
     f: MomentTestFunction,
     truncation: TruncationPredicate = IDENTITY,
 ) -> FMomentVerdict:
-    """Finite/Infinite/Unknown verdict for E f(|X(t)|), t > 0, with breakdown.
+    """Finite or Infinite verdict for E f(|X(t)|), t > 0, with breakdown.
 
     Finite iff the initial criterion (automatic for a deterministic
     nonzero start), the branching-tail criterion, and the
@@ -272,4 +232,4 @@ def f_moment_verdict(
         "branching_tail": branching,
         "environment_tail": environment,
     }
-    return FMomentVerdict(_combine(criteria.values()), criteria)
+    return FMomentVerdict(INFINITE if INFINITE in criteria.values() else FINITE, criteria)

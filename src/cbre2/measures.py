@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentCrossMoment
+from .errors import DivergentCrossMoment, ExponentOverflow
 from .truncation import KEEP_ALL, BranchingRule
 
 EXPONENTIAL = "exponential"
@@ -135,10 +135,16 @@ class _Tail:
             return self.mass * a * self.x0**a * lo**m * math.expm1(m * w) / m
         th = self.shape
         u = th * (bound - lo)
-        return self.mass * math.exp(-th * (lo - self.x0)) * math.fsum(
-            math.comb(r, i) * lo ** (r - i) * math.factorial(i) / th**i * _gamma_cdf(i + 1, u)
-            for i in range(r + 1)
-        )
+        try:
+            val = self.mass * math.exp(-th * (lo - self.x0)) * math.fsum(
+                math.comb(r, i) * lo ** (r - i) * math.factorial(i) / th**i * _gamma_cdf(i + 1, u)
+                for i in range(r + 1)
+            )
+        except ZeroDivisionError:  # th**i underflows to 0
+            val = math.inf
+        if not math.isfinite(val):
+            raise ExponentOverflow(f"exponential tail of rate {th:g}: order-{r} moment overflows")
+        return val
 
 
 class _Measure:
@@ -405,11 +411,9 @@ class JumpMeasure(_Measure):
 
     def norm_moment_finite(self, n: int, rule: BranchingRule = KEEP_ALL) -> bool:
         """Whether the integral of |z|^n over the region `rule` keeps is finite."""
-        if math.isfinite(rule.axis_bound):
-            return True
-        # on an axis |z| is the magnitude itself
-        return all(
-            not (t.family == PARETO and n >= t.shape) for t in self.tails
+        # on an axis |z| is the magnitude itself, and a bounded one has every moment
+        return math.isfinite(rule.axis_bound) or all(
+            math.isfinite(t.moment_mag(n)) for t in self.tails
         )
 
     def phi_integral(self, lam1, lam2, own_axis: int):

@@ -125,21 +125,15 @@ def build_moment_generator(
             g[row, idx[(p - 1, q)]] += spec.c1 * p * (p - 1)
         if q >= 2:
             g[row, idx[(p, q - 1)]] += spec.c2 * q * (q - 1)
-        if not spec.m1.is_zero:
+        for m, (e1, e2) in ((spec.m1, (1, 0)), (spec.m2, (0, 1))):
+            if m.is_zero:
+                continue
             for i in range(p + 1):
                 for j in range(q + 1):
-                    if (i, j) == (p, q) or (i, j) == (p - 1, q):
+                    if (i, j) in ((p, q), (p - e1, q - e2)):
                         continue
-                    g[row, idx[(i + 1, j)]] += (
-                        math.comb(p, i) * math.comb(q, j) * mu(spec.m1, p - i, q - j)
-                    )
-        if not spec.m2.is_zero:
-            for i in range(p + 1):
-                for j in range(q + 1):
-                    if (i, j) == (p, q) or (i, j) == (p, q - 1):
-                        continue
-                    g[row, idx[(i, j + 1)]] += (
-                        math.comb(p, i) * math.comb(q, j) * mu(spec.m2, p - i, q - j)
+                    g[row, idx[(i + e1, j + e2)]] += (
+                        math.comb(p, i) * math.comb(q, j) * mu(m, p - i, q - j)
                     )
     return MomentGenerator(n, basis, g, tuple(beta), truncation)
 

@@ -353,38 +353,31 @@ def load_scenario(path: str) -> ScenarioConfig:
     return scenario_from_dict(data, source_text=text)
 
 
-def _component_1d_dict(c):
-    if isinstance(c, Atom1D):
-        return {"kind": "atom", "mass": c.mass, "z": c.z}
-    d = {"kind": c.family, "mass": c.mass, "x0": c.x0, "side": "+" if c.side > 0 else "-"}
-    d["rate" if c.family == "exponential" else "alpha"] = c.shape
-    return d
-
-
-def _component_2d_dict(c):
-    if isinstance(c, Atom2D):
-        return {"kind": "atom", "mass": c.mass, "z": [c.z1, c.z2]}
-    d = {"kind": c.family, "axis": c.axis, "mass": c.mass, "x0": c.x0}
-    d["rate" if c.family == "exponential" else "alpha"] = c.shape
-    return d
+def _component_dict(c) -> dict:
+    """One jump component as `_component` reads it."""
+    if isinstance(c, (Atom1D, Atom2D)):
+        z = c.z if isinstance(c, Atom1D) else [c.z1, c.z2]
+        return {"kind": "atom", "mass": c.mass, "z": z}
+    where = {"axis": c.axis} if isinstance(c, AxisTail) else {"side": "+" if c.side > 0 else "-"}
+    shape = "rate" if c.family == "exponential" else "alpha"
+    return {"kind": c.family, "mass": c.mass, "x0": c.x0, shape: c.shape, **where}
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
-    env = sc.environment
-    br = sc.branching
+    env, br, rule = sc.environment, sc.branching, sc.truncation.branching
     d = {
         "name": sc.name,
         "environment": {
             "a": env.a,
             "sigma1": env.sigma1,
-            "nu": [_component_1d_dict(c) for c in env.nu.atoms + env.nu.tails],
+            "nu": [_component_dict(c) for c in env.nu.atoms + env.nu.tails],
         },
         "branching": {
             "b": [[br.b11, br.b12], [br.b21, br.b22]],
             "c1": br.c1,
             "c2": br.c2,
-            "m1": [_component_2d_dict(c) for c in br.m1.atoms + br.m1.tails],
-            "m2": [_component_2d_dict(c) for c in br.m2.atoms + br.m2.tails],
+            "m1": [_component_dict(c) for c in br.m1.atoms + br.m1.tails],
+            "m2": [_component_dict(c) for c in br.m2.atoms + br.m2.tails],
         },
         "x0": list(sc.x0),
         "horizon": sc.horizon,
@@ -394,13 +387,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
         "moment_degree": sc.moment_degree,
         "recursion_tol": sc.recursion_tol,
         "truncation": {
-            "branching_rule": (
-                "none"
-                if sc.truncation.branching.kind == NONE
-                else "unit_square"
-                if sc.truncation.branching.kind == UNIT_SQUARE
-                else {"kind": "norm_cap", "k": sc.truncation.branching.k}
-            ),
+            "branching_rule": {"kind": NORM_CAP, "k": rule.k} if rule.kind == NORM_CAP else rule.kind,
             "env_rule": (
                 "none"
                 if math.isinf(sc.truncation.env_clip)

@@ -43,13 +43,13 @@ with diffusion on, ordering holds in expectation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .branching import BranchingSpec, compensator_moments
 from .env import LevyEnvSpec, _base_grid, env_increments
-from .errors import ConfigError, MassOverflow, NegativeState
+from .errors import ConfigError, ExponentOverflow, MassOverflow, NegativeState
 from .scenario import ScenarioConfig
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2
@@ -66,26 +66,18 @@ class StatePath:
     xi: np.ndarray  # xi(t) at each grid time, at the path's environment clip
 
 
-@dataclass
-class _Variant:
-    """Per-truncation-variant ingredients of the splitting scheme."""
-
-    predicate: TruncationPredicate
-    mu1: float
-    mu2: float
-    drift_cache: dict = field(default_factory=dict)
-
-    def drift_matrix(self, bspec: BranchingSpec, h: float) -> np.ndarray:
-        d = self.drift_cache.get(h)
-        if d is None:
-            a = -(bspec.b.T + np.diag([self.mu1, self.mu2]))
-            d = expm2(a * h)
-            self.drift_cache[h] = d
-        return d
-
-
-def _make_variants(bspec: BranchingSpec, predicates) -> list[_Variant]:
-    return [_Variant(pred, *compensator_moments(bspec, pred)) for pred in predicates]
+def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) -> list:
+    """exp(-(b^T + diag(mu)) h) for each step h, mu the predicate's compensator moments."""
+    mu = compensator_moments(bspec, predicate)
+    a = -(bspec.b.T + np.diag(mu))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            flows = [expm2(a * h) for h in steps]
+    except OverflowError:
+        flows = [np.full((2, 2), math.inf)]
+    if not all(np.isfinite(d).all() for d in flows):
+        raise ExponentOverflow(f"the drift flow leaves the float range (compensator moments {mu})")
+    return flows
 
 
 def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, np.ndarray]:
@@ -143,26 +135,28 @@ def scenario_stream(
     accepts it with u * ownmax <= own plus its own keep rule.
     """
     rng = np.random.default_rng(seed)
-    if predicates is None:
-        predicates = (scenario.truncation,)
+    predicates = (scenario.truncation,) if predicates is None else tuple(predicates)
     env, bspec, x0 = scenario.environment, scenario.branching, scenario.x0
     horizon, step = scenario.horizon, scenario.step
     _check_n_paths(n_paths)
-    variants = _make_variants(bspec, predicates)
     grid, rec_idx = _batch_grid(horizon, step, record_times)
+    # each variant's exact drift flow for each distinct step, and its clip's index
+    steps, step_of = np.unique(np.diff(grid), return_inverse=True)
+    flows = [_drift_flows(bspec, pred, steps) for pred in predicates]
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
     branching = lam.any()
-    clips = list(dict.fromkeys(var.predicate.env_clip for var in variants))
+    clips = list(dict.fromkeys(pred.env_clip for pred in predicates))
+    clip_of = [clips.index(pred.env_clip) for pred in predicates]
     env_incs = env_increments(env, grid, step, n_paths, rng, clips)
     max_events = DEFAULT_EVENTS_CAP * horizon
 
     # states are kept as (2, n_paths): each coordinate is contiguous
-    xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in variants]
+    xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in predicates]
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
     scratch = np.empty(n_paths)
     xi = [np.zeros(n_paths) for _ in clips]
-    xi_of = [xi[clips.index(var.predicate.env_clip)] for var in variants]
+    xi_of = [xi[c] for c in clip_of]
     rec_pos = set(int(g) for g in rec_idx)
     if 0 in rec_pos:
         yield grid[0], [x.T for x in xs], xi_of
@@ -170,8 +164,8 @@ def scenario_stream(
     for m in range(len(grid) - 1):
         h = grid[m + 1] - grid[m]
         # 1. exact linear drift flow
-        for v, var in enumerate(variants):
-            xs[v] = var.drift_matrix(bspec, h) @ xs[v]
+        for v, flow in enumerate(flows):
+            xs[v] = flow[step_of[m]] @ xs[v]
         # 2. diffusion with clamping (noise shared across variants), fused into
         # one scratch buffer: max(x + sqrt(2c x) sh g, 0)
         sh = math.sqrt(h)
@@ -208,9 +202,9 @@ def scenario_stream(
                 u_acc = rng.random(k)
                 own_row = np.where(is1, 0, 1)
                 ownmax = np.where(is1, xm[0], xm[1])
-                for x, var in zip(xs, variants):
+                for x, pred in zip(xs, predicates):
                     acc = u_acc * ownmax <= x[own_row, active]
-                    acc &= var.predicate.branching.keep(z)
+                    acc &= pred.branching.keep(z)
                     if acc.any():
                         x[:, active[acc]] += z[acc].T
                 # a fresh budget, less what the rest of the interval consumes
@@ -221,8 +215,8 @@ def scenario_stream(
         mults = [np.exp(d) for d in incs]
         for acc, d in zip(xi, incs):
             acc += d
-        for x, var in zip(xs, variants):
-            x *= mults[clips.index(var.predicate.env_clip)]
+        for x, c in zip(xs, clip_of):
+            x *= mults[c]
             if x.min() < 0:
                 raise NegativeState("state went negative")  # pragma: no cover
         if m + 1 in rec_pos:
@@ -243,8 +237,7 @@ def scenario_states(
     exact); shared draws across variants implement the monotone coupling.
     """
     _check_n_paths(n_paths)
-    if predicates is None:
-        predicates = (scenario.truncation,)
+    predicates = (scenario.truncation,) if predicates is None else predicates
     grid, rec_idx = _batch_grid(scenario.horizon, scenario.step, record_times)
     out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
     stream = scenario_stream(scenario, n_paths, seed, record_times, predicates)

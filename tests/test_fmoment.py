@@ -10,6 +10,7 @@ from cbre2.errors import ZeroInitialState
 from cbre2.fmoment import (
     FINITE,
     INFINITE,
+    MomentTestFunction,
     classify_branching_tail,
     classify_env_tail,
     condition_b_check,
@@ -104,6 +105,25 @@ def test_classify_exp_power():
 def test_classify_negative_env_tail_is_finite():
     nu = JumpMeasure1D(tails=[Tail1D("exponential", 0.5, 1.0, 1.0, side=-1)])
     assert classify_env_tail(power(5.0), nu) == FINITE
+
+
+def test_classify_power_vs_branching_exponential():
+    exp_m = JumpMeasure(tails=[AxisTail(1, "exponential", 0.5, 0.1, 0.0)])
+    assert classify_branching_tail(power(9.0), exp_m) == FINITE
+    assert classify_branching_tail(power_log(9.0), exp_m) == FINITE
+
+
+def test_classify_env_pareto_tail():
+    """A Pareto environment tail integrates no f(e^z) growth unless clipped or on the negative side."""
+    for side, clip, expected in ((1, math.inf, INFINITE), (1, 2.0, FINITE), (-1, math.inf, FINITE)):
+        nu = JumpMeasure1D(tails=[Tail1D("pareto", 0.4, 8.0, 1.0, side)])
+        for f in (power(1.0), exp_power(0.1, 0.5)):
+            assert classify_env_tail(f, nu, clip) == expected, (side, clip, f.describe())
+
+
+def test_unknown_family_is_rejected():
+    with pytest.raises(ValueError, match="unknown test-function family"):
+        MomentTestFunction("log", (1.0,), 1.0, 0.0, False)
 
 
 def test_truncation_makes_everything_finite():

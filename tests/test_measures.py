@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbre2.errors import DivergentCrossMoment
+from cbre2.errors import DivergentCrossMoment, ExponentOverflow
 from cbre2.measures import (
     Atom1D,
     Atom2D,
@@ -15,6 +15,19 @@ from cbre2.measures import (
     Tail1D,
 )
 from cbre2.truncation import BranchingRule
+
+
+def test_moments_beyond_the_float_range():
+    """A capped tail has every norm moment without computing one; an exponential moment past
+    the float range is an error, not a divergence."""
+    pareto = JumpMeasure(tails=[AxisTail(1, "pareto", 0.5, 2.5, 1.0)])
+    assert pareto.norm_moment_finite(6, BranchingRule("norm_cap", 1e300))
+    flat = AxisTail(1, "exponential", 0.5, 1e-200, 0.0)
+    assert flat.moment_mag(1) == pytest.approx(0.5e200)
+    with pytest.raises(ExponentOverflow):
+        flat.moment_mag(2)
+    with pytest.raises(ExponentOverflow):
+        JumpMeasure(tails=[flat]).norm_moment_finite(2)
 
 
 def test_atom_moments():

@@ -532,13 +532,28 @@ def test_cli_laplace_on_the_clipped_environment(tmp_path, capsys):
 
 
 def test_cli_laplace_z_with_zero_standard_errors(tmp_path, capsys):
-    """One path on each side: both se are 0, and estimates that differ give an infinite z."""
+    """One path on each side: both se are 0, and estimates that differ give an infinite z (exit 2)."""
     args = ["laplace", "--config", _scen("laplace.json"), "--paths", "1", "--out", str(tmp_path)]
-    assert main(args) == 0
+    assert main(args) == 2
     out = capsys.readouterr().out
     ann, direct = (float(x) for x in re.search(r"annealed (\S+) .* direct MC (\S+) ", out).groups())
     assert "(se 0)" in out and ann != direct
     assert f"z = {'+' if ann > direct else '-'}inf" in out
+
+
+@pytest.mark.parametrize("rate, command", [
+    (1e-200, "moments"), (1e-200, "verify"), (1e-200, "recursion-check"), (1e-200, "simulate"),
+    (1e-120, "simulate"), (1e-120, "verify"),
+])
+def test_cli_extreme_exponential_tail_is_an_error(tmp_path, capsys, rate, command):
+    """A jump moment or drift flow beyond the float range exits 1 with one error line, no warning."""
+    tail = {"kind": "exponential", "axis": 1, "mass": 0.5, "rate": rate}
+    config = _edited_config(tmp_path, "mixed.json", lambda d: d["branching"].__setitem__("m1", [tail]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", config, "--paths", "20", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ExponentOverflow: ") and err.count("\n") == 1
 
 
 def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):

@@ -36,6 +36,20 @@ def test_linear_ode_limit():
     assert np.max(np.abs(states[0, 0, 0] - expected) / expected) < 1e-3
 
 
+def test_drift_flow_of_every_distinct_step():
+    """All noise off: each recorded state is exp(-b^T t) x0, also after the steps a record time adds."""
+    from scipy.linalg import expm
+
+    bspec = BranchingSpec(b11=0.7, b12=-0.3, b21=-0.2, b22=1.1)
+    x0 = np.array([2.0, 3.0])
+    sc = _plain_scenario(LevyEnvSpec(), bspec, tuple(x0), 1.0, 0.01)
+    times, states = scenario_states(sc, 2, 0, record_times=[0.3337, 1.0])
+    assert times.tolist() == [0.3337, 1.0]
+    for r, t in enumerate(times):
+        expected = expm(-bspec.b.T * t) @ x0
+        assert np.max(np.abs(states[0, :, r] - expected)) < 1e-12
+
+
 def test_environment_factorization_exact():
     """Branching off: X(t) = x0 e^{xi(t)} exactly at grid points."""
     env = LevyEnvSpec(
