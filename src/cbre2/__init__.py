@@ -26,7 +26,6 @@ from .errors import (
     InvalidStep,
     MassOverflow,
     NegativeState,
-    RankDeficientGrid,
     ZeroInitialState,
 )
 from .fmoment import (
@@ -52,9 +51,9 @@ from .moments import (
     annealed_laplace_mc,
     build_moment_generator,
     first_moment_closed_form,
+    moment_polynomial,
     moment_table,
     monomial_basis,
-    polynomial_degree_check,
     quenched_laplace,
     recursion_check,
     recursion_coefficients,

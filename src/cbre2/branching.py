@@ -105,6 +105,16 @@ def phi_eval_vec(spec: BranchingSpec, lam: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def kept_jump_means(spec: BranchingSpec, truncation: TruncationPredicate = IDENTITY) -> np.ndarray:
+    """K[i, j]: the integral of z_{j+1} over the jumps of m_{i+1} that the truncation keeps.
+
+    The diagonal holds the drift corrections of the compensated jump
+    integrals; the off-diagonal entries correct the drift matrix.
+    """
+    rule = truncation.branching
+    return np.array([[m.moment(1, 0, rule), m.moment(0, 1, rule)] for m in (spec.m1, spec.m2)])
+
+
 def effective_drift_matrix(
     spec: BranchingSpec, truncation: TruncationPredicate = IDENTITY
 ) -> np.ndarray:
@@ -114,23 +124,5 @@ def effective_drift_matrix(
     over m2, both over the jumps the truncation keeps; diagonal entries
     are unchanged.
     """
-    rule = truncation.branching
-    mu1_z2 = spec.m1.moment(0, 1, rule)
-    mu2_z1 = spec.m2.moment(1, 0, rule)
-    return np.array(
-        [[spec.b11, spec.b12 - mu1_z2], [spec.b21 - mu2_z1, spec.b22]]
-    )
-
-
-def compensator_moments(
-    spec: BranchingSpec, predicate: TruncationPredicate = IDENTITY
-) -> tuple[float, float]:
-    """First own-coordinate moments of the kept jump regions.
-
-    These are the drift corrections of the compensated jump integrals:
-    the z1 moment of m1 and the z2 moment of m2, both restricted to the
-    jumps the predicate keeps.
-    """
-    mu1 = spec.m1.moment(1, 0, predicate.branching)
-    mu2 = spec.m2.moment(0, 1, predicate.branching)
-    return mu1, mu2
+    k = kept_jump_means(spec, truncation)
+    return spec.b - (k - np.diag(np.diag(k)))

@@ -41,10 +41,6 @@ class FixedPointDivergence(Cbre2Error):
     """Per-step fixed-point iteration of the backward Laplace equation did not converge."""
 
 
-class RankDeficientGrid(Cbre2Error):
-    """Initial-value grid does not span the polynomial basis."""
-
-
 class ZeroInitialState(Cbre2Error):
     """Initial state (0, 0) violates the nondegeneracy hypothesis of the f-moment criterion."""
 

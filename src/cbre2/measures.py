@@ -121,29 +121,30 @@ class _Tail:
         lo = max(lo, self.x0)
         if bound <= lo:
             return 0.0
-        if self.family == PARETO:
+        if self.family == PARETO and math.isinf(bound):
             a = self.shape
-            if math.isinf(bound):
-                if r >= a:
-                    return math.inf
-                return self.mass * a * self.x0**r / (a - r) * (self.x0 / lo) ** (a - r)
-            # log1p and expm1 of the relative width keep their digits when bound ~ lo
-            w = math.log1p((bound - lo) / lo)
-            if r == a:
-                return self.mass * a * self.x0**a * w
-            m = r - a
-            return self.mass * a * self.x0**a * lo**m * math.expm1(m * w) / m
-        th = self.shape
-        u = th * (bound - lo)
+            if r >= a:
+                return math.inf
+            return self.mass * a * self.x0**r / (a - r) * (self.x0 / lo) ** (a - r)
         try:
-            val = self.mass * math.exp(-th * (lo - self.x0)) * math.fsum(
-                math.comb(r, i) * lo ** (r - i) * math.factorial(i) / th**i * _gamma_cdf(i + 1, u)
-                for i in range(r + 1)
-            )
-        except ZeroDivisionError:  # th**i underflows to 0
+            if self.family == PARETO:
+                a, m = self.shape, r - self.shape
+                # log1p and expm1 of the relative width keep their digits when bound ~ lo
+                w = math.log1p((bound - lo) / lo)
+                val = (self.mass * a * self.x0**a * w if r == a
+                       else self.mass * a * self.x0**a * lo**m * math.expm1(m * w) / m)
+            else:
+                th = self.shape
+                u = th * (bound - lo)
+                val = self.mass * math.exp(-th * (lo - self.x0)) * math.fsum(
+                    math.comb(r, i) * lo ** (r - i) * math.factorial(i) / th**i * _gamma_cdf(i + 1, u)
+                    for i in range(r + 1)
+                )
+        except (OverflowError, ZeroDivisionError):  # expm1 overflows, or th**i underflows to 0
             val = math.inf
         if not math.isfinite(val):
-            raise ExponentOverflow(f"exponential tail of rate {th:g}: order-{r} moment overflows")
+            shape = "rate" if self.family == EXPONENTIAL else "index"
+            raise ExponentOverflow(f"{self.family} tail of {shape} {self.shape:g}: order-{r} moment overflows")
         return val
 
 

@@ -24,7 +24,6 @@ from .errors import (
     ExponentOverflow,
     FixedPointDivergence,
     HypothesisViolated,
-    RankDeficientGrid,
 )
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2, fsum_mean_se
@@ -108,12 +107,6 @@ def build_moment_generator(
     g = np.zeros((size, size))
     beta = [0.0] + [levy_exponent(env, d, truncation.env_clip) for d in range(1, n + 1)]
 
-    def mu(measure, r, s):
-        val = measure.moment(r, s, rule) if r + s >= 1 else 0.0
-        if math.isinf(val):  # pragma: no cover - guarded by hypotheses_hold
-            raise HypothesisViolated("jump moment diverges")
-        return val
-
     for row, (p, q) in enumerate(basis):
         d = p + q
         g[row, row] += beta[d] - p * spec.b11 - q * spec.b22
@@ -133,7 +126,7 @@ def build_moment_generator(
                     if (i, j) in ((p, q), (p - e1, q - e2)):
                         continue
                     g[row, idx[(i + e1, j + e2)]] += (
-                        math.comb(p, i) * math.comb(q, j) * mu(m, p - i, q - j)
+                        math.comb(p, i) * math.comb(q, j) * m.moment(p - i, q - j, rule)
                     )
     return MomentGenerator(n, basis, g, tuple(beta), truncation)
 
@@ -206,18 +199,15 @@ def moment_table(
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     feasible = max_feasible_degree(env, spec, degree, truncation)
-    if feasible == 0:
-        values = {pq: np.full(len(t_grid), math.inf) for pq in monomial_basis(degree)}
-        finite = {pq: False for pq in values}
-        return MomentTable(degree, t_grid, values, finite)
-    gen = build_moment_generator(env, spec, feasible, truncation)
-    table = solve_moment_ode(gen, x0, t_grid)
-    if feasible < degree:
-        table.degree = degree
-        for pq in monomial_basis(degree):
-            if pq not in table.values:
-                table.values[pq] = np.full(len(t_grid), math.inf)
-                table.finite[pq] = False
+    if feasible:
+        table = solve_moment_ode(build_moment_generator(env, spec, feasible, truncation), x0, t_grid)
+    else:
+        table = MomentTable(degree, t_grid, {}, {})
+    table.degree = degree
+    # the basis is degree-major, so the feasible monomials are its first entries
+    for pq in monomial_basis(degree)[len(table.values):]:
+        table.values[pq] = np.full(len(t_grid), math.inf)
+        table.finite[pq] = False
     return table
 
 
@@ -326,52 +316,19 @@ def recursion_check(
 # Polynomial dependence on the initial state
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PolynomialFit:
-    coefficients: dict
-    residual: float
-    max_degree: int
+def moment_polynomial(
+    env: LevyEnvSpec, spec: BranchingSpec, n: int, type_index: int, t: float
+) -> dict:
+    """E[X_i(t)^n] as a polynomial of the initial state: {(p, q): coefficient of x1^p x2^q}.
 
-
-def polynomial_degree_check(
-    env: LevyEnvSpec,
-    spec: BranchingSpec,
-    n: int,
-    type_index: int,
-    t: float,
-    x_grid,
-    fit_degree: int | None = None,
-) -> PolynomialFit:
-    """Least-squares fit of E[X_i(t)^n] as a polynomial of the initial state.
-
-    Reports the fitted coefficients, the max fit residual over the grid,
-    and the largest total degree carrying a coefficient above 1e-8.
+    The coefficients are row (n, 0) (type 1) or (0, n) (type 2) of expm(G t),
+    keyed by the generator's basis, so the degree is at most n.
     """
-    if fit_degree is None:
-        fit_degree = n
-    x_grid = [(float(x[0]), float(x[1])) for x in x_grid]
-    fit_basis = [(0, 0)] + list(monomial_basis(fit_degree))
-    if len(x_grid) < len(fit_basis):
-        raise RankDeficientGrid(
-            f"need at least {len(fit_basis)} initial states, got {len(x_grid)}"
-        )
-    gen = build_moment_generator(env, spec, n)
     from scipy.linalg import expm
 
-    weights = expm(gen.matrix * t)[gen.index(n, 0) if type_index == 1 else gen.index(0, n)]
-    y = np.array([weights @ initial_moment_vector(gen, x) for x in x_grid])
-    design = np.array([[x1**p * x2**q for p, q in fit_basis] for x1, x2 in x_grid])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < len(fit_basis):
-        raise RankDeficientGrid("initial-state grid does not span the polynomial basis")
-    residual = float(np.max(np.abs(design @ coef - y)))
-    degrees = [p + q for p, q in fit_basis]
-    big = [d for d, c in zip(degrees, coef) if abs(c) > 1e-8]
-    return PolynomialFit(
-        {pq: float(c) for pq, c in zip(fit_basis, coef)},
-        residual,
-        max(big) if big else 0,
-    )
+    gen = build_moment_generator(env, spec, n)
+    row = expm(gen.matrix * t)[gen.index(n, 0) if type_index == 1 else gen.index(0, n)]
+    return {pq: float(c) for pq, c in zip(gen.basis, row)}
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingSpec, compensator_moments
+from .branching import BranchingSpec, kept_jump_means
 from .env import LevyEnvSpec, _base_grid, env_increments
 from .errors import ConfigError, ExponentOverflow, MassOverflow, NegativeState
 from .scenario import ScenarioConfig
@@ -67,8 +67,8 @@ class StatePath:
 
 
 def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) -> list:
-    """exp(-(b^T + diag(mu)) h) for each step h, mu the predicate's compensator moments."""
-    mu = compensator_moments(bspec, predicate)
+    """exp(-(b^T + diag(mu)) h) for each step h, mu the own-coordinate kept jump means."""
+    mu = np.diag(kept_jump_means(bspec, predicate))
     a = -(bspec.b.T + np.diag(mu))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -76,7 +76,7 @@ def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) ->
     except OverflowError:
         flows = [np.full((2, 2), math.inf)]
     if not all(np.isfinite(d).all() for d in flows):
-        raise ExponentOverflow(f"the drift flow leaves the float range (compensator moments {mu})")
+        raise ExponentOverflow(f"the drift flow leaves the float range (kept jump means {mu})")
     return flows
 
 

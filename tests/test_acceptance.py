@@ -21,8 +21,8 @@ from cbre2.moments import (
     annealed_laplace_mc,
     first_moment_closed_form,
     martingale_factors,
+    moment_polynomial,
     moment_table,
-    polynomial_degree_check,
     quenched_laplace,
     recursion_check,
 )
@@ -160,18 +160,32 @@ def test_criterion_07_truncation_convergence():
 def test_criterion_08_polynomial_degree():
     """E[X_i(t)^k] is a polynomial of the initial value with degree <= k <= 3."""
     sc = bundled_scenario("mixed", 100_000, 1e-3)
+    env, spec = sc.environment, sc.branching
     rng = np.random.default_rng(88)
     grid = [(0.2 + 2.5 * rng.random(), 0.15 + 2.2 * rng.random()) for _ in range(10)]
-    worst_res, worst_deg = 0.0, 0
+    worst_rel, worst_deg = 0.0, 0
     for k in (1, 2, 3):
         for ti in (1, 2):
-            fit = polynomial_degree_check(
-                sc.environment, sc.branching, k, ti, 0.7, grid, fit_degree=3
-            )
-            worst_res = max(worst_res, fit.residual)
-            worst_deg = max(worst_deg, fit.max_degree - k)
-    ok = worst_res < 1e-6 and worst_deg <= 0
-    _report(8, ok, f"fitted degree <= k for k<=3, max residual {worst_res:.1e} < 1e-6 (10-point grid)")
+            poly = moment_polynomial(env, spec, k, ti, 0.7)
+            worst_deg = max(worst_deg, max(p + q for p, q in poly) - k)
+            target = (k, 0) if ti == 1 else (0, k)
+            for x1, x2 in grid:
+                got = sum(c * x1**p * x2**q for (p, q), c in poly.items())
+                want = moment_table(env, spec, (x1, x2), [0.7], k).entry(*target, 0.7)
+                worst_rel = max(worst_rel, abs(got - want) / abs(want))
+    # k = 1 independently: column j of e^{beta~ t} expm2(-t b~^T) is E X(t) from the unit state e_j
+    closed = np.column_stack([first_moment_closed_form(env, spec, e, 0.7) for e in np.eye(2)])
+    worst_cf = max(
+        abs(moment_polynomial(env, spec, 1, ti, 0.7)[pq] - closed[ti - 1, j])
+        for ti in (1, 2) for j, pq in enumerate(((1, 0), (0, 1)))
+    )
+    ok = worst_deg <= 0 and worst_rel < 1e-9 and worst_cf < 1e-12
+    _report(
+        8,
+        ok,
+        f"degree <= k for k<=3; reproduces the moment table to {worst_rel:.1e} < 1e-9 "
+        f"(10 initial states); k=1 matches the closed form to {worst_cf:.1e} < 1e-12",
+    )
 
 
 def test_criterion_09_fmoment_truth_table():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cbre2.branching import (
     BranchingSpec,
-    compensator_moments,
     effective_drift_matrix,
+    kept_jump_means,
     phi_eval,
     phi_eval_vec,
 )
@@ -157,9 +157,10 @@ def test_off_diagonal_sign_constraint():
 def test_compensator_moments_respect_truncation():
     m1 = JumpMeasure(atoms=[Atom2D(0.6, 0.5, 0.4), Atom2D(0.25, 3.0, 0.0)])
     spec = BranchingSpec(m1=m1)
-    full = compensator_moments(spec)
-    capped = compensator_moments(spec, norm_cap(2.0))
+    full = np.diag(kept_jump_means(spec))
+    capped = np.diag(kept_jump_means(spec, norm_cap(2.0)))
     assert full[0] == pytest.approx(0.6 * 0.5 + 0.25 * 3.0)
     assert capped[0] == pytest.approx(0.6 * 0.5)
-    sq = compensator_moments(spec, unit_square())
+    sq = np.diag(kept_jump_means(spec, unit_square()))
     assert sq[0] == pytest.approx(0.6 * 0.5)
+    assert kept_jump_means(spec, norm_cap(2.0))[0, 1] == pytest.approx(0.6 * 0.4)

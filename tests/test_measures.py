@@ -22,6 +22,9 @@ def test_moments_beyond_the_float_range():
     the float range is an error, not a divergence."""
     pareto = JumpMeasure(tails=[AxisTail(1, "pareto", 0.5, 2.5, 1.0)])
     assert pareto.norm_moment_finite(6, BranchingRule("norm_cap", 1e300))
+    assert math.isfinite(pareto.tails[0].moment_mag(3, 1e300))
+    with pytest.raises(ExponentOverflow):  # expm1 of 1.5 log(1e300) overflows
+        pareto.tails[0].moment_mag(4, 1e300)
     flat = AxisTail(1, "exponential", 0.5, 1e-200, 0.0)
     assert flat.moment_mag(1) == pytest.approx(0.5e200)
     with pytest.raises(ExponentOverflow):

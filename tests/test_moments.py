@@ -12,7 +12,6 @@ from cbre2.errors import (
     DivergentCoefficient,
     ExponentOverflow,
     HypothesisViolated,
-    RankDeficientGrid,
 )
 from cbre2.measures import Atom1D, Atom2D, AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
 from cbre2.moments import (
@@ -23,10 +22,10 @@ from cbre2.moments import (
     initial_moment_vector,
     martingale_factors,
     max_feasible_degree,
+    moment_polynomial,
     moment_table,
     monomial_basis,
     phi_eval_vec,
-    polynomial_degree_check,
     quenched_laplace,
     recursion_check,
     recursion_coefficients,
@@ -307,31 +306,12 @@ def test_martingale_transform_trivia():
 
 
 def test_polynomial_fit_degrees():
-    rng = np.random.default_rng(5)
-    grid = [(0.2 + 2.3 * rng.random(), 0.1 + 2.1 * rng.random()) for _ in range(14)]
     for k in (1, 2, 3):
-        fit = polynomial_degree_check(ENV, BSPEC, k, 1, 0.7, grid, fit_degree=3)
-        assert fit.max_degree <= k
-        assert fit.residual < 1e-6
-    fit = polynomial_degree_check(LevyEnvSpec(), BranchingSpec(c1=0.4), 2, 1, 0.5, grid)
-    assert fit.coefficients[(2, 0)] == pytest.approx(1.0, abs=1e-9)
-    assert fit.coefficients[(1, 0)] == pytest.approx(2 * 0.4 * 0.5, abs=1e-9)
-
-
-def test_polynomial_fit_degree4_coefficients_vanish():
-    rng = np.random.default_rng(6)
-    grid = [(0.2 + 2.3 * rng.random(), 0.1 + 2.1 * rng.random()) for _ in range(20)]
-    fit = polynomial_degree_check(ENV, BSPEC, 3, 2, 0.7, grid, fit_degree=4)
-    assert fit.max_degree <= 3
-    assert fit.residual < 1e-6
-
-
-def test_polynomial_rank_deficiency_detected():
-    grid = [(0.5 * i, 1.0) for i in range(1, 12)]  # collinear initial states
-    with pytest.raises(RankDeficientGrid):
-        polynomial_degree_check(ENV, BSPEC, 2, 1, 0.5, grid, fit_degree=2)
-    with pytest.raises(RankDeficientGrid):
-        polynomial_degree_check(ENV, BSPEC, 2, 1, 0.5, [(1.0, 1.0)] * 3, fit_degree=2)
+        assert tuple(moment_polynomial(ENV, BSPEC, k, 2, 0.7)) == monomial_basis(k)
+    poly = moment_polynomial(LevyEnvSpec(), BranchingSpec(c1=0.4), 2, 1, 0.5)
+    assert poly[(2, 0)] == pytest.approx(1.0, abs=1e-9)
+    assert poly[(1, 0)] == pytest.approx(2 * 0.4 * 0.5, abs=1e-9)
+    assert [poly[pq] for pq in ((0, 1), (1, 1), (0, 2))] == pytest.approx([0.0] * 3, abs=1e-12)
 
 
 def test_quenched_laplace_no_branching():

@@ -65,11 +65,28 @@ def test_truncation_block_mirrored_into_branching_spec():
     assert scenario_to_dict(back) == scenario_to_dict(sc)
 
 
+# the documented spellings no bundled config uses: a negative-side environment tail,
+# an exp_power test function with gamma, and an unbounded norm cap given as "inf"
+EXTENDED = {
+    **MINIMAL,
+    "environment": {"a": 0.1, "sigma1": 0.2, "nu": [
+        {"kind": "atom", "mass": 0.5, "z": 0.4},
+        {"kind": "exponential", "side": "-", "mass": 0.3, "rate": 2.0, "x0": 0.1},
+    ]},
+    "fmoment": {"family": "exp_power", "theta": 0.5, "gamma": 0.7},
+    "truncation": {"branching_rule": {"kind": "norm_cap", "k": "inf"}},
+}
+
+
 def test_roundtrip_through_dump():
-    sc = scenario_from_dict(MINIMAL)
-    text = dump_scenario(sc)
-    back = scenario_from_dict(json.loads(text))
-    assert scenario_to_dict(back) == scenario_to_dict(sc)
+    for data in (MINIMAL, EXTENDED):
+        sc = scenario_from_dict(data)
+        text = dump_scenario(sc)
+        back = scenario_from_dict(json.loads(text))
+        assert scenario_to_dict(back) == scenario_to_dict(sc)
+    assert sc.environment.nu.tails[0].side == -1
+    assert sc.fmoment_function.params == (0.5, 0.7)
+    assert sc.truncation.branching.k == math.inf
 
 
 def test_all_bundled_scenarios_roundtrip():
@@ -229,6 +246,14 @@ def test_cli_fmoment_verdict(tmp_path, capsys):
     assert payload["verdict"] == "Infinite"
     assert payload["criteria"]["branching_tail"] == "Infinite"
     assert set(payload["criteria"]) == {"initial", "branching_tail", "environment_tail"}
+    assert "f = (1+x)^3 -> " in capsys.readouterr().out
+    for fmoment, described in (
+        ({"family": "exp_power", "theta": 0.5, "gamma": 0.7}, "f = exp(0.5 x^0.7) -> "),
+        ({"family": "power_log", "p": 2.0}, "f = (1+x)^2 log(e+x) -> "),
+    ):
+        config = _edited_config(tmp_path, "fmoment_power3_pareto.json", lambda d: d.__setitem__("fmoment", fmoment))
+        assert main(["fmoment", "--config", config, "--out", str(out)]) == 0
+        assert described in capsys.readouterr().out
 
 
 def test_cli_fmoment_missing_block(tmp_path):
@@ -554,6 +579,26 @@ def test_cli_extreme_exponential_tail_is_an_error(tmp_path, capsys, rate, comman
         rc = main([command, "--config", config, "--paths", "20", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: ExponentOverflow: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, n, code", [
+    ("moments", "4", 1), ("recursion-check", "4", 1), ("verify", "4", 1), ("verify", "3", 2),
+    ("simulate", "4", 0),
+])
+def test_cli_bounded_pareto_moment_beyond_the_float_range(tmp_path, capsys, command, n, code):
+    """pareto.json capped at 1e300: its order-4 moment overflows (exit 1, one error line); order 3 runs."""
+    config = _truncated_config(tmp_path, "pareto.json", {"branching_rule": {"kind": "norm_cap", "k": 1e300}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", config, "--n", n, "--paths", "200", "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == code
+    if code == 1:
+        assert err.startswith("error: ExponentOverflow: pareto tail") and err.count("\n") == 1
+    else:
+        assert err == ""
+    if command == "verify" and code == 2:
+        assert "/4 reports pass" in out
 
 
 def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from cbre2 import simulate
 from cbre2.branching import BranchingSpec
 from cbre2.cli import main
-from cbre2.env import LevyEnvSpec
+from cbre2.env import LevyEnvSpec, sample_env_path
 from cbre2.errors import ConfigError, MassOverflow
 from cbre2.measures import Atom1D, JumpMeasure1D
 from cbre2.moments import first_moment_closed_form
@@ -42,12 +42,17 @@ def test_drift_flow_of_every_distinct_step():
 
     bspec = BranchingSpec(b11=0.7, b12=-0.3, b21=-0.2, b22=1.1)
     x0 = np.array([2.0, 3.0])
-    sc = _plain_scenario(LevyEnvSpec(), bspec, tuple(x0), 1.0, 0.01)
-    times, states = scenario_states(sc, 2, 0, record_times=[0.3337, 1.0])
-    assert times.tolist() == [0.3337, 1.0]
-    for r, t in enumerate(times):
-        expected = expm(-bspec.b.T * t) @ x0
-        assert np.max(np.abs(states[0, :, r] - expected)) < 1e-12
+    # step 0.3 does not divide the horizon: the base grid ends with a step of 0.1
+    for step, record in ((0.01, [0.3337, 1.0]), (0.3, [1.0])):
+        sc = _plain_scenario(LevyEnvSpec(), bspec, tuple(x0), 1.0, step)
+        times, states = scenario_states(sc, 2, 0, record_times=record)
+        assert times.tolist() == record
+        for r, t in enumerate(times):
+            expected = expm(-bspec.b.T * t) @ x0
+            assert np.max(np.abs(states[0, :, r] - expected)) < 1e-12
+    path = sample_env_path(LevyEnvSpec(a=0.2), 1.0, 0.3, np.random.default_rng(0))
+    assert path.grid[-1] == 1.0
+    assert path.xi_increments[-1] == pytest.approx(0.2 * 0.1, rel=1e-12)
 
 
 def test_environment_factorization_exact():
