@@ -121,18 +121,18 @@ class _Tail:
         lo = max(lo, self.x0)
         if bound <= lo:
             return 0.0
-        if self.family == PARETO and math.isinf(bound):
-            a = self.shape
-            if r >= a:
-                return math.inf
-            return self.mass * a * self.x0**r / (a - r) * (self.x0 / lo) ** (a - r)
+        if self.family == PARETO and math.isinf(bound) and r >= self.shape:
+            return math.inf
         try:
             if self.family == PARETO:
                 a, m = self.shape, r - self.shape
-                # log1p and expm1 of the relative width keep their digits when bound ~ lo
-                w = math.log1p((bound - lo) / lo)
-                val = (self.mass * a * self.x0**a * w if r == a
-                       else self.mass * a * self.x0**a * lo**m * math.expm1(m * w) / m)
+                if math.isinf(bound):
+                    val = self.mass * a * self.x0**r / (a - r) * (self.x0 / lo) ** (a - r)
+                else:
+                    # log1p and expm1 of the relative width keep their digits when bound ~ lo
+                    w = math.log1p((bound - lo) / lo)
+                    val = (self.mass * a * self.x0**a * w if r == a
+                           else self.mass * a * self.x0**a * lo**m * math.expm1(m * w) / m)
             else:
                 th = self.shape
                 u = th * (bound - lo)
@@ -140,7 +140,7 @@ class _Tail:
                     math.comb(r, i) * lo ** (r - i) * math.factorial(i) / th**i * _gamma_cdf(i + 1, u)
                     for i in range(r + 1)
                 )
-        except (OverflowError, ZeroDivisionError):  # expm1 overflows, or th**i underflows to 0
+        except (OverflowError, ZeroDivisionError):  # a power or expm1 overflows, or th**i underflows to 0
             val = math.inf
         if not math.isfinite(val):
             shape = "rate" if self.family == EXPONENTIAL else "index"

@@ -25,6 +25,8 @@ def test_moments_beyond_the_float_range():
     assert math.isfinite(pareto.tails[0].moment_mag(3, 1e300))
     with pytest.raises(ExponentOverflow):  # expm1 of 1.5 log(1e300) overflows
         pareto.tails[0].moment_mag(4, 1e300)
+    with pytest.raises(ExponentOverflow):  # x0^2 = 1e400
+        AxisTail(1, "pareto", 0.5, 2.5, 1e200).moment_mag(2)
     flat = AxisTail(1, "exponential", 0.5, 1e-200, 0.0)
     assert flat.moment_mag(1) == pytest.approx(0.5e200)
     with pytest.raises(ExponentOverflow):
