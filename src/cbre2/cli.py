@@ -119,7 +119,7 @@ def _cmd_laplace(sc: ScenarioConfig) -> int:
         raise ConfigError("truncation.branching_rule: laplace supports environment truncation "
                           "only; phi of a truncated mechanism is not implemented")
     out = _out_dir(sc)
-    lam, t = sc.laplace_lambda, sc.laplace_t or sc.horizon
+    lam, t = sc.laplace_lambda, sc.laplace_t
     env, clip = sc.environment, sc.truncation.env_clip
     skel = sample_env_skeleton(env, t, sc.step, np.random.default_rng(sc.seed))
     env_path = realize_env_path(env, skel, clip)

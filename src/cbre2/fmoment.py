@@ -109,9 +109,6 @@ class ConditionBResult:
     failures: list = field(default_factory=list)  # (label, witness)
     K: float | None = None
 
-    def __bool__(self):
-        return self.passed
-
 
 def condition_b_check(f) -> ConditionBResult:
     """Grid-based check of convexity, monotonicity, f > 1, submultiplicativity.

@@ -72,8 +72,8 @@ class MomentGenerator:
     degree: int
     basis: tuple[tuple[int, int], ...]
     matrix: np.ndarray
-    beta: tuple[float, ...] = ()  # beta(0), ..., beta(degree) of the (clipped) environment
-    truncation: TruncationPredicate = IDENTITY  # the truncated system the matrix describes
+    beta: tuple[float, ...]  # beta(0), ..., beta(degree) of the (clipped) environment
+    truncation: TruncationPredicate  # the truncated system the matrix describes
 
     def index(self, p: int, q: int) -> int:
         return self.basis.index((p, q))
@@ -174,9 +174,8 @@ def solve_moment_ode(gen: MomentGenerator, x0, t_grid) -> MomentTable:
             m = vals[k] = steps[j] @ m
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
-        beta = gen.beta[-1] if gen.beta else math.nan
         raise ExponentOverflow(f"degree-{gen.degree} moments leave the float range by t = "
-                               f"{t_grid[bad].min():g}: beta({gen.degree}) = {beta:.6g}")
+                               f"{t_grid[bad].min():g}: beta({gen.degree}) = {gen.beta[-1]:.6g}")
     vals = np.maximum(vals, 0.0)  # expm dust; true moments are nonnegative
     values = {pq: vals[:, j].copy() for j, pq in enumerate(gen.basis)}
     finite = {pq: True for pq in gen.basis}
@@ -287,8 +286,6 @@ def recursion_check(
     """
     if table.degree < n:
         raise ValueError("table degree is below the requested moment order")
-    if table.generator is None:
-        raise ValueError("table carries no propagator")
     target = (n, 0) if type_index == 1 else (0, n)
     if not table.finite.get(target, False):
         raise HypothesisViolated(f"moment {target} is flagged infinite in the table")

@@ -166,8 +166,6 @@ class _Reader:
         """Call `constructor`; its ValueError, ArithmeticError or Cbre2Error is a ConfigError here."""
         try:
             return constructor(*args, **kwargs)
-        except ConfigError:
-            raise
         except (ValueError, ArithmeticError, Cbre2Error) as e:
             raise self.err(str(e)) from e
 

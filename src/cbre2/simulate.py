@@ -186,7 +186,8 @@ def scenario_stream(
             while active.size:
                 k = active.size
                 events[active] += 1.0
-                if events[active].max() > max_events:
+                # jumps only raise the rate, so at least Poisson(-clock) more events are due
+                if (events[active] - clock[active]).max() > max_events:
                     raise MassOverflow("branching event count exceeds the safety cap")
                 xm = _max_over(xs, active)
                 r1 = lam[0] * xm[0]

@@ -4,8 +4,7 @@ Every report reduces to rows (t, statistic, estimate, se, target, z,
 pass); aggregation uses compensated summation so identical inputs give
 byte-identical reports.  A row passes within `SE_MULTIPLE` standard
 errors of its target plus a discretization-bias allowance: moment rows
-allow `BIAS_COEFF * step * |target|` (`richardson_bias` estimates the
-coefficient on a reference scenario), martingale rows allow none.
+allow `BIAS_COEFF * step * |target|`, martingale rows allow none.
 
 Reports come from engine passes.  `verify_reports` runs the engine once
 for every report of `cbre2 verify`: the union of the truncation variants
@@ -30,7 +29,7 @@ from .moments import (
     moment_table,
     monomial_basis,
 )
-from .simulate import scenario_states, scenario_stream
+from .simulate import scenario_stream
 from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
 from ._util import csv_lines, fsum_mean_se, z_score
 
@@ -222,20 +221,18 @@ def _one_pass(scenario, parts, paths: int, seed: int) -> list[EstimateReport]:
     times it reads (`times`, None for every grid time), and reduces what
     it is fed (`feed(t, states)`, its own variants in its own order) into
     `report()`.  The pass runs the union of the variants, deduplicated by
-    equality, on one random stream.  It records every grid time when a
-    part asks for that, and the union of the parts' times otherwise; a
-    time off the base grid joins the grid either way.
+    equality, on one random stream.  It records the union of the parts'
+    times, the base grid joining it when some part reads every grid time;
+    a time off the base grid joins the grid.
     """
     preds = list(dict.fromkeys(p for part in parts for p in part.predicates))
-    wanted = [part.times for part in parts if part.times is not None]
-    times = np.unique(np.concatenate(wanted)) if wanted else np.empty(0)
-    if any(part.times is None for part in parts):  # every grid time, off-grid times joining it
-        grid = _base_grid(scenario.horizon, scenario.step)
-        times = None if np.isin(times, grid).all() else np.union1d(grid, times)
-    record = {} if times is None else {"record_times": times}
+    times = [part.times for part in parts if part.times is not None]
+    if len(times) < len(parts):
+        times.append(_base_grid(scenario.horizon, scenario.step))
+    times = np.unique(np.concatenate(times))
     slots = [[preds.index(p) for p in part.predicates] for part in parts]
     reads = [None if part.times is None else set(part.times.tolist()) for part in parts]
-    for t, states, _ in scenario_stream(scenario, paths, seed, predicates=preds, **record):
+    for t, states, _ in scenario_stream(scenario, paths, seed, record_times=times, predicates=preds):
         for part, slot, at in zip(parts, slots, reads):
             if at is None or t in at:
                 part.feed(t, [states[i] for i in slot])
@@ -322,34 +319,3 @@ def truncation_convergence_report(
     the final gap is below epsilon = 5% of |E X(horizon)|.
     """
     return _one_pass(scenario, [_Convergence(scenario, k_list)], paths, seed)[0]
-
-
-def richardson_bias(scenario, statistic: str, paths: int, seed: int) -> float:
-    """Estimate the Euler-bias coefficient C in |bias| ~ C * step * |target|.
-
-    Runs the scenario at step and step/2 with common seeds and applies
-    first-order Richardson extrapolation to the first-moment estimate.
-    """
-    t = scenario.horizon
-    target = first_moment_closed_form(
-        scenario.environment, scenario.branching, scenario.x0, t, scenario.truncation
-    )
-    idx = 0 if statistic.endswith("1") else 1
-    vals = []
-    for step in (scenario.step, scenario.step / 2):
-        sc = replace(scenario, step=step)
-        _, states = scenario_states(sc, paths, seed, record_times=[t])
-        est, _ = fsum_mean_se(states[0, :, 0, idx])
-        vals.append(est)
-    bias_h = 2.0 * (vals[0] - vals[1])  # first-order: bias(h) ~ 2(est(h)-est(h/2))
-    return abs(bias_h) / (scenario.step * abs(target[idx]))
-
-
-def se_scaling_check(scenario, paths: int, seed: int) -> tuple[float, float]:
-    """SEs of the first-moment estimate at `paths` and `4 * paths` paths."""
-    t = scenario.horizon
-    _, s1 = scenario_states(scenario, paths, seed, record_times=[t])
-    _, s2 = scenario_states(scenario, 4 * paths, seed + 1, record_times=[t])
-    _, se1 = fsum_mean_se(s1[0, :, 0, 0])
-    _, se2 = fsum_mean_se(s2[0, :, 0, 0])
-    return se1, se2

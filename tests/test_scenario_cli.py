@@ -5,6 +5,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -599,6 +601,26 @@ def test_cli_bounded_pareto_moment_beyond_the_float_range(tmp_path, capsys, comm
         assert err == ""
     if command == "verify" and code == 2:
         assert "/4 reports pass" in out
+
+
+@pytest.mark.parametrize("command, name, edit, error", [
+    pytest.param("recursion-check", "mixed.json", lambda d: d["environment"]["nu"].append(
+        {"kind": "pareto", "mass": 0.1, "alpha": 3.0, "x0": 1.5}), "HypothesisViolated", id="env-pareto"),
+    pytest.param("simulate", "pareto.json", lambda d: d["branching"]["m2"][1].__setitem__("x0", 1e200),
+                 "MassOverflow", id="tail-cutoff-1e200"),
+])
+def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error):
+    """No feasible moment degree, or tail jumps of at least 1e200: exit 1 with one error line.
+
+    The run is a subprocess with a timeout, so a run that does not finish fails the test.
+    """
+    config = _edited_config(tmp_path, name, edit)
+    args = [command, "--config", config, "--paths", "5", "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-m", "cbre2", *args], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {error}: ") and proc.stderr.count("\n") == 1
 
 
 def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):

@@ -9,8 +9,6 @@ from cbre2.verify import (
     coupling_monotonicity_report,
     estimate_moments,
     martingale_test,
-    richardson_bias,
-    se_scaling_check,
     truncation_convergence_report,
 )
 from cbre2.truncation import NORM_CAP, BranchingRule, TruncationPredicate
@@ -33,12 +31,17 @@ def test_estimate_moments_mixed_degree2():
 
 
 def test_estimate_moments_variance_unreliable_note():
+    """pareto.json's tail has index 2.5: order-2n hypotheses fail at n = 2 and 3."""
     sc = bundled_scenario("pareto", 10_000, 2e-3)
     rep = estimate_moments(sc, 2, 4_000, sc.seed)
     assert "variance-unreliable" in rep.notes
-    # infinite-moment monomials are not reported as rows
     stats = {r.statistic for r in rep.rows}
     assert "m_20" in stats or "m_11" in stats
+    # infinite-moment monomials (here every one of degree 3) are not reported as rows
+    rep = estimate_moments(sc, 3, 4_000, sc.seed)
+    assert "variance-unreliable" in rep.notes
+    assert len(rep.rows) == 5 * 5  # the five monomials of degree <= 2, five times
+    assert all(int(r.statistic[2]) + int(r.statistic[3]) <= 2 for r in rep.rows)
 
 
 def test_martingale_report_passes():
@@ -114,9 +117,9 @@ def test_coupling_variants_keep_the_scenario_env_clip(monkeypatch):
     seen = []
     stream = verify_mod.scenario_stream
 
-    def spy(scenario, paths, seed, predicates):
+    def spy(scenario, paths, seed, record_times, predicates):
         seen.extend(predicates)
-        return stream(scenario, paths, seed, predicates=predicates)
+        return stream(scenario, paths, seed, record_times, predicates)
 
     monkeypatch.setattr(verify_mod, "scenario_stream", spy)
     clipped = TruncationPredicate(env_clip=1.0)
@@ -133,16 +136,27 @@ def test_reports_reproducible_and_csv_stable():
     assert rep1.csv_lines() == rep2.csv_lines()
 
 
+def _m10_at_horizon(sc, paths, seed):
+    """The m_10 row of the `estimate_moments` report at the horizon."""
+    return [r for r in estimate_moments(sc, 1, paths, seed).rows if r.statistic == "m_10"][-1]
+
+
 def test_se_scaling_with_path_budget():
     sc = bundled_scenario("env_only", 50_000, 0.01)
-    se1, se4 = se_scaling_check(sc, 4_000, 5)
+    se1 = _m10_at_horizon(sc, 4_000, 5).se
+    se4 = _m10_at_horizon(sc, 16_000, 6).se
     assert abs(se4 / se1 - 0.5) < 0.2 * 0.5
 
 
 def test_richardson_bias_coefficient_is_small():
-    """The splitting scheme's first-moment bias coefficient is well under 2."""
+    """The splitting scheme's first-moment bias coefficient is well under 2.
+
+    First-order Richardson extrapolation on common seeds: bias(h) ~
+    2 (est(h) - est(h/2)), against C * h * |target|.
+    """
     sc = bundled_scenario("mixed", 100_000, 0.02)
-    c = richardson_bias(sc, "X1", 30_000, 17)
+    coarse, fine = (_m10_at_horizon(replace(sc, step=h), 30_000, 17) for h in (sc.step, sc.step / 2))
+    c = abs(2.0 * (coarse.estimate - fine.estimate)) / (sc.step * abs(coarse.target))
     assert c < 2.0
 
 
