@@ -125,9 +125,8 @@ def sample_env_skeleton(
 
 def realize_env_path(spec: LevyEnvSpec, skel: EnvSkeleton, clip: float = math.inf) -> EnvPath:
     """One path of `env_increments` at the skeleton's seed, positive jumps above `clip` removed."""
-    rng = np.random.default_rng(skel.seed)
-    incs = env_increments(spec, skel.grid, skel.step, 1, rng, [clip])
-    return EnvPath(skel.grid, np.hstack([dxi for (dxi,) in incs]))
+    incs = env_increments(spec, skel.grid, skel.step, 1, np.random.default_rng(skel.seed), clip)
+    return EnvPath(skel.grid, np.hstack(list(incs)))
 
 
 def sample_env_path(
@@ -146,18 +145,19 @@ def env_increments(
     step: float,
     n_paths: int,
     rng: np.random.Generator,
-    clips,
+    clip: float = math.inf,
 ):
-    """Yield, per interval of `grid`, the increments of xi at each level in `clips`.
+    """Yield the increment of xi over each interval of `grid`, positive jumps above `clip` removed.
 
     An increment is an (n_paths,) array, or a float when it is equal on every
     path.  The Gaussian part is drawn per interval.  Jumps are drawn per path
     once per window of floor(1 / (lambda * step)) intervals, after the window's
     first Gaussian, with uniform times, which makes the per-interval counts
     exactly Poisson; they are bucketed by interval with one sort, so memory
-    stays O(n_paths).  Jumps above a level are clipped as in `effective_jump`.
-    Raises MassOverflow when first advanced if the expected jump count per
-    path over the grid exceeds DEFAULT_JUMP_CAP.
+    stays O(n_paths).  Jumps are clipped as in `effective_jump`, so one seed
+    at two clips gives the same draws.  Raises MassOverflow when first
+    advanced if the expected jump count per path over the grid exceeds
+    DEFAULT_JUMP_CAP.
     """
     n_int = len(grid) - 1
     lam = spec.nu.total_mass()
@@ -186,15 +186,10 @@ def env_increments(
             sizes = sizes[order]
             bounds = np.searchsorted(interval[order], np.arange(m0, m1 + 1))
         lo, hi = (bounds[m - m0], bounds[m - m0 + 1]) if lam > 0 else (0, 0)
-        if lo == hi:
-            yield [dxi] * len(clips)
-            continue
-        out = []
-        for clip in clips:
-            d = dxi + np.zeros(n_paths)
-            np.add.at(d, paths[lo:hi], effective_jump(sizes[lo:hi], clip))
-            out.append(d)
-        yield out
+        if lo < hi:
+            dxi = dxi + np.zeros(n_paths)
+            np.add.at(dxi, paths[lo:hi], effective_jump(sizes[lo:hi], clip))
+        yield dxi
 
 
 def sample_xi_terminal(
@@ -204,6 +199,5 @@ def sample_xi_terminal(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized exact-in-law sample of the untruncated xi(horizon) for many paths."""
-    grid = np.array([0.0, horizon])
-    (xi,) = next(env_increments(spec, grid, horizon, n_paths, rng, [math.inf]))
+    xi = next(env_increments(spec, np.array([0.0, horizon]), horizon, n_paths, rng))
     return xi + np.zeros(n_paths)

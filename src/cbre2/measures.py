@@ -410,13 +410,6 @@ class JumpMeasure(_Measure):
             total += val
         return total
 
-    def norm_moment_finite(self, n: int, rule: BranchingRule = KEEP_ALL) -> bool:
-        """Whether the integral of |z|^n over the region `rule` keeps is finite."""
-        # on an axis |z| is the magnitude itself, and a bounded one has every moment
-        return math.isfinite(rule.axis_bound) or all(
-            math.isfinite(t.moment_mag(n)) for t in self.tails
-        )
-
     def phi_integral(self, lam1, lam2, own_axis: int):
         """Integral of (e^{-<lam, z>} - 1 + lam_own * z_own) over the measure.
 

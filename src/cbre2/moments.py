@@ -18,13 +18,8 @@ import numpy as np
 
 from .branching import BranchingSpec, effective_drift_matrix, phi_eval_vec
 from .env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent
-from .errors import (
-    DivergentCoefficient,
-    DivergentExponent,
-    ExponentOverflow,
-    FixedPointDivergence,
-    HypothesisViolated,
-)
+from .errors import DivergentCoefficient, ExponentOverflow, FixedPointDivergence, HypothesisViolated
+from .fmoment import FINITE, classify_branching_tail, classify_env_tail, power
 from .truncation import IDENTITY, TruncationPredicate
 from ._util import expm2, fsum_mean_se
 
@@ -42,15 +37,14 @@ def hypotheses_hold(
     n: int,
     truncation: TruncationPredicate = IDENTITY,
 ) -> bool:
-    """Whether the order-n moment hypotheses hold for the (truncated) system."""
-    rule = truncation.branching
-    if not (spec.m1.norm_moment_finite(n, rule) and spec.m2.norm_moment_finite(n, rule)):
-        return False
-    try:
-        levy_exponent(env, n, truncation.env_clip)
-    except DivergentExponent:
-        return False
-    return True
+    """Whether the order-n moment hypotheses hold for the (truncated) system.
+
+    They are the f-moment criterion at f = (1+x)^n: both tail criteria Finite.
+    """
+    f = power(n)
+    verdicts = (classify_branching_tail(f, spec.m1, spec.m2, rule=truncation.branching),
+                classify_env_tail(f, env.nu, truncation.env_clip))
+    return verdicts == (FINITE, FINITE)
 
 
 def max_feasible_degree(
@@ -359,30 +353,34 @@ def quenched_laplace(
     t must be a grid point of the path.
     """
     lam = np.asarray(lam, dtype=float)
-    if (lam < 0).any():
-        raise ValueError("lam must be nonnegative")
     grid = env_path.grid
     it = int(np.argmin(np.abs(grid - t)))
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
     dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
-    steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), 1e-13, 100))
+    steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), 1e-13))
     v = np.concatenate(steps[::-1] + [lam[None, :]])
     return QuenchedLaplace(tuple(lam), float(grid[it]), grid[: it + 1], v)
 
 
-def _backward_steps(spec, lam, steps, fp_tol, max_iter):
+_FP_MAX_ITER = 100  # fixed-point iterations per backward step
+
+
+def _backward_steps(spec, lam, steps, fp_tol):
     """Yield v (n_paths, 2) after each backward implicit-trapezoid step.
 
     steps: (h, dxi) per interval, last interval first, where dxi holds the
     environment increments of the n_paths paths (or one float for all).
-    Each step solves v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v)
-    by fixed point, starting from v = lam.  phi(v_next) is the phi of the
-    last iterate of the step before, which differs from v_next by at most
-    the tolerance, so the explicit half costs no evaluation after the first.
-    The first iterate extrapolates phi linearly from the two steps before.
+    lam must be finite and >= 0 (ValueError otherwise).  Each step solves
+    v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v) by fixed point,
+    starting from v = lam.  phi(v_next) is the phi of the last iterate of
+    the step before, which differs from v_next by at most the tolerance,
+    so the explicit half costs no evaluation after the first.  The first
+    iterate extrapolates phi linearly from the two steps before.
     """
     v = np.asarray(lam, dtype=float)[None, :]
+    if not ((v >= 0) & (v < math.inf)).all():
+        raise ValueError(f"lam must be finite and >= 0, got {v[0].tolist()}")
     phi = prev = phi_eval_vec(spec, v)
     for h, dxi in steps:
         mult = np.exp(dxi).reshape(-1, 1)
@@ -390,7 +388,7 @@ def _backward_steps(spec, lam, steps, fp_tol, max_iter):
         const = mult * (v - half_phi)
         cur = const - mult * (0.5 * h * (2.0 * phi - prev))  # explicit predictor
         prev = phi
-        for _ in range(max_iter):
+        for _ in range(_FP_MAX_ITER):
             phi = phi_eval_vec(spec, np.maximum(cur, 0.0))
             nxt = const - 0.5 * h * phi
             scale = 1.0 + abs(nxt).max()
@@ -430,9 +428,8 @@ def annealed_laplace_mc(
     """
     rng = np.random.default_rng(seed)
     grid = t - _base_grid(t, step)[::-1]
-    incs = env_increments(env, grid, step, n_env_paths, rng, [clip])
-    steps = ((h, dxi) for h, (dxi,) in zip(np.diff(grid), incs))
-    for v in _backward_steps(spec, lam, steps, 1e-12, 100):
+    steps = zip(np.diff(grid), env_increments(env, grid, step, n_env_paths, rng, clip))
+    for v in _backward_steps(spec, lam, steps, 1e-12):
         pass  # only the last step, v_{0,t}, is needed
     vals = np.exp(-(v @ np.asarray(x0, dtype=float)))
     return fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic

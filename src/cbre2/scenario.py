@@ -296,8 +296,8 @@ def scenario_from_dict(data: dict, source_text: str | None = None) -> ScenarioCo
         lap = root.obj("laplace")
         lam = lap.pair("lambda", "[l1, l2]", nonneg=True)
         t_lap = lap.num("t", horizon)
-        if not (0 < t_lap <= horizon):
-            raise lap.err("must satisfy 0 < t <= horizon", "t")
+        if not (step <= t_lap <= horizon):
+            raise lap.err("must satisfy step <= t <= horizon", "t")
         lap.close()
     if root.get("fmoment") is not None:
         fm_fn = _fmoment_fn(root.obj("fmoment"))

@@ -28,10 +28,11 @@ The engine is vectorized over paths and event-driven:
   intervals and pre-buckets them by grid interval, so each step only
   adds its own slice;
 - records are streamed: `scenario_stream`, the one engine generator,
-  yields the live states and xi at each record time, `scenario_states`
-  stacks the states, `simulate_paths` collects a few full paths, and
-  reductions such as the coupling report consume the stream without a
-  full-grid record.
+  yields the live states and the one xi of the pass at every grid time
+  (record times only add grid points), `scenario_states` stacks the
+  states at its record times, `simulate_paths` collects a few full
+  paths, and reductions such as the coupling report consume the stream
+  without a full-grid record.
 
 In law this is the splitting scheme with per-step thinning and per-step
 Poisson counts; only the order of the random stream differs.
@@ -63,7 +64,7 @@ class StatePath:
 
     grid: np.ndarray
     states: np.ndarray  # (len(grid), 2)
-    xi: np.ndarray  # xi(t) at each grid time, at the path's environment clip
+    xi: np.ndarray  # xi(t) at each grid time, at the scenario's environment clip
 
 
 def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) -> list:
@@ -81,18 +82,25 @@ def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) ->
 
 
 def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, np.ndarray]:
+    """A run's grid and the indices of its sorted, distinct record times in it.
+
+    The grid is the base grid with the record times added (None records
+    every grid time).  An interior base point within 1e-9 * max(1, horizon)
+    of a record time gives way to that time, so no record time splits a
+    grid step; 0 and the horizon never give way.
+    """
     base = _base_grid(horizon, step)
     if record_times is None:
-        grid = base
-        rec = base
-    else:
-        rec = np.atleast_1d(np.asarray(record_times, dtype=float))
-        if rec.size and (rec.min() < 0 or rec.max() > horizon + 1e-12):
-            raise ValueError("record times must lie in [0, horizon]")
-        grid = np.unique(np.concatenate([base, rec]))
-        rec = np.unique(rec)
-    rec_idx = np.searchsorted(grid, rec)
-    return grid, rec_idx
+        return base, np.arange(len(base))
+    rec = np.unique(np.asarray(record_times, dtype=float))
+    if rec.size and (rec[0] < 0 or rec[-1] > horizon + 1e-12):
+        raise ValueError("record times must lie in [0, horizon]")
+    inner = base[1:-1]
+    bracket = np.concatenate(([-math.inf], rec, [math.inf]))
+    up = np.searchsorted(bracket, inner)  # bracket[up - 1] < inner <= bracket[up]
+    near = np.minimum(inner - bracket[up - 1], bracket[up] - inner) <= 1e-9 * max(1.0, horizon)
+    grid = np.union1d(np.delete(base, 1 + np.flatnonzero(near)), rec)
+    return grid, np.searchsorted(grid, rec)
 
 
 def _check_n_paths(n_paths) -> None:
@@ -115,16 +123,18 @@ def scenario_stream(
     record_times=None,
     predicates=None,
 ):
-    """Run the batch engine on `scenario`, yielding (t, states, xi) at each record time.
+    """Run the batch engine on `scenario`, yielding (t, states, xi) at every grid time.
 
     The engine reads the scenario's environment, branching, x0, horizon
-    and step.  `seed` is an int or a `np.random.Generator` (passed through
-    `np.random.default_rng`, which returns a generator unchanged), and
-    `predicates` defaults to the scenario's own truncation.  `states`
-    lists one (n_paths, 2) array per variant and `xi` one (n_paths,)
-    array of xi(t) per variant, at that variant's environment clip.  They
-    are live views of the engine's state, valid until the generator is
-    resumed.  Record times default to every grid time.
+    and step; the grid is the base grid plus `record_times` (see
+    `_batch_grid`).  `seed` is an int or a `np.random.Generator` (passed
+    through `np.random.default_rng`, which returns a generator unchanged),
+    and `predicates` defaults to the scenario's own truncation.  Every
+    variant runs in one environment path, so the predicates must share
+    one `env_clip` (ValueError otherwise).  `states` lists one
+    (n_paths, 2) array per variant and `xi` is the (n_paths,) array of
+    xi(t) at that clip.  They are live views of the engine's state, valid
+    until the generator is resumed.
 
     Branching uses integrated-intensity clocks: each path carries a unit
     exponential budget that every interval decreases by rate * h, with
@@ -139,15 +149,16 @@ def scenario_stream(
     env, bspec, x0 = scenario.environment, scenario.branching, scenario.x0
     horizon, step = scenario.horizon, scenario.step
     _check_n_paths(n_paths)
-    grid, rec_idx = _batch_grid(horizon, step, record_times)
-    # each variant's exact drift flow for each distinct step, and its clip's index
+    clip = predicates[0].env_clip
+    if any(pred.env_clip != clip for pred in predicates):
+        raise ValueError("the predicates of one pass must share one env_clip")
+    grid, _ = _batch_grid(horizon, step, record_times)
+    # each variant's exact drift flow for each distinct step
     steps, step_of = np.unique(np.diff(grid), return_inverse=True)
     flows = [_drift_flows(bspec, pred, steps) for pred in predicates]
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
     branching = lam.any()
-    clips = list(dict.fromkeys(pred.env_clip for pred in predicates))
-    clip_of = [clips.index(pred.env_clip) for pred in predicates]
-    env_incs = env_increments(env, grid, step, n_paths, rng, clips)
+    env_incs = env_increments(env, grid, step, n_paths, rng, clip)
     max_events = DEFAULT_EVENTS_CAP * horizon
 
     # states are kept as (2, n_paths): each coordinate is contiguous
@@ -155,11 +166,8 @@ def scenario_stream(
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
     scratch = np.empty(n_paths)
-    xi = [np.zeros(n_paths) for _ in clips]
-    xi_of = [xi[c] for c in clip_of]
-    rec_pos = set(int(g) for g in rec_idx)
-    if 0 in rec_pos:
-        yield grid[0], [x.T for x in xs], xi_of
+    xi = np.zeros(n_paths)
+    yield grid[0], [x.T for x in xs], xi
 
     for m in range(len(grid) - 1):
         h = grid[m + 1] - grid[m]
@@ -211,17 +219,15 @@ def scenario_stream(
                 # a fresh budget, less what the rest of the interval consumes
                 clock[active] = rng.exponential(1.0, k) - left * (lam @ _max_over(xs, active))
                 active = active[clock[active] < 0.0]
-        # 4. exact environment multiplier (variants with equal clips share one)
-        incs = next(env_incs)
-        mults = [np.exp(d) for d in incs]
-        for acc, d in zip(xi, incs):
-            acc += d
-        for x, c in zip(xs, clip_of):
-            x *= mults[c]
+        # 4. exact environment multiplier, one for every variant
+        dxi = next(env_incs)
+        xi += dxi
+        mult = np.exp(dxi)
+        for x in xs:
+            x *= mult
             if x.min() < 0:
                 raise NegativeState("state went negative")  # pragma: no cover
-        if m + 1 in rec_pos:
-            yield grid[m + 1], [x.T for x in xs], xi_of
+        yield grid[m + 1], [x.T for x in xs], xi
 
 
 def scenario_states(
@@ -231,20 +237,23 @@ def scenario_states(
     record_times=None,
     predicates=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack what `scenario_stream` yields: (record_times, states).
+    """Stack what `scenario_stream` yields at the record times: (record_times, states).
 
-    `states` is shaped (n_variants, n_paths, n_records, 2).  Environment
-    jumps are aggregated per grid interval (their law at grid points is
-    exact); shared draws across variants implement the monotone coupling.
+    `states` is shaped (n_variants, n_paths, n_records, 2), with the
+    record times sorted and distinct (default: every grid time).
+    Environment jumps are aggregated per grid interval (their law at grid
+    points is exact); shared draws across variants implement the monotone
+    coupling.
     """
     _check_n_paths(n_paths)
     predicates = (scenario.truncation,) if predicates is None else predicates
     grid, rec_idx = _batch_grid(scenario.horizon, scenario.step, record_times)
     out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
+    slot = {m: r for r, m in enumerate(rec_idx.tolist())}
     stream = scenario_stream(scenario, n_paths, seed, record_times, predicates)
-    for r, (_, states, _) in enumerate(stream):
-        for v, x in enumerate(states):
-            out[v, :, r, :] = x
+    for m, (_, states, _) in enumerate(stream):
+        if m in slot:
+            out[:, :, slot[m]] = states
     return grid[rec_idx], out
 
 
@@ -282,7 +291,7 @@ def simulate_paths(
     states = np.empty((n_paths, len(grid), 2))
     xi = np.empty((n_paths, len(grid)))
     stream = scenario_stream(scenario, n_paths, rng_seed)
-    for r, (_, (x,), (xi_t,)) in enumerate(stream):
+    for r, (_, (x,), xi_t) in enumerate(stream):
         states[:, r] = x
         xi[:, r] = xi_t
     return [StatePath(grid, states[i], xi[i]) for i in range(n_paths)]

@@ -21,7 +21,6 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .env import _base_grid
 from .moments import (
     first_moment_closed_form,
     hypotheses_hold,
@@ -221,15 +220,11 @@ def _one_pass(scenario, parts, paths: int, seed: int) -> list[EstimateReport]:
     times it reads (`times`, None for every grid time), and reduces what
     it is fed (`feed(t, states)`, its own variants in its own order) into
     `report()`.  The pass runs the union of the variants, deduplicated by
-    equality, on one random stream.  It records the union of the parts'
-    times, the base grid joining it when some part reads every grid time;
-    a time off the base grid joins the grid.
+    equality, on one random stream and one environment path; the parts'
+    times join the grid, and each part is fed the grid times it reads.
     """
     preds = list(dict.fromkeys(p for part in parts for p in part.predicates))
-    times = [part.times for part in parts if part.times is not None]
-    if len(times) < len(parts):
-        times.append(_base_grid(scenario.horizon, scenario.step))
-    times = np.unique(np.concatenate(times))
+    times = [t for part in parts if part.times is not None for t in part.times]
     slots = [[preds.index(p) for p in part.predicates] for part in parts]
     reads = [None if part.times is None else set(part.times.tolist()) for part in parts]
     for t, states, _ in scenario_stream(scenario, paths, seed, record_times=times, predicates=preds):

@@ -95,8 +95,8 @@ def test_skeleton_path_is_one_path_of_env_increments():
     base = 0.125 * np.arange(9)
     np.testing.assert_array_equal(skel.grid, base)
     path = realize_env_path(spec, skel)
-    incs = env_increments(spec, base, 0.125, 1, np.random.default_rng(skel.seed), [math.inf])
-    replayed = np.hstack([dxi for (dxi,) in incs])
+    incs = env_increments(spec, base, 0.125, 1, np.random.default_rng(skel.seed))
+    replayed = np.hstack(list(incs))
     np.testing.assert_array_equal(path.xi_increments, replayed)
     # partial sums reconstruct xi at grid points for the sampled jump set
     assert np.allclose(path.xi_values(), np.concatenate(([0.0], np.cumsum(replayed))), atol=1e-12)
@@ -162,21 +162,24 @@ def test_levy_exponent_overflow_is_a_package_error():
 
 
 def test_env_increments_law_and_clips_on_an_uneven_grid():
-    """E e^{dxi} = e^{beta(1) h} per interval at each clip; clips remove whole big jumps."""
+    """E e^{dxi} = e^{beta(1) h} per interval at each clip; one seed at two clips makes the
+    same draws, so a clip removes whole big jumps."""
     nu = JumpMeasure1D(atoms=[Atom1D(0.6, 0.4), Atom1D(0.4, -0.5), Atom1D(0.5, 1.3)])
     spec = LevyEnvSpec(a=0.1, sigma1=0.3, nu=nu)
     grid = np.array([0.0, 0.3, 0.35, 0.9, 1.0])
     n = 40_000
     # jump windows of one interval (step 0.5) and of the whole grid (step 0.1)
     for step in (0.5, 0.1):
-        incs = list(env_increments(spec, grid, step, n, np.random.default_rng(5), [math.inf, 1.0]))
-        assert len(incs) == len(grid) - 1
-        for h, pair in zip(np.diff(grid), incs):
-            for clip, d in zip((math.inf, 1.0), pair):
+        incs = {clip: list(env_increments(spec, grid, step, n, np.random.default_rng(5), clip))
+                for clip in (math.inf, 1.0)}
+        for clip, per_interval in incs.items():
+            assert len(per_interval) == len(grid) - 1
+            for h, d in zip(np.diff(grid), per_interval):
                 vals = np.exp(d)
                 se = vals.std(ddof=1) / math.sqrt(n)
                 assert abs(vals.mean() - math.exp(levy_exponent(spec, 1, clip) * h)) <= 4 * se
-            removed = (pair[0] - pair[1]) / 1.3
+        for full, clipped in zip(incs[math.inf], incs[1.0]):
+            removed = (full - clipped) / 1.3
             assert np.allclose(removed, np.round(removed), atol=1e-9) and removed.min() > -1e-9
 
 
@@ -184,6 +187,7 @@ def test_env_increments_deterministic_environment_draws_nothing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     grid = np.array([0.0, 0.25, 1.0])
-    incs = list(env_increments(LevyEnvSpec(a=0.2), grid, 0.25, 7, rng, [math.inf, 1.0]))
-    assert incs == [[0.2 * 0.25] * 2, [0.2 * 0.75] * 2]
+    for clip in (math.inf, 1.0):
+        incs = list(env_increments(LevyEnvSpec(a=0.2), grid, 0.25, 7, rng, clip))
+        assert incs == [0.2 * 0.25, 0.2 * 0.75]
     assert rng.bit_generator.state == state

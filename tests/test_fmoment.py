@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbre2.branching import BranchingSpec
-from cbre2.env import LevyEnvSpec
-from cbre2.errors import ZeroInitialState
+from cbre2.env import LevyEnvSpec, levy_exponent
+from cbre2.errors import DivergentExponent, ZeroInitialState
 from cbre2.fmoment import (
     FINITE,
     INFINITE,
@@ -184,11 +184,18 @@ def test_verdict_monotone_in_growth_and_tail(p, alpha, bump):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 5), alpha=st.floats(1.2, 6.0), rate=st.floats(0.5, 6.0))
 def test_consistency_with_moment_hypotheses(n, alpha, rate):
-    """f = (1+x)^n is integrable iff the order-n moment hypotheses hold."""
+    """f = (1+x)^n is integrable iff the order-n moment hypotheses hold: the jump moment of
+    order n and beta(n) are finite."""
     env = LevyEnvSpec(nu=_env_exp(rate))
     spec = BranchingSpec(m1=_pareto_m(alpha))
     verdict = f_moment_verdict(env, spec, (1.0, 1.0), power(float(n)))
-    assert (verdict.verdict == FINITE) == hypotheses_hold(env, spec, n)
+    try:
+        levy_exponent(env, n)
+        beta_finite = True
+    except DivergentExponent:
+        beta_finite = False
+    reference = math.isfinite(spec.m1.moment(n, 0)) and beta_finite
+    assert (verdict.verdict == FINITE) == hypotheses_hold(env, spec, n) == reference
 
 
 def test_truth_table_twelve_cases():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbre2.branching import BranchingSpec
+from cbre2.env import LevyEnvSpec
 from cbre2.errors import DivergentCrossMoment, ExponentOverflow
 from cbre2.measures import (
     Atom1D,
@@ -14,14 +16,16 @@ from cbre2.measures import (
     JumpMeasure1D,
     Tail1D,
 )
-from cbre2.truncation import BranchingRule
+from cbre2.moments import build_moment_generator, hypotheses_hold
+from cbre2.truncation import BranchingRule, TruncationPredicate
 
 
 def test_moments_beyond_the_float_range():
     """A capped tail has every norm moment without computing one; an exponential moment past
     the float range is an error, not a divergence."""
     pareto = JumpMeasure(tails=[AxisTail(1, "pareto", 0.5, 2.5, 1.0)])
-    assert pareto.norm_moment_finite(6, BranchingRule("norm_cap", 1e300))
+    capped = TruncationPredicate(BranchingRule("norm_cap", 1e300))
+    assert hypotheses_hold(LevyEnvSpec(), BranchingSpec(m1=pareto), 6, capped)
     assert math.isfinite(pareto.tails[0].moment_mag(3, 1e300))
     with pytest.raises(ExponentOverflow):  # expm1 of 1.5 log(1e300) overflows
         pareto.tails[0].moment_mag(4, 1e300)
@@ -32,7 +36,7 @@ def test_moments_beyond_the_float_range():
     with pytest.raises(ExponentOverflow):
         flat.moment_mag(2)
     with pytest.raises(ExponentOverflow):
-        JumpMeasure(tails=[flat]).norm_moment_finite(2)
+        build_moment_generator(LevyEnvSpec(), BranchingSpec(m1=JumpMeasure(tails=[flat])), 2)
 
 
 def test_atom_moments():

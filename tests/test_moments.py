@@ -411,7 +411,7 @@ def test_quenched_laplace_is_the_shared_solver_on_one_path():
     lam = np.array([0.7, 0.4])
     ql = quenched_laplace(path, TAIL_SPEC, lam, 1.0)
     increments = zip(np.diff(path.grid)[::-1], path.xi_increments[::-1])
-    steps = _backward_steps(TAIL_SPEC, lam, increments, 1e-13, 100)
+    steps = _backward_steps(TAIL_SPEC, lam, increments, 1e-13)
     shared = np.concatenate(list(steps)[::-1])
     np.testing.assert_allclose(ql.v[:-1], shared, rtol=1e-15, atol=0)
     assert tuple(ql.v[-1]) == (0.7, 0.4)
@@ -424,9 +424,21 @@ def test_backward_solver_batches_paths():
     lam = np.array([0.9, 0.2])
     dxi = np.stack([p.xi_increments for p in paths])
     increments = zip(np.diff(paths[0].grid)[::-1], dxi.T[::-1])
-    *_, v0 = _backward_steps(TAIL_SPEC, lam, increments, 1e-13, 100)
+    *_, v0 = _backward_steps(TAIL_SPEC, lam, increments, 1e-13)
     for k, p in enumerate(paths):
         np.testing.assert_allclose(v0[k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [(-0.5, 0.2), (math.nan, 0.2), (0.7, math.inf)],
+                         ids=["negative", "nan", "inf"])
+def test_laplace_solvers_reject_a_bad_lambda(lam):
+    """lam must be finite and >= 0 in both solvers; a bad lam is not a step too coarse."""
+    sc = bundled_scenario("laplace", 10_000, 2e-3)
+    path = sample_env_path(sc.environment, 0.5, 0.01, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lam must be finite"):
+        quenched_laplace(path, sc.branching, lam, 0.5)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, 0.5, 20, 0.01, 1)
 
 
 @pytest.mark.parametrize("name", ["laplace", "pareto"])
@@ -437,8 +449,8 @@ def test_annealed_laplace_is_the_mean_of_quenched_solves(name):
     est, _ = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
     grid = _base_grid(t, step)
     reflected = t - grid[::-1]
-    incs = env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed), [math.inf])
-    dxi = np.array([np.broadcast_to(d, (n,)) for (d,) in incs])[::-1]  # forward in time
+    incs = env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed))
+    dxi = np.array([np.broadcast_to(d, (n,)) for d in incs])[::-1]  # forward in time
     assert np.ptp(dxi.sum(axis=0)) > 0.5  # the paths differ
     vals = []
     for k in range(n):

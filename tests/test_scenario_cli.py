@@ -372,6 +372,9 @@ def _set(data, path, value):
                      id="b-flat"),
         pytest.param("laplace", "laplace.json", ("laplace", "lambda"), ["a", 1], "laplace.lambda",
                      id="lambda-text"),
+        # a Laplace time below the step has no grid interval; it named `step` before
+        pytest.param("laplace", "laplace.json", ("laplace", "t"), 0.001, "laplace.t",
+                     id="laplace_t-below-step"),
         pytest.param("moments", "mixed.json", ("moment_degree",), "x", "moment_degree",
                      id="moment_degree-text"),
         pytest.param("moments", "mixed.json", ("moment_degree",), 0, "moment_degree",

@@ -55,6 +55,17 @@ def test_drift_flow_of_every_distinct_step():
     assert path.xi_increments[-1] == pytest.approx(0.2 * 0.1, rel=1e-12)
 
 
+def test_a_record_time_next_to_a_base_point_replaces_it():
+    """At step 0.1 the base point 0.6000000000000001 gives way to the record time 0.6, so
+    no grid step is shorter than 1e-9; the stream yields every grid time, ends included."""
+    sc = _plain_scenario(LevyEnvSpec(a=0.2), BranchingSpec(b11=1.0), (1.0, 1.0), 1.0, 0.1)
+    times, _ = scenario_states(sc, 2, 0, record_times=[0.6])
+    assert times.tolist() == [0.6]
+    grid = [t for t, _, _ in scenario_stream(sc, 2, 0, record_times=[0.6])]
+    assert len(grid) == 11 and 0.6 in grid and (grid[0], grid[-1]) == (0.0, 1.0)
+    assert np.diff(grid).min() > 1e-9
+
+
 def test_environment_factorization_exact():
     """Branching off: X(t) = x0 e^{xi(t)} exactly at grid points."""
     env = LevyEnvSpec(
@@ -112,8 +123,8 @@ def test_identical_predicates_bitwise_equal():
     preds = (norm_cap(2.0), norm_cap(2.0))
     _, (a, b) = scenario_states(sc, 6, 3, predicates=preds, record_times=None)
     assert (a == b).all()
-    for _, _, (xi_a, xi_b) in scenario_stream(sc, 6, 3, predicates=preds):
-        assert (xi_a == xi_b).all()
+    for _, (a_t, b_t), xi in scenario_stream(sc, 6, 3, predicates=preds):
+        assert (a_t == b_t).all() and xi.shape == (6,)  # one xi for both variants
 
 
 def test_pure_jump_coupling_ordered_pathwise():
@@ -133,12 +144,12 @@ def test_coupled_batch_ordering_full_grid():
     assert (states[0] <= states[1] + 1e-12).all()
 
 
-def test_env_clip_coupling_ordered():
+def test_one_pass_runs_one_environment_clip():
+    """Every variant of a pass runs in one environment path, so their clips must agree."""
     sc = bundled_scenario("coupling", 10_000, 0.01)
-    pa = TruncationPredicate(env_clip=1.2)
-    pb = TruncationPredicate(env_clip=2.0)
-    _, states = scenario_states(sc, 1500, 4, predicates=(pa, pb))
-    assert (states[0] <= states[1] + 1e-12).all()
+    preds = (TruncationPredicate(env_clip=1.2), TruncationPredicate(env_clip=2.0))
+    with pytest.raises(ValueError, match="env_clip"):
+        next(scenario_stream(sc, 10, 4, predicates=preds))
 
 
 def test_mass_overflow_fail_fast(monkeypatch):
@@ -279,9 +290,7 @@ def test_batch_engine_rejects_empty_path_count(n_paths):
 
 def _stream_bytes(stream):
     """Every (t, states, xi) the stream yields, as bytes (its arrays are live views)."""
-    return [
-        (t, [x.tobytes() for x in states], [x.tobytes() for x in xi]) for t, states, xi in stream
-    ]
+    return [(t, [x.tobytes() for x in states], xi.tobytes()) for t, states, xi in stream]
 
 
 def test_one_engine_entry():

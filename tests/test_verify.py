@@ -219,6 +219,34 @@ def test_streamed_coupling_report_equals_full_record(name):
         assert stats == {"ordering_violations", "max_signed_gap"}
 
 
+def test_verify_rows_when_the_step_misses_a_report_time(tmp_path):
+    """verify.json at step 0.1: the report time 0.6 replaces the base point one ulp away, so
+    the coupling report has one row per grid time (11, not 12 with a ~1e-16 step)."""
+    import csv
+    import json
+    import os
+
+    from cbre2.cli import main
+    from tests.conftest import SCENARIO_DIR
+
+    with open(os.path.join(SCENARIO_DIR, "verify.json")) as f:
+        data = json.load(f)
+    data["step"] = 0.1
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(config), "--paths", "200", "--out", str(out)]) in (0, 2)
+
+    def rows(name):
+        with open(out / f"verify_{name}.csv") as f:
+            return list(csv.DictReader(f))
+
+    violations = [r for r in rows("coupling") if r["statistic"] == "ordering_violations"]
+    assert len(violations) == 11
+    for name in ("moments", "martingale"):
+        assert sorted({float(r["t"]) for r in rows(name)}) == [0.2, 0.4, 0.6, 0.8, 1.0]
+
+
 def _verify_cli(tmp_path, name, paths, seed):
     """Run `cbre2 verify` on a bundled scenario; return the scenario it ran and its output dir."""
     import os
