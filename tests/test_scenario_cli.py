@@ -372,7 +372,7 @@ def _set(data, path, value):
                      id="b-flat"),
         pytest.param("laplace", "laplace.json", ("laplace", "lambda"), ["a", 1], "laplace.lambda",
                      id="lambda-text"),
-        # a Laplace time below the step has no grid interval; it named `step` before
+        # a Laplace time below the step has no grid interval
         pytest.param("laplace", "laplace.json", ("laplace", "t"), 0.001, "laplace.t",
                      id="laplace_t-below-step"),
         pytest.param("moments", "mixed.json", ("moment_degree",), "x", "moment_degree",
