@@ -1,4 +1,6 @@
+import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from cbre2.env import LevyEnvSpec, sample_env_path
 from cbre2.errors import ConfigError, MassOverflow
 from cbre2.measures import Atom1D, JumpMeasure1D
 from cbre2.moments import first_moment_closed_form
-from cbre2.scenario import ScenarioConfig, dump_scenario
+from cbre2.scenario import ScenarioConfig, dump_scenario, load_scenario
 from cbre2.simulate import (
     scenario_states,
     scenario_stream,
@@ -19,7 +21,7 @@ from cbre2.simulate import (
     simulate_paths,
 )
 from cbre2.truncation import IDENTITY, BranchingRule, TruncationPredicate, norm_cap, unit_square
-from tests.conftest import bundled_scenario
+from tests.conftest import SCENARIO_DIR, bundled_scenario
 
 
 def _plain_scenario(env, branching, x0, horizon, step, **kw):
@@ -313,3 +315,31 @@ def test_one_engine_entry():
 
     assert by_int == _stream_bytes(scenario_stream(sc, n, s, predicates=(restricted,)))
     assert by_int != _stream_bytes(scenario_stream(sc, n, s, predicates=(IDENTITY,)))
+
+
+
+# SHA-256 of the grid times and the (variants, paths, grid times, 2) states of three
+# 300-path passes at the configs' own step and seed, recorded at every grid time; a
+# change to any draw or to the arithmetic of any variant moves them.
+STATE_DIGESTS = {
+    "verify": "acde7ac819d54f77362839c11cc2f4962636b50a69e45cae6f2af94ecb90e9cd",
+    "coupling": "1a2fff3dab950d63fb468022fb50341a26b71a6235f4643f50c9060ec7c4bcd8",
+    "mixed": "62062757271f374e06d958c1be09489138283ac742d82c018bd814381703f3a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+def test_engine_states_pinned(name):
+    """verify.json runs the six variants `verify_reports` runs (its truncation, then the
+    norm caps of coupling_k and trunc_k_list in order of first use), coupling.json its
+    two norm caps, and mixed.json its own truncation."""
+    sc = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    if name == "verify":
+        preds = (sc.truncation,) + tuple(norm_cap(k) for k in (2.0, 5.0, 4.0, 8.0, 16.0))
+    elif name == "coupling":
+        preds = tuple(norm_cap(k) for k in sc.coupling_k)
+    else:
+        preds = (sc.truncation,)
+    times, states = scenario_states(sc, 300, sc.seed, record_times=None, predicates=preds)
+    digest = hashlib.sha256(times.tobytes() + states.tobytes()).hexdigest()
+    assert digest == STATE_DIGESTS[name]
