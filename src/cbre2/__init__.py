@@ -25,7 +25,6 @@ from .errors import (
     HypothesisViolated,
     InvalidStep,
     MassOverflow,
-    NegativeState,
     ZeroInitialState,
 )
 from .fmoment import (

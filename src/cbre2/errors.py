@@ -33,10 +33,6 @@ class MassOverflow(Cbre2Error):
     """Expected event count exceeds the configured safety cap."""
 
 
-class NegativeState(Cbre2Error):
-    """Internal assertion: a simulated state went negative (should be unreachable)."""
-
-
 class FixedPointDivergence(Cbre2Error):
     """Per-step fixed-point iteration of the backward Laplace equation did not converge."""
 

@@ -160,6 +160,9 @@ class _Measure:
         self._mass = math.fsum(a.mass for a in self.atoms) + math.fsum(
             t.mass for t in self.tails
         )
+        self._cum = np.cumsum([c.mass for c in self.atoms + self.tails])
+        # each component's jump: a tail's is 0, and its magnitudes are drawn per call
+        self._table = np.array([self._jump(a) for a in self.atoms + (None,) * len(self.tails)], float)
 
     def __repr__(self):
         return f"{type(self).__name__}(atoms={self.atoms!r}, tails={self.tails!r})"
@@ -178,18 +181,18 @@ class _Measure:
         return self._mass
 
     def _draws(self, rng: np.random.Generator, size: int):
-        """Split `size` draws over the components by mass: yields (component, mask, count)."""
+        """Pick components by mass: the table's jumps, and (tail, mask, count) per tail picked."""
         if size == 0 or self._mass == 0.0:
-            return
-        comps = self.atoms + self.tails
-        cum = np.cumsum([c.mass for c in comps])
-        idx = np.searchsorted(cum, rng.random(size) * self._mass, side="right")
-        idx = np.minimum(idx, len(comps) - 1)
-        for k, c in enumerate(comps):
+            return np.zeros((size,) + np.shape(self._jump(None))), []
+        idx = np.searchsorted(self._cum, rng.random(size) * self._mass, side="right")
+        idx = np.minimum(idx, len(self._cum) - 1)
+        picked = []
+        for k, t in enumerate(self.tails, len(self.atoms)):
             sel = idx == k
-            m = int(sel.sum())
+            m = int(np.count_nonzero(sel))
             if m:
-                yield c, sel, m
+                picked.append((t, sel, m))
+        return self._table[idx], picked
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +304,15 @@ class JumpMeasure1D(_Measure):
             total += t.integrate_exp(c, 2, t.x0, 1.0) + t.integrate_exp(c, 1, 1.0, hi)
         return total
 
+    @staticmethod
+    def _jump(atom: Atom1D | None) -> float:
+        return atom.z if atom else 0.0
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` raw jump sizes from the normalized measure."""
-        out = np.zeros(size)
-        for c, sel, m in self._draws(rng, size):
-            out[sel] = c.z if isinstance(c, Atom1D) else c.side * c.sample_mag(rng, m)
+        """Draw `size` raw jump sizes from the normalized measure (see `JumpMeasure.sample`)."""
+        out, picked = self._draws(rng, size)
+        for t, sel, m in picked:
+            out[sel] = t.side * t.sample_mag(rng, m)
         return out
 
 
@@ -381,6 +388,10 @@ class JumpMeasure(_Measure):
     branching jump measures) is enforced at construction.
     """
 
+    @staticmethod
+    def _jump(atom: Atom2D | None) -> tuple[float, float]:
+        return (atom.z1, atom.z2) if atom else (0.0, 0.0)
+
     def __init__(self, atoms=(), tails=()):
         super().__init__(atoms, tails)
         if math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1)):
@@ -430,13 +441,10 @@ class JumpMeasure(_Measure):
         return total if np.ndim(total) else float(total)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` jumps as an (size, 2) array from the normalized measure."""
-        out = np.zeros((size, 2))
-        for c, sel, m in self._draws(rng, size):
-            if isinstance(c, Atom2D):
-                out[sel] = c.z1, c.z2
-            else:
-                out[sel, c.axis - 1] = c.sample_mag(rng, m)
+        """Draw `size` jumps, (size, 2): a gather from the component table, then tail magnitudes."""
+        out, picked = self._draws(rng, size)
+        for t, sel, m in picked:
+            out[sel, t.axis - 1] = t.sample_mag(rng, m)
         return out
 
 

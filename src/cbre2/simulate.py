@@ -21,8 +21,9 @@ The engine is vectorized over paths and event-driven:
 
 - branching uses integrated-intensity clocks (Gibson & Bruck 2000;
   Anderson 2007): each path carries a unit-exponential budget that each
-  interval decreases by rate * h, and only paths whose budget runs out
-  enter the event loop;
+  interval decreases by rate * h (at the max over variants, taken once),
+  and only paths whose budget runs out enter the event loop, whose
+  candidate jumps are a gather from each measure's component table;
 - environment increments come from `env.env_increments`, which draws
   jumps per path once per window of floor(1 / (lambda_env * step))
   intervals and pre-buckets them by grid interval, so each step only
@@ -50,9 +51,9 @@ import numpy as np
 
 from .branching import BranchingSpec, kept_jump_means
 from .env import LevyEnvSpec, _base_grid, env_increments
-from .errors import ConfigError, ExponentOverflow, MassOverflow, NegativeState
+from .errors import ConfigError, ExponentOverflow, MassOverflow
 from .scenario import ScenarioConfig
-from .truncation import IDENTITY, TruncationPredicate
+from .truncation import IDENTITY, NONE, TruncationPredicate
 from ._util import expm2
 
 DEFAULT_EVENTS_CAP = 1_000_000  # branching events per path per unit time
@@ -108,11 +109,13 @@ def _check_n_paths(n_paths) -> None:
         raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
 
 
-def _max_over(xs: list, cols=slice(None)) -> np.ndarray:
-    """Componentwise max over the variants' (2, n) states, at columns `cols`."""
-    out = xs[0][:, cols]
-    for x in xs[1:]:
-        out = np.maximum(out, x[:, cols])
+def _max_over(xs: list, out=None) -> np.ndarray:
+    """Componentwise max over the variants' states: the one state itself, else into `out`."""
+    if len(xs) == 1:
+        return xs[0]
+    out = np.maximum(xs[0], xs[1], out=out)
+    for x in xs[2:]:
+        np.maximum(out, x, out=out)
     return out
 
 
@@ -138,11 +141,13 @@ def scenario_stream(
 
     Branching uses integrated-intensity clocks: each path carries a unit
     exponential budget that every interval decreases by rate * h, with
-    the rate taken at the max over variants; only paths whose budget runs
-    out enter the event loop, which carries their time left in the
-    interval so that several events per interval stay exact.  A candidate
-    event picks its type and jump from the shared stream, and each variant
-    accepts it with u * ownmax <= own plus its own keep rule.
+    the rate taken at the max over variants (once per step, in one buffer);
+    only paths whose budget runs out enter the event loop, which carries
+    their time left in the interval so that several events per interval
+    stay exact.  A candidate event picks its type and its jump from the
+    shared stream (a table gather, `JumpMeasure.sample`), and each variant
+    accepts it with u * ownmax <= own and, if its rule can drop a jump, its
+    keep rule; the max after a round's jumps re-clocks it and rates the next.
     """
     rng = np.random.default_rng(seed)
     predicates = (scenario.truncation,) if predicates is None else tuple(predicates)
@@ -166,6 +171,7 @@ def scenario_stream(
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
     scratch = np.empty(n_paths)
+    xmax = np.empty((2, n_paths)) if len(xs) > 1 else None  # the max over variants
     xi = np.zeros(n_paths)
     yield grid[0], [x.T for x in xs], xi
 
@@ -189,15 +195,16 @@ def scenario_stream(
                     np.maximum(scratch, 0.0, out=x[i])
         # 3. branching jumps where the integrated intensity exhausts a clock
         if branching:
-            clock -= h * (lam @ _max_over(xs))
+            top = _max_over(xs, xmax)
+            clock -= h * (lam @ top)
             active = np.flatnonzero(clock < 0.0)
+            xm = top[:, active]  # the max over variants at the active paths
             while active.size:
                 k = active.size
                 events[active] += 1.0
                 # jumps only raise the rate, so at least Poisson(-clock) more events are due
                 if (events[active] - clock[active]).max() > max_events:
                     raise MassOverflow("branching event count exceeds the safety cap")
-                xm = _max_over(xs, active)
                 r1 = lam[0] * xm[0]
                 rate = r1 + lam[1] * xm[1]
                 left = -clock[active] / rate  # time from the event to the interval end
@@ -208,25 +215,26 @@ def scenario_stream(
                     z[is1] = bspec.m1.sample(rng, n1)
                 if k - n1:
                     z[~is1] = bspec.m2.sample(rng, k - n1)
-                u_acc = rng.random(k)
-                own_row = np.where(is1, 0, 1)
-                ownmax = np.where(is1, xm[0], xm[1])
+                # accept with u * ownmax <= own: one flat index of the own coordinate
+                bar = rng.random(k) * np.where(is1, xm[0], xm[1])
+                own = np.where(is1, active, active + n_paths)
                 for x, pred in zip(xs, predicates):
-                    acc = u_acc * ownmax <= x[own_row, active]
-                    acc &= pred.branching.keep(z)
+                    acc = bar <= np.take(x, own)
+                    if pred.branching.kind != NONE:
+                        acc &= pred.branching.keep(z)
                     if acc.any():
                         x[:, active[acc]] += z[acc].T
                 # a fresh budget, less what the rest of the interval consumes
-                clock[active] = rng.exponential(1.0, k) - left * (lam @ _max_over(xs, active))
-                active = active[clock[active] < 0.0]
+                xm = _max_over([x[:, active] for x in xs])
+                clock[active] = rng.exponential(1.0, k) - left * (lam @ xm)
+                due = clock[active] < 0.0
+                active, xm = active[due], xm[:, due]
         # 4. exact environment multiplier, one for every variant
         dxi = next(env_incs)
         xi += dxi
         mult = np.exp(dxi)
         for x in xs:
             x *= mult
-            if x.min() < 0:
-                raise NegativeState("state went negative")  # pragma: no cover
         yield grid[m + 1], [x.T for x in xs], xi
 
 

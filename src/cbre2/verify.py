@@ -17,7 +17,7 @@ one-report case of the same pass.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class EstimateReport:
         self.rows.append(EstimateRow(float(t), statistic, float(estimate), float(se), float(target), float(z), bool(ok)))
 
     def csv_lines(self) -> list[str]:
-        return csv_lines("t,statistic,estimate,se,target,z,pass", map(astuple, self.rows))
+        return csv_lines("t,statistic,estimate,se,target,z,pass", (vars(r).values() for r in self.rows))
 
 
 def report_times(scenario) -> np.ndarray:
@@ -155,8 +155,10 @@ class _Coupling:
         lo, hi = states
         self.t, self.gap = t, lo - hi  # (paths, 2); ordering wants <= 0
         if self.pure_jump:
-            self.out.add(t, "ordering_violations", int((self.gap > 1e-12).sum()), 0.0, 0.0)
-            self.max_gap = max(self.max_gap, float(self.gap.max()))
+            top = float(self.gap.max())  # NaN when a gap is, and then the count runs
+            violations = 0 if top <= 1e-12 else int((self.gap > 1e-12).sum())
+            self.out.add(t, "ordering_violations", violations, 0.0, 0.0)
+            self.max_gap = max(self.max_gap, top)
 
     def report(self) -> EstimateReport:
         t, report = self.t, self.out

@@ -18,6 +18,7 @@ from cbre2.measures import (
 )
 from cbre2.moments import build_moment_generator, hypotheses_hold
 from cbre2.truncation import BranchingRule, TruncationPredicate
+from tests.test_branching import ATOMS, TAILS
 
 
 def test_moments_beyond_the_float_range():
@@ -279,3 +280,65 @@ def test_phi_integral_closed_form_against_quad(phi_reference, family, x0, shape)
             for val in (got, vec[k]):
                 assert abs(val - ref) <= 1e-11 * abs(ref), (own_axis, l1, val, ref)
         assert vec[0] == 0.0  # lam = 0 exactly
+
+
+ENV_ATOMS = st.lists(
+    st.builds(Atom1D, st.floats(0.01, 2.0), st.floats(-2.0, 2.0).filter(bool)), max_size=3
+)
+SIDES = st.sampled_from([1, -1])
+ENV_TAILS = st.lists(
+    st.one_of(
+        st.builds(Tail1D, st.just("exponential"), st.floats(0.01, 2.0), st.floats(0.5, 5.0),
+                  st.one_of(st.just(0.0), st.floats(0.01, 2.0)), SIDES),
+        st.builds(Tail1D, st.just("pareto"), st.floats(0.01, 2.0), st.floats(1.2, 4.0),
+                  st.floats(0.05, 2.0), SIDES),
+    ),
+    max_size=3,
+)
+
+
+def _reference_sample(measure, rng, size):
+    """The sampler before the component table: one mask, count and assignment per
+    component, in component order."""
+    out = np.zeros((size, 2) if isinstance(measure, JumpMeasure) else size)
+    if size == 0 or measure.total_mass() == 0.0:
+        return out
+    comps = measure.atoms + measure.tails
+    cum = np.cumsum([c.mass for c in comps])
+    idx = np.searchsorted(cum, rng.random(size) * measure.total_mass(), side="right")
+    idx = np.minimum(idx, len(comps) - 1)
+    for k, c in enumerate(comps):
+        sel = idx == k
+        m = int(sel.sum())
+        if not m:
+            continue
+        if isinstance(c, Atom2D):
+            out[sel] = c.z1, c.z2
+        elif isinstance(c, AxisTail):
+            out[sel, c.axis - 1] = c.sample_mag(rng, m)
+        elif isinstance(c, Atom1D):
+            out[sel] = c.z
+        else:
+            out[sel] = c.side * c.sample_mag(rng, m)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    two_d=st.booleans(),
+    size=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_per_component_reference(data, two_d, size, seed):
+    """The table-driven sampler returns the reference's bits and leaves the generator
+    where the reference leaves it."""
+    if two_d:
+        measure = JumpMeasure(data.draw(ATOMS), data.draw(TAILS))
+    else:
+        measure = JumpMeasure1D(data.draw(ENV_ATOMS), data.draw(ENV_TAILS))
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, ref = measure.sample(got_rng, size), _reference_sample(measure, ref_rng, size)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state

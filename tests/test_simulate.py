@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbre2 import simulate
 from cbre2.branching import BranchingSpec
 from cbre2.cli import main
 from cbre2.env import LevyEnvSpec, sample_env_path
 from cbre2.errors import ConfigError, MassOverflow
-from cbre2.measures import Atom1D, JumpMeasure1D
+from cbre2.measures import Atom1D, JumpMeasure, JumpMeasure1D
 from cbre2.moments import first_moment_closed_form
 from cbre2.scenario import ScenarioConfig, dump_scenario, load_scenario
 from cbre2.simulate import (
@@ -20,8 +22,17 @@ from cbre2.simulate import (
     simulate_states,
     simulate_paths,
 )
-from cbre2.truncation import IDENTITY, BranchingRule, TruncationPredicate, norm_cap, unit_square
+from cbre2.truncation import (
+    IDENTITY,
+    NORM_CAP,
+    BranchingRule,
+    TruncationPredicate,
+    norm_cap,
+    unit_square,
+)
 from tests.conftest import SCENARIO_DIR, bundled_scenario
+from tests.test_branching import ATOMS, TAILS
+from tests.test_measures import ENV_ATOMS, ENV_TAILS
 
 
 def _plain_scenario(env, branching, x0, horizon, step, **kw):
@@ -90,6 +101,31 @@ def test_nonnegativity_and_zero_absorbing():
     sz = _plain_scenario(sc.environment, sc.branching, (0.0, 0.0), 1.0, 0.05)
     for p in simulate_paths(sz, 3, 5):
         assert (p.states == 0.0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    diag=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    off=st.tuples(st.floats(-2.0, 0.0), st.floats(-2.0, 0.0)),
+    c=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    atoms=st.tuples(ATOMS, ATOMS),
+    tails=st.tuples(TAILS, TAILS),
+    env=st.builds(LevyEnvSpec, st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
+                  st.builds(JumpMeasure1D, ENV_ATOMS, ENV_TAILS)),
+    x0=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    cap=st.floats(0.1, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_state_goes_negative(diag, off, c, atoms, tails, env, x0, cap, seed):
+    """The drift flow of a Metzler matrix is entrywise >= 0, the diffusion clamps at 0,
+    jumps are >= 0 and e^{dxi} > 0, so no state of any variant is negative (or NaN).
+    The clip keeps e^{dxi} in the float range: an inf state can turn into NaN."""
+    m1, m2 = (JumpMeasure(a, t) for a, t in zip(atoms, tails))
+    bspec = BranchingSpec(diag[0], off[0], off[1], diag[1], *c, m1, m2)
+    sc = _plain_scenario(env, bspec, x0, 0.2, 0.02)
+    preds = (TruncationPredicate(BranchingRule(NORM_CAP, cap), 5.0), TruncationPredicate(env_clip=5.0))
+    _, states = scenario_states(sc, 20, seed, predicates=preds)
+    assert (states >= 0.0).all()
 
 
 def test_batch_engine_nonnegativity():

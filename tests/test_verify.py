@@ -1,7 +1,11 @@
 import math
+import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cbre2.verify as verify_mod
 from cbre2.verify import (
@@ -12,6 +16,7 @@ from cbre2.verify import (
     truncation_convergence_report,
 )
 from cbre2.truncation import NORM_CAP, BranchingRule, TruncationPredicate
+from cbre2._util import fsum_mean_se
 from tests.conftest import bundled_scenario
 
 
@@ -301,3 +306,44 @@ def test_one_pass_coupling_report_covers_every_grid_time(tmp_path):
     times = [float(row[0]) for row in violations]
     assert times == _base_grid(sc.horizon, sc.step).tolist()
     assert all(row[2] == "0" for row in violations)
+
+
+def _fsum_mean_se_over_array(x):
+    """fsum_mean_se as it summed before: math.fsum iterating the array's elements."""
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    if n == 0:
+        return math.nan, math.nan
+    mean = math.fsum(x) / n
+    if n == 1:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((x - mean) ** 2) / (n - 1) / n)
+
+
+def _outcome(f, x):
+    """f(x) as bits, or the type of what it raised (fsum raises on inf + -inf)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # squares of huge or inf entries
+            return struct.pack("<dd", *f(x))
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=40))
+def test_fsum_mean_se_sums_a_list_to_the_same_bits(values):
+    x = np.array(values, dtype=float)
+    assert _outcome(fsum_mean_se, x) == _outcome(_fsum_mean_se_over_array, x)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([]),
+    np.array([0.1]),
+    np.array([0.1, math.nan, 2.0]),
+    np.array([0.1, math.inf, 2.0]),
+    np.random.default_rng(3).lognormal(0.0, 2.0, 10_000),
+    np.broadcast_to(np.array([0.7]), (1000,)),  # annealed_laplace_mc's deterministic-xi row
+    np.broadcast_to(np.array([[0.1, 0.2, 0.3]]), (7, 3)).T,
+], ids=["n=0", "n=1", "nan", "inf", "lognormal", "broadcast", "broadcast-2d"])
+def test_fsum_mean_se_edge_inputs(x):
+    assert _outcome(fsum_mean_se, x) == _outcome(_fsum_mean_se_over_array, x)
