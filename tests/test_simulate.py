@@ -354,13 +354,15 @@ def test_one_engine_entry():
 
 
 
-# SHA-256 of the grid times and the (variants, paths, grid times, 2) states of three
-# 300-path passes at the configs' own step and seed, recorded at every grid time; a
-# change to any draw or to the arithmetic of any variant moves them.
+# SHA-256 of the grid times and the (variants, paths, grid times, 2) states of 300-path
+# passes at the configs' own step and seed, recorded at every grid time; a change to any
+# draw or to the arithmetic of any variant moves them.
 STATE_DIGESTS = {
     "verify": "acde7ac819d54f77362839c11cc2f4962636b50a69e45cae6f2af94ecb90e9cd",
     "coupling": "1a2fff3dab950d63fb468022fb50341a26b71a6235f4643f50c9060ec7c4bcd8",
     "mixed": "62062757271f374e06d958c1be09489138283ac742d82c018bd814381703f3a5",
+    "mixed-three-rules": "3a1423f0adedd172c0472c96d21351a672c03b1e9859e44d02c05ce5039cc232",
+    "laplace-scalar-dxi": "3493a660ad6d80e058764c55a893d9b797b30c02891fe72d6712dbdc29876a59",
 }
 
 
@@ -368,12 +370,20 @@ STATE_DIGESTS = {
 def test_engine_states_pinned(name):
     """verify.json runs the six variants `verify_reports` runs (its truncation, then the
     norm caps of coupling_k and trunc_k_list in order of first use), coupling.json its
-    two norm caps, and mixed.json its own truncation."""
-    sc = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json"))
+    two norm caps, and mixed.json its own truncation.  Two more passes reach what those
+    miss: mixed.json's diffusion under three variants, one of them a unit-square rule,
+    and laplace.json without sigma1 and nu, so that every environment increment is a
+    float, under the identity and a cap of 0.45 that drops m2's atom."""
+    sc = load_scenario(os.path.join(SCENARIO_DIR, f"{name.split('-')[0]}.json"))
     if name == "verify":
         preds = (sc.truncation,) + tuple(norm_cap(k) for k in (2.0, 5.0, 4.0, 8.0, 16.0))
     elif name == "coupling":
         preds = tuple(norm_cap(k) for k in sc.coupling_k)
+    elif name == "mixed-three-rules":
+        preds = (IDENTITY, norm_cap(2.0), unit_square())
+    elif name == "laplace-scalar-dxi":
+        sc = replace(sc, environment=LevyEnvSpec(a=sc.environment.a))
+        preds = (IDENTITY, norm_cap(0.45))
     else:
         preds = (sc.truncation,)
     times, states = scenario_states(sc, 300, sc.seed, record_times=None, predicates=preds)
