@@ -154,8 +154,8 @@ def env_increments(
     once per window of floor(1 / (lambda * step)) intervals, after the window's
     first Gaussian, with uniform times, which makes the per-interval counts
     exactly Poisson; they are bucketed by interval with one sort, so memory
-    stays O(n_paths).  Jumps are clipped as in `effective_jump`, so one seed
-    at two clips gives the same draws.  Raises MassOverflow when first
+    stays O(n_paths).  Jumps are clipped as in `effective_jump`, once per
+    window, so one seed at two clips gives the same draws.  Raises MassOverflow when first
     advanced if the expected jump count per path over the grid exceeds
     DEFAULT_JUMP_CAP.
     """
@@ -183,12 +183,13 @@ def env_increments(
             interval = np.clip(np.searchsorted(grid, times, side="right") - 1, m0, m1 - 1)
             order = np.argsort(interval, kind="stable")
             paths = np.repeat(np.arange(n_paths), counts)[order]
-            sizes = sizes[order]
+            sizes = effective_jump(sizes[order], clip)
             bounds = np.searchsorted(interval[order], np.arange(m0, m1 + 1))
         lo, hi = (bounds[m - m0], bounds[m - m0 + 1]) if lam > 0 else (0, 0)
         if lo < hi:
-            dxi = dxi + np.zeros(n_paths)
-            np.add.at(dxi, paths[lo:hi], effective_jump(sizes[lo:hi], clip))
+            if not isinstance(dxi, np.ndarray):  # an array here is this interval's own
+                dxi = dxi + np.zeros(n_paths)
+            np.add.at(dxi, paths[lo:hi], sizes[lo:hi])
         yield dxi
 
 

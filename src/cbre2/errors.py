@@ -10,7 +10,9 @@ class DivergentExponent(Cbre2Error):
 
 
 class ExponentOverflow(Cbre2Error):
-    """A finite exponential moment, jump moment or drift flow leaves the float range."""
+    """A finite exponential moment, jump moment, drift flow or environment multiplier
+    leaves the float range, or the multiplier alone drives the branching event count
+    past its cap."""
 
 
 class DivergentCrossMoment(Cbre2Error):

@@ -17,8 +17,11 @@ the environment action are exact.  Truncation predicates zero disallowed
 jumps, and the compensator drift in step 1 is the kept-region moment, so
 each truncated variant solves its own truncated equation.
 
-The engine is vectorized over paths and event-driven:
+The engine is vectorized over paths and over the variants of a pass,
+and event-driven:
 
+- a pass's V variants share one (V, 2, n_paths) state array, so each
+  phase is one numpy call for all of them (see `scenario_stream`);
 - branching uses integrated-intensity clocks (Gibson & Bruck 2000;
   Anderson 2007): each path carries a unit-exponential budget that each
   interval decreases by rate * h (at the max over variants, taken once),
@@ -45,15 +48,16 @@ with diffusion on, ordering holds in expectation only.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .branching import BranchingSpec, kept_jump_means
 from .env import LevyEnvSpec, _base_grid, env_increments
-from .errors import ConfigError, ExponentOverflow, MassOverflow
+from .errors import Cbre2Error, ConfigError, ExponentOverflow, MassOverflow
 from .scenario import ScenarioConfig
-from .truncation import IDENTITY, NONE, TruncationPredicate
+from .truncation import IDENTITY, KeepMask, TruncationPredicate
 from ._util import expm2
 
 DEFAULT_EVENTS_CAP = 1_000_000  # branching events per path per unit time
@@ -109,14 +113,20 @@ def _check_n_paths(n_paths) -> None:
         raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
 
 
-def _max_over(xs: list, out=None) -> np.ndarray:
-    """Componentwise max over the variants' states: the one state itself, else into `out`."""
-    if len(xs) == 1:
-        return xs[0]
-    out = np.maximum(xs[0], xs[1], out=out)
-    for x in xs[2:]:
-        np.maximum(out, x, out=out)
-    return out
+def _runaway(t: float, xi: np.ndarray, path=None) -> Cbre2Error:
+    """The error of a pass that ran away by time `t`.
+
+    With `path` None a state left the float range.  Otherwise path `path`
+    outran the branching event cap, and the environment is named when its
+    multiplier e^xi on that path alone exceeds the cap (else MassOverflow).
+    """
+    if path is not None and xi[path] <= math.log(DEFAULT_EVENTS_CAP):
+        return MassOverflow("branching event count exceeds the safety cap")
+    top, what = (xi.max(), "a state leaves the float range") if path is None else (
+        xi[path], "the branching event count with it exceeds the safety cap")
+    return ExponentOverflow(
+        f"the environment multiplier e^xi reaches e^{top:.6g} by t = {t:.6g}, and {what}"
+    )
 
 
 def scenario_stream(
@@ -134,20 +144,28 @@ def scenario_stream(
     through `np.random.default_rng`, which returns a generator unchanged),
     and `predicates` defaults to the scenario's own truncation.  Every
     variant runs in one environment path, so the predicates must share
-    one `env_clip` (ValueError otherwise).  `states` lists one
-    (n_paths, 2) array per variant and `xi` is the (n_paths,) array of
-    xi(t) at that clip.  They are live views of the engine's state, valid
-    until the generator is resumed.
+    one `env_clip` (ValueError otherwise).
+
+    The V variants live in one (V, 2, n_paths) array: the drift flows are
+    one batched matmul into a second array of that shape, after which the
+    two swap.  `states` lists V (n_paths, 2) views, one per variant, of
+    the array that holds the state (each array's views are made once), and
+    `xi` is the (n_paths,) array of xi(t) at the pass's clip.  Both are
+    live: valid until the generator is resumed.
 
     Branching uses integrated-intensity clocks: each path carries a unit
     exponential budget that every interval decreases by rate * h, with
-    the rate taken at the max over variants (once per step, in one buffer);
+    the rate at the max over variants (one max over axis 0 per step);
     only paths whose budget runs out enter the event loop, which carries
     their time left in the interval so that several events per interval
     stay exact.  A candidate event picks its type and its jump from the
-    shared stream (a table gather, `JumpMeasure.sample`), and each variant
-    accepts it with u * ownmax <= own and, if its rule can drop a jump, its
-    keep rule; the max after a round's jumps re-clocks it and rates the next.
+    shared stream (a table gather, `JumpMeasure.sample`).  Each round
+    gathers the active paths of all variants once, accepts with one (V, k)
+    test u * ownmax <= own and the variants' `KeepMask`, adds the accepted
+    jumps with one masked add, scatters once and re-clocks from the max
+    over variants.  An environment that never moves (a = 0, no sigma1, no
+    jumps) multiplies by 1, so its phase is skipped.  A state that leaves
+    the float range raises ExponentOverflow (see `_runaway`).
     """
     rng = np.random.default_rng(seed)
     predicates = (scenario.truncation,) if predicates is None else tuple(predicates)
@@ -158,84 +176,101 @@ def scenario_stream(
     if any(pred.env_clip != clip for pred in predicates):
         raise ValueError("the predicates of one pass must share one env_clip")
     grid, _ = _batch_grid(horizon, step, record_times)
-    # each variant's exact drift flow for each distinct step
+    # the variants' exact drift flows, (steps, V, 2, 2), for each distinct step
     steps, step_of = np.unique(np.diff(grid), return_inverse=True)
-    flows = [_drift_flows(bspec, pred, steps) for pred in predicates]
+    flows = np.stack([_drift_flows(bspec, pred, steps) for pred in predicates], axis=1)
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
     branching = lam.any()
+    keep = KeepMask([pred.branching for pred in predicates])
     env_incs = env_increments(env, grid, step, n_paths, rng, clip)
+    still = env.a == 0.0 and env.sigma1 == 0.0 and env.nu.total_mass() == 0.0
     max_events = DEFAULT_EVENTS_CAP * horizon
 
-    # states are kept as (2, n_paths): each coordinate is contiguous
-    xs = [np.repeat(np.asarray(x0, dtype=float)[:, None], n_paths, axis=1) for _ in predicates]
+    x = np.empty((len(predicates), 2, n_paths))
+    x[...] = np.asarray(x0, dtype=float)[:, None]
+    y = np.empty_like(x)  # the drift flow's output; the two swap every step
+    xv, yv = list(x.transpose(0, 2, 1)), list(y.transpose(0, 2, 1))
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
-    scratch = np.empty(n_paths)
-    xmax = np.empty((2, n_paths)) if len(xs) > 1 else None  # the max over variants
+    scratch = np.empty((len(predicates), n_paths))
+    top = np.empty((2, n_paths))  # the max over variants
+    rate = np.empty(n_paths)
     xi = np.zeros(n_paths)
-    yield grid[0], [x.T for x in xs], xi
+    yield grid[0], xv, xi
 
     for m in range(len(grid) - 1):
         h = grid[m + 1] - grid[m]
-        # 1. exact linear drift flow
-        for v, flow in enumerate(flows):
-            xs[v] = flow[step_of[m]] @ xs[v]
-        # 2. diffusion with clamping (noise shared across variants), fused into
-        # one scratch buffer: max(x + sqrt(2c x) sh g, 0)
-        sh = math.sqrt(h)
-        for i, c in enumerate((bspec.c1, bspec.c2)):
-            if c > 0:
-                g = rng.standard_normal(n_paths)
-                for x in xs:
-                    np.multiply(2.0 * c, x[i], out=scratch)
+        # a state that the environment lifts past the float range is caught below, not
+        # warned about; an environment that never moves multiplies by 1 and is skipped
+        with nullcontext() if still else np.errstate(over="ignore", invalid="ignore"):
+            # 1. exact linear drift flow
+            np.matmul(flows[step_of[m]], x, out=y)
+            x, y, xv, yv = y, x, yv, xv
+            # 2. diffusion with clamping (noise shared across variants), fused into
+            # one scratch buffer: max(x + sqrt(2c x) sh g, 0)
+            sh = math.sqrt(h)
+            for i, c in enumerate((bspec.c1, bspec.c2)):
+                if c > 0:
+                    g = rng.standard_normal(n_paths)
+                    xc = x[:, i]  # coordinate i of every variant, (V, n_paths)
+                    np.multiply(2.0 * c, xc, out=scratch)
                     np.sqrt(scratch, out=scratch)
                     np.multiply(scratch, sh, out=scratch)
                     np.multiply(scratch, g, out=scratch)
-                    np.add(x[i], scratch, out=scratch)
-                    np.maximum(scratch, 0.0, out=x[i])
-        # 3. branching jumps where the integrated intensity exhausts a clock
-        if branching:
-            top = _max_over(xs, xmax)
-            clock -= h * (lam @ top)
-            active = np.flatnonzero(clock < 0.0)
-            xm = top[:, active]  # the max over variants at the active paths
-            while active.size:
-                k = active.size
-                events[active] += 1.0
-                # jumps only raise the rate, so at least Poisson(-clock) more events are due
-                if (events[active] - clock[active]).max() > max_events:
-                    raise MassOverflow("branching event count exceeds the safety cap")
-                r1 = lam[0] * xm[0]
-                rate = r1 + lam[1] * xm[1]
-                left = -clock[active] / rate  # time from the event to the interval end
-                is1 = rng.random(k) * rate < r1
-                n1 = int(is1.sum())
-                z = np.zeros((k, 2))
-                if n1:
-                    z[is1] = bspec.m1.sample(rng, n1)
-                if k - n1:
-                    z[~is1] = bspec.m2.sample(rng, k - n1)
-                # accept with u * ownmax <= own: one flat index of the own coordinate
-                bar = rng.random(k) * np.where(is1, xm[0], xm[1])
-                own = np.where(is1, active, active + n_paths)
-                for x, pred in zip(xs, predicates):
-                    acc = bar <= np.take(x, own)
-                    if pred.branching.kind != NONE:
-                        acc &= pred.branching.keep(z)
-                    if acc.any():
-                        x[:, active[acc]] += z[acc].T
-                # a fresh budget, less what the rest of the interval consumes
-                xm = _max_over([x[:, active] for x in xs])
-                clock[active] = rng.exponential(1.0, k) - left * (lam @ xm)
-                due = clock[active] < 0.0
-                active, xm = active[due], xm[:, due]
-        # 4. exact environment multiplier, one for every variant
-        dxi = next(env_incs)
-        xi += dxi
-        mult = np.exp(dxi)
-        for x in xs:
-            x *= mult
-        yield grid[m + 1], [x.T for x in xs], xi
+                    np.add(xc, scratch, out=scratch)
+                    np.maximum(scratch, 0.0, out=xc)
+            # 3. branching jumps where the integrated intensity exhausts a clock
+            if branching:
+                np.maximum.reduce(x, out=top)
+                np.matmul(lam, top, out=rate)
+                if not math.isfinite(rate.max()):
+                    raise _runaway(grid[m], xi)
+                rate *= h
+                clock -= rate
+                active = np.flatnonzero(clock < 0.0)
+                # the max over variants and the clocks at the active paths
+                xm, ca = top[:, active], clock[active]
+                while active.size:
+                    k = active.size
+                    events[active] += 1.0
+                    # jumps only raise the rate, so at least Poisson(-clock) more events are due
+                    due_events = events[active] - ca
+                    if due_events.max() > max_events:
+                        raise _runaway(grid[m], xi, active[due_events.argmax()])
+                    r1 = lam[0] * xm[0]
+                    ra = r1 + lam[1] * xm[1]
+                    left = -ca / ra  # time from the event to the interval end
+                    is1 = rng.random(k) * ra < r1
+                    n1 = int(is1.sum())
+                    z = np.zeros((k, 2))
+                    if n1:
+                        z[is1] = bspec.m1.sample(rng, n1)
+                    if k - n1:
+                        z[~is1] = bspec.m2.sample(rng, k - n1)
+                    # accept with u * ownmax <= own, and keep the jumps each rule keeps
+                    bar = rng.random(k) * np.where(is1, xm[0], xm[1])
+                    xa = x[:, :, active]
+                    acc = bar <= np.where(is1, xa[:, 0], xa[:, 1])
+                    if keep.drops:
+                        acc &= keep(z)
+                    np.add(xa, z.T, out=xa, where=acc[:, None, :])
+                    x[:, :, active] = xa
+                    # a fresh budget, less what the rest of the interval consumes
+                    xm = xa.max(axis=0)
+                    ca = rng.exponential(1.0, k) - left * (lam @ xm)
+                    clock[active] = ca
+                    due = ca < 0.0
+                    active, xm, ca = active[due], xm[:, due], ca[due]
+            # 4. exact environment multiplier, one for every variant
+            if not still:
+                dxi = next(env_incs)
+                xi += dxi
+                x *= np.exp(dxi)
+                # the rate above checks branching passes at each step; the state is
+                # checked here on the others, and on the last step of every pass
+                if (not branching or m == len(grid) - 2) and not math.isfinite(x.max()):
+                    raise _runaway(grid[m + 1], xi)
+        yield grid[m + 1], xv, xi
 
 
 def scenario_states(

@@ -2,7 +2,8 @@
 
 This module alone says which jumps a truncated system keeps.  The
 branching rule keeps a jump z iff |z| <= k (norm_cap), iff z lies in the
-unit square (unit_square), or always (none).  The environment rule clips
+unit square (unit_square), or always (none); `KeepMask` states it, for
+several rules at once.  The environment rule clips
 positive environment jumps above `env_clip`; `inf` means no clipping.
 `env_clip` is the only stored environment clip level: `LevyEnvSpec` is
 the untruncated environment, and the functions that clip take the level
@@ -11,6 +12,7 @@ as an argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,20 +41,40 @@ class BranchingRule:
             return 1.0
         return self.k if self.kind == NORM_CAP else math.inf
 
-    def keeps(self, z1, z2):
-        """Whether the jump (z1, z2) is kept; elementwise when given arrays."""
-        if self.kind == NORM_CAP:
-            return np.hypot(z1, z2) <= self.k
-        if self.kind == UNIT_SQUARE:
-            return (z1 <= 1.0) & (z2 <= 1.0)
-        return True
+    @functools.cached_property
+    def _mask(self) -> KeepMask:
+        return KeepMask((self,))
+
+    def keeps(self, z1: float, z2: float) -> bool:
+        """Whether the jump (z1, z2) is kept."""
+        return self.kind == NONE or bool(self._mask(np.array([[z1, z2]], dtype=float))[0, 0])
 
     def keep(self, z: np.ndarray) -> np.ndarray:
-        """Boolean mask of kept jumps for an (n, 2) array."""
-        z = np.atleast_2d(z)
-        if self.kind == NONE:
-            return np.ones(len(z), dtype=bool)
-        return self.keeps(z[:, 0], z[:, 1])
+        """Boolean mask of kept jumps for an (n, 2) array: the one row of its `KeepMask`."""
+        return self._mask(np.atleast_2d(z))[0]
+
+
+class KeepMask:
+    """Which jumps each of several branching rules keeps, for all the rules at once.
+
+    Called on a (k, 2) array of jumps, it returns a (len(rules), k) mask
+    whose row v is what rules[v] keeps: one norm serves every norm cap
+    (the rule `none` is the cap inf) and one unit-square test every
+    unit_square rule.  `drops` is whether some rule can drop a jump.
+    """
+
+    def __init__(self, rules):
+        self.caps = np.array([[r.k if r.kind == NORM_CAP else math.inf] for r in rules])
+        square = [[r.kind == UNIT_SQUARE] for r in rules]
+        self.square = np.array(square) if any(sq for sq, in square) else None
+        self.drops = any(r.kind != NONE for r in rules)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        z1, z2 = z[:, 0], z[:, 1]
+        keep = np.hypot(z1, z2) <= self.caps
+        if self.square is not None:
+            keep &= ~self.square | ((z1 <= 1.0) & (z2 <= 1.0))
+        return keep
 
 
 KEEP_ALL = BranchingRule(NONE)

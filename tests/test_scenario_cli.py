@@ -626,6 +626,26 @@ def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error)
     assert proc.stderr.startswith(f"error: {error}: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, cause", [
+    ("env_only.json", "a state leaves the float range"),
+    ("mixed.json", "the branching event count with it exceeds the safety cap"),
+])
+def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, cause):
+    """An environment atom at z = 400 (mass 2) lifts states by e^400 per jump: env_only.json
+    overflows at a path's second jump, and on mixed.json the first jump drives the event
+    count past its cap.  Both exit 1 with one ExponentOverflow line, no warning and no file written."""
+    config = _edited_config(tmp_path, name, lambda d: d["environment"].__setitem__(
+        "nu", [{"kind": "atom", "mass": 2.0, "z": 400.0}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", config, "--paths", "50", "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ExponentOverflow: the environment multiplier e^xi reaches e^")
+    assert err.rstrip().endswith(cause)
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):
     config = _truncated_config(tmp_path, "laplace.json", {"branching_rule": "unit_square"})
     assert main(["laplace", "--config", config, "--out", str(tmp_path / "o")]) == 1
