@@ -394,6 +394,7 @@ class JumpMeasure(_Measure):
 
     def __init__(self, atoms=(), tails=()):
         super().__init__(atoms, tails)
+        self._kept = {}  # rule -> whether it keeps each atom (see `moment`)
         if math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1)):
             raise DivergentCrossMoment(
                 "jump measure must have finite first moments in both coordinates"
@@ -407,9 +408,12 @@ class JumpMeasure(_Measure):
         """
         if r < 0 or s < 0 or r + s < 1:
             raise ValueError("moment orders must be nonnegative with r+s >= 1")
+        if rule not in self._kept:
+            atoms = self._table.reshape(-1, 2)[: len(self.atoms)]  # (0, 2) with no component
+            self._kept[rule] = rule.keep(atoms).tolist()
         total = 0.0
-        for a in self.atoms:
-            if rule.keeps(a.z1, a.z2):
+        for a, kept in zip(self.atoms, self._kept[rule]):
+            if kept:
                 total += a.mass * a.z1**r * a.z2**s
         for t in self.tails:
             other = s if t.axis == 1 else r

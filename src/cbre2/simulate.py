@@ -122,10 +122,10 @@ def _runaway(t: float, xi: np.ndarray, path=None) -> Cbre2Error:
     """
     if path is not None and xi[path] <= math.log(DEFAULT_EVENTS_CAP):
         return MassOverflow("branching event count exceeds the safety cap")
-    top, what = (xi.max(), "a state leaves the float range") if path is None else (
-        xi[path], "the branching event count with it exceeds the safety cap")
+    what = "a state leaves the float range" if path is None else (
+        "the branching event count with it exceeds the safety cap")
     return ExponentOverflow(
-        f"the environment multiplier e^xi reaches e^{top:.6g} by t = {t:.6g}, and {what}"
+        f"the environment multiplier e^xi reaches e^{xi.max():.6g} by t = {t:.6g}, and {what}"
     )
 
 

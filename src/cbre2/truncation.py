@@ -45,10 +45,6 @@ class BranchingRule:
     def _mask(self) -> KeepMask:
         return KeepMask((self,))
 
-    def keeps(self, z1: float, z2: float) -> bool:
-        """Whether the jump (z1, z2) is kept."""
-        return self.kind == NONE or bool(self._mask(np.array([[z1, z2]], dtype=float))[0, 0])
-
     def keep(self, z: np.ndarray) -> np.ndarray:
         """Boolean mask of kept jumps for an (n, 2) array: the one row of its `KeepMask`."""
         return self._mask(np.atleast_2d(z))[0]
