@@ -184,8 +184,8 @@ class _Measure:
         """Pick components by mass: the table's jumps, and (tail, mask, count) per tail picked."""
         if size == 0 or self._mass == 0.0:
             return np.zeros((size,) + np.shape(self._jump(None))), []
-        idx = np.searchsorted(self._cum, rng.random(size) * self._mass, side="right")
-        idx = np.minimum(idx, len(self._cum) - 1)
+        idx = self._cum.searchsorted(rng.random(size) * self._mass, side="right")
+        np.minimum(idx, len(self._cum) - 1, out=idx)
         picked = []
         for k, t in enumerate(self.tails, len(self.atoms)):
             sel = idx == k

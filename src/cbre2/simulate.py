@@ -180,6 +180,7 @@ def scenario_stream(
     steps, step_of = np.unique(np.diff(grid), return_inverse=True)
     flows = np.stack([_drift_flows(bspec, pred, steps) for pred in predicates], axis=1)
     lam = np.array([bspec.m1.total_mass(), bspec.m2.total_mass()])
+    lam1, lam2 = lam.tolist()
     branching = lam.any()
     keep = KeepMask([pred.branching for pred in predicates])
     env_incs = env_increments(env, grid, step, n_paths, rng, clip)
@@ -227,19 +228,20 @@ def scenario_stream(
                     raise _runaway(grid[m], xi)
                 rate *= h
                 clock -= rate
-                active = np.flatnonzero(clock < 0.0)
+                active = (clock < 0.0).nonzero()[0]
                 # the max over variants and the clocks at the active paths
                 xm, ca = top[:, active], clock[active]
                 while active.size:
                     k = active.size
-                    events[active] += 1.0
+                    ev = events[active] + 1.0
+                    events[active] = ev
                     # jumps only raise the rate, so at least Poisson(-clock) more events are due
-                    due_events = events[active] - ca
+                    due_events = ev - ca
                     if due_events.max() > max_events:
                         raise _runaway(grid[m], xi, active[due_events.argmax()])
-                    r1 = lam[0] * xm[0]
-                    ra = r1 + lam[1] * xm[1]
-                    left = -ca / ra  # time from the event to the interval end
+                    r1 = lam1 * xm[0]
+                    ra = r1 + lam2 * xm[1]
+                    ahead = ca / ra  # minus the time from the event to the interval end
                     is1 = rng.random(k) * ra < r1
                     n1 = int(is1.sum())
                     z = np.zeros((k, 2))
@@ -257,9 +259,11 @@ def scenario_stream(
                     x[:, :, active] = xa
                     # a fresh budget, less what the rest of the interval consumes
                     xm = xa.max(axis=0)
-                    ca = rng.exponential(1.0, k) - left * (lam @ xm)
+                    ca = rng.exponential(1.0, k) + ahead * (lam @ xm)
                     clock[active] = ca
                     due = ca < 0.0
+                    if not due.any():
+                        break
                     active, xm, ca = active[due], xm[:, due], ca[due]
             # 4. exact environment multiplier, one for every variant
             if not still:

@@ -150,10 +150,14 @@ class _Coupling:
         self.pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
         self.out = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
         self.max_gap = -math.inf
+        self.gap = None  # (paths, 2), refilled at every grid time; ordering wants <= 0
 
     def feed(self, t, states) -> None:
         lo, hi = states
-        self.t, self.gap = t, lo - hi  # (paths, 2); ordering wants <= 0
+        if self.gap is None:
+            self.gap = np.empty_like(lo)
+        self.t = t
+        np.subtract(lo, hi, out=self.gap)
         if self.pure_jump:
             top = float(self.gap.max())  # NaN when a gap is, and then the count runs
             violations = 0 if top <= 1e-12 else int((self.gap > 1e-12).sum())
