@@ -394,7 +394,7 @@ class JumpMeasure(_Measure):
 
     def __init__(self, atoms=(), tails=()):
         super().__init__(atoms, tails)
-        self._kept = {}  # rule -> whether it keeps each atom (see `moment`)
+        self._kept = {}  # (rule kind, k) -> whether the rule keeps each atom (see `moment`)
         if math.isinf(self.moment(1, 0)) or math.isinf(self.moment(0, 1)):
             raise DivergentCrossMoment(
                 "jump measure must have finite first moments in both coordinates"
@@ -408,12 +408,14 @@ class JumpMeasure(_Measure):
         """
         if r < 0 or s < 0 or r + s < 1:
             raise ValueError("moment orders must be nonnegative with r+s >= 1")
-        if rule not in self._kept:
+        key = (rule.kind, rule.k)  # a tuple hashes and compares faster than the rule
+        kept = self._kept.get(key)
+        if kept is None:
             atoms = self._table.reshape(-1, 2)[: len(self.atoms)]  # (0, 2) with no component
-            self._kept[rule] = rule.keep(atoms).tolist()
+            kept = self._kept[key] = rule.keep(atoms).tolist()
         total = 0.0
-        for a, kept in zip(self.atoms, self._kept[rule]):
-            if kept:
+        for a, k in zip(self.atoms, kept):
+            if k:
                 total += a.mass * a.z1**r * a.z2**s
         for t in self.tails:
             other = s if t.axis == 1 else r

@@ -627,8 +627,9 @@ def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error)
 
 
 @pytest.mark.parametrize("name, cause", [
-    ("env_only.json", "a state leaves the float range"),
-    ("mixed.json", "the branching event count with it exceeds the safety cap"),
+    pytest.param("env_only.json", "a state leaves the float range", id="env_only"),
+    pytest.param("mixed.json", "the branching event count with it exceeds the safety cap",
+                 id="mixed"),
 ])
 def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, cause):
     """An environment atom at z = 400 (mass 2) lifts states by e^400 per jump: env_only.json
