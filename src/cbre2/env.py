@@ -155,9 +155,9 @@ def env_increments(
     first Gaussian, with uniform times, which makes the per-interval counts
     exactly Poisson; they are bucketed by interval with one sort, so memory
     stays O(n_paths).  Jumps are clipped as in `effective_jump`, once per
-    window, so one seed at two clips gives the same draws.  Raises MassOverflow when first
-    advanced if the expected jump count per path over the grid exceeds
-    DEFAULT_JUMP_CAP.
+    window, so one seed at two clips gives the same draws.  Raises
+    MassOverflow when first advanced if the expected jump count per path
+    over the grid exceeds DEFAULT_JUMP_CAP.
     """
     n_int = len(grid) - 1
     lam = spec.nu.total_mass()

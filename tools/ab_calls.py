@@ -212,7 +212,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
     parser.add_argument("--rounds", type=int, default=8, help="ABBA rounds (default 8)")
     args = parser.parse_args(argv)
-    if (args.workload is None) == (args.config is None or args.cmd is None):
+    given = (args.workload is not None, args.config is not None, args.cmd is not None)
+    if given not in ((True, False, False), (False, True, True)):
         parser.error("give either --config and --cmd, or --workload")
 
     with tempfile.TemporaryDirectory() as tmp:
