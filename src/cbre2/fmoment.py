@@ -11,9 +11,9 @@ and exp-power exp(theta x^gamma) with gamma in (0, 1].  Power and
 power-log carry a full structural certificate (convex nondecreasing,
 f >= 1 with f > 1 off zero, submultiplicative with the stored K).  The
 exp-power family is convex for gamma = 1 but no exponential satisfies
-f(xy) <= K f(x) f(y) for a fixed K, so it is stored uncertified: the
-structural check reports that failure honestly, while the tail
-classification (a pure integral comparison) remains exact.  Boundary
+f(xy) <= K f(x) f(y) for a fixed K, so `condition_b_check` reports that
+failure, while the tail classification (a pure integral comparison)
+remains exact.  Boundary
 rules: a pure power against a Pareto tail of equal index diverges (the
 integral picks up a log), and power-log at equality diverges as well.
 """
@@ -52,7 +52,6 @@ class MomentTestFunction:
     params: tuple
     K: float
     rho: float
-    b_certified: bool
 
     def __post_init__(self):
         if self.family not in (POWER, POWER_LOG, EXP_POWER):
@@ -81,22 +80,19 @@ class MomentTestFunction:
 def power(p: float) -> MomentTestFunction:
     if p < 1:
         raise ValueError("power family requires p >= 1 (convexity)")
-    return MomentTestFunction(POWER, (float(p),), 2.0, float(p), True)
+    return MomentTestFunction(POWER, (float(p),), 2.0, float(p))
 
 
 def power_log(p: float) -> MomentTestFunction:
     if p < 1:
         raise ValueError("power-log family requires p >= 1 (convexity)")
-    return MomentTestFunction(POWER_LOG, (float(p),), 4.0, float(p), True)
+    return MomentTestFunction(POWER_LOG, (float(p),), 4.0, float(p))
 
 
 def exp_power(theta: float, gamma: float = 1.0) -> MomentTestFunction:
-    # no exponential is submultiplicative, so the family is never B-certified
     if theta <= 0 or not (0 < gamma <= 1):
         raise ValueError("exp-power family requires theta > 0 and gamma in (0, 1]")
-    return MomentTestFunction(
-        EXP_POWER, (float(theta), float(gamma)), 1.0, math.inf, False
-    )
+    return MomentTestFunction(EXP_POWER, (float(theta), float(gamma)), 1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,8 @@ def quenched_laplace(
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
     dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
-    steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), 1e-13))
+    with np.errstate(over="ignore", invalid="ignore"):  # the solver reports its own failure
+        steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), 1e-13))
     v = np.concatenate(steps[::-1] + [lam[None, :]])
     return QuenchedLaplace(tuple(lam), float(grid[it]), grid[: it + 1], v)
 
@@ -429,7 +430,8 @@ def annealed_laplace_mc(
     rng = np.random.default_rng(seed)
     grid = t - _base_grid(t, step)[::-1]
     steps = zip(np.diff(grid), env_increments(env, grid, step, n_env_paths, rng, clip))
-    for v in _backward_steps(spec, lam, steps, 1e-12):
-        pass  # only the last step, v_{0,t}, is needed
+    with np.errstate(over="ignore", invalid="ignore"):  # the solver reports its own failure
+        for v in _backward_steps(spec, lam, steps, 1e-12):
+            pass  # only the last step, v_{0,t}, is needed
     vals = np.exp(-(v @ np.asarray(x0, dtype=float)))
     return fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic

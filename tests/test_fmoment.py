@@ -43,7 +43,6 @@ def test_condition_b_exponential_fails_submultiplicativity():
     res = condition_b_check(exp_power(0.5))
     assert not res.passed
     assert any(label == "submultiplicative" for label, _ in res.failures)
-    assert not exp_power(0.5).b_certified
 
 
 def test_condition_b_power2_with_documented_constant():
@@ -67,7 +66,6 @@ def test_condition_b_small_constant_fails_b3_at_zero():
 def test_condition_b_exp_power_sublinear_gamma_not_convex_at_zero():
     res = condition_b_check(exp_power(0.5, 0.5))
     assert not res.passed  # honest: concave near 0, certified only for gamma=1
-    assert not exp_power(0.5, 0.5).b_certified
 
 
 def test_family_parameter_validation():
@@ -123,7 +121,7 @@ def test_classify_env_pareto_tail():
 
 def test_unknown_family_is_rejected():
     with pytest.raises(ValueError, match="unknown test-function family"):
-        MomentTestFunction("log", (1.0,), 1.0, 0.0, False)
+        MomentTestFunction("log", (1.0,), 1.0, 0.0)
 
 
 def test_truncation_makes_everything_finite():

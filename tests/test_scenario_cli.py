@@ -626,17 +626,19 @@ def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error)
     assert proc.stderr.startswith(f"error: {error}: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("name, cause", [
-    pytest.param("env_only.json", "a state leaves the float range", id="env_only"),
-    pytest.param("mixed.json", "the branching event count with it exceeds the safety cap",
+@pytest.mark.parametrize("name, z, cause", [
+    pytest.param("env_only.json", 400.0, "a state leaves the float range", id="env_only"),
+    pytest.param("mixed.json", 400.0, "the branching event count with it exceeds the safety cap",
                  id="mixed"),
+    pytest.param("mixed.json", 800.0, "a state leaves the float range", id="mixed-rate"),
 ])
-def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, cause):
-    """An environment atom at z = 400 (mass 2) lifts states by e^400 per jump: env_only.json
-    overflows at a path's second jump, and on mixed.json the first jump drives the event
-    count past its cap.  Both exit 1 with one ExponentOverflow line, no warning and no file written."""
+def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, z, cause):
+    """An environment atom at z (mass 2) lifts states by e^z per jump: at z = 400, env_only.json
+    overflows at a path's second jump, and on mixed.json the first jump drives the event count
+    past its cap; at z = 800 mixed.json's branching rate leaves the float range at the first
+    jump.  Each exits 1 with one ExponentOverflow line, no warning and no output directory."""
     config = _edited_config(tmp_path, name, lambda d: d["environment"].__setitem__(
-        "nu", [{"kind": "atom", "mass": 2.0, "z": 400.0}]))
+        "nu", [{"kind": "atom", "mass": 2.0, "z": z}]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["simulate", "--config", config, "--paths", "50", "--out", str(tmp_path / "o")])
@@ -644,7 +646,27 @@ def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, caus
     assert rc == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("error: ExponentOverflow: the environment multiplier e^xi reaches e^")
     assert err.rstrip().endswith(cause)
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mass, z", [
+    pytest.param(3.0, 50.0, id="after-the-quenched-file"),
+    pytest.param(2.0, 400.0, id="overflowing-phi"),
+])
+def test_cli_laplace_divergence_is_one_error_line(tmp_path, capsys, mass, z):
+    """An environment atom that the annealed Laplace solve cannot step over: laplace.json's
+    quenched path at its seed has no jump, so the quenched solve succeeds and the annealed one
+    fails.  At z = 400, phi overflows on the way.  Exit 1 with one FixedPointDivergence line, no
+    warning, and no output directory, so no laplace.csv of the quenched solve is left behind."""
+    config = _edited_config(tmp_path, "laplace.json", lambda d: d["environment"].__setitem__(
+        "nu", [{"kind": "atom", "mass": mass, "z": z}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["laplace", "--config", config, "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: FixedPointDivergence: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_laplace_rejects_a_branching_rule(tmp_path, capsys):
