@@ -13,9 +13,9 @@ f >= 1 with f > 1 off zero, submultiplicative with the stored K).  The
 exp-power family is convex for gamma = 1 but no exponential satisfies
 f(xy) <= K f(x) f(y) for a fixed K, so `condition_b_check` reports that
 failure, while the tail classification (a pure integral comparison)
-remains exact.  Boundary
-rules: a pure power against a Pareto tail of equal index diverges (the
-integral picks up a log), and power-log at equality diverges as well.
+remains exact.  Boundary rules: a pure power against a Pareto tail of
+equal index diverges (the integral picks up a log), and power-log at
+equality diverges as well.
 """
 
 from __future__ import annotations
