@@ -39,7 +39,7 @@ ql = quenched_laplace(path, sc.branching, sc.laplace_lambda, sc.laplace_t)
 print(f"random environment: v_(0,{sc.laplace_t}) = ({ql.v0[0]:.6f}, {ql.v0[1]:.6f}) from lam = {sc.laplace_lambda}")
 
 # annealed identity at 10^4 paths on each side
-ann, ann_se = annealed_laplace_mc(
+ann, ann_se, _ = annealed_laplace_mc(
     sc.environment, sc.branching, sc.x0, sc.laplace_lambda, sc.laplace_t,
     10_000, sc.step, seed=2,
 )

@@ -19,7 +19,7 @@ from .truncation import IDENTITY, TruncationPredicate
 
 
 class _PhiKernel(NamedTuple):
-    """phi's coefficients, laid out for evaluation on a (2, n) transposed batch of rates.
+    """phi's coefficients, laid out for evaluation on a (2, n) array of rate columns.
 
     lin[j] multiplies lam_j. Its first two rows are row j of b^T + diag(the sum of
     mass * z_own over the atoms of m1, of m2), so the atoms' compensation folds into
@@ -63,7 +63,7 @@ class BranchingSpec:
 
     @functools.cached_property
     def phi_kernel(self) -> _PhiKernel:
-        """phi's coefficient arrays, built on first use (see `phi_eval_vec`)."""
+        """phi's coefficient arrays, built on first use (see `phi_eval_cols`)."""
         measures = (self.m1, self.m2)
         atoms = [(i, a) for i, m in enumerate(measures) for a in m.atoms]
         lin = np.zeros((2, 2 + len(atoms), 1))
@@ -82,27 +82,27 @@ def phi_eval(spec: BranchingSpec, lam) -> tuple[float, float]:
     lam1, lam2 = float(lam[0]), float(lam[1])
     if lam1 < 0 or lam2 < 0:
         raise ValueError("phi is defined for nonnegative arguments")
-    phi1, phi2 = phi_eval_vec(spec, np.array([[lam1, lam2]]))[0]
+    phi1, phi2 = phi_eval_cols(spec, np.array([[lam1], [lam2]]))[:, 0]
     return float(phi1), float(phi2)
 
 
-def phi_eval_vec(spec: BranchingSpec, lam: np.ndarray) -> np.ndarray:
-    """Vectorized mechanism evaluation for (n, 2) arrays of nonnegative rates.
+def phi_eval_cols(spec: BranchingSpec, lt: np.ndarray) -> np.ndarray:
+    """(phi_1, phi_2) as a (2, n) array, for a (2, n) array whose columns are rate pairs.
 
-    lam @ L + c lam^2 + expm1(-lam @ Z^T) @ W plus each tail's Laplace part,
-    from `BranchingSpec.phi_kernel`: a fixed handful of numpy calls however
+    At each column lam: lam L + c lam^2 + expm1(-lam Z^T) W plus each tail's
+    Laplace part, from `BranchingSpec.phi_kernel`: a fixed handful of numpy calls however
     many atoms there are.  Every product is elementwise, summed in a fixed
-    order (no BLAS call), so a row's bits do not depend on the rows beside it.
+    order (no BLAS call), so a column's bits do not depend on the columns
+    beside it.
     """
     k = spec.phi_kernel
-    lt = np.ascontiguousarray(lam.T)
     s = lt[0] * k.lin[0] + lt[1] * k.lin[1]  # (2 + K, n): the linear part, then -<lam, z>
     out = s[:2] + lt * lt * k.c
     if k.mass is not None:
         out += (np.expm1(s[2:, None]) * k.mass).sum(axis=0)
     for i, t in k.tails:
         out[i] += t.mass * t.laplace_part(lt[t.axis - 1], t.axis == i + 1)
-    return out.T
+    return out
 
 
 def kept_jump_means(spec: BranchingSpec, truncation: TruncationPredicate = IDENTITY) -> np.ndarray:

@@ -4,7 +4,8 @@ Subcommands: simulate, moments, recursion-check, laplace, verify,
 fmoment, couple.  Exit codes: 0 on success/pass, 1 on a validation or
 configuration error, 2 on a failed verification assertion.  Only `main`
 writes files, after the command has returned, so a command that fails
-leaves no output directory and no file.  All CSV numbers use the
+leaves no output directory and no file, and it writes all of a command's
+files or none of them.  All CSV numbers use the
 shortest round-trip decimal form, so identical invocations produce
 byte-identical file bodies.
 """
@@ -12,6 +13,8 @@ byte-identical file bodies.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
@@ -22,32 +25,43 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import Cbre2Error, ConfigError
 from .fmoment import f_moment_verdict
-from .moments import (
-    annealed_laplace_mc,
-    moment_table,
-    monomial_basis,
-    quenched_laplace,
-    recursion_check,
-)
-from .env import realize_env_path, sample_env_skeleton
+from .moments import annealed_laplace_mc, moment_table, monomial_basis, recursion_check
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
 from .simulate import scenario_states, simulate_paths
 from ._util import csv_lines, fsum_mean_se, z_score
 
 
 def _write(directory: str, files: dict[str, list[str]]) -> None:
-    """Create `directory` and write each file of `files`, one line per item."""
+    """Create `directory` and write every file of `files`, one line per item, or none of them.
+
+    A target that is a directory fails before anything is written.  Each
+    file goes to a temporary name in `directory`, and the temporaries
+    replace their targets only once all are written; on a failure they
+    are removed.
+    """
+    targets = {name: os.path.join(directory, name) for name in files}
+    for path in targets.values():
+        if os.path.isdir(path):
+            raise ConfigError(f"output.directory: cannot write {path}: {os.strerror(errno.EISDIR)}")
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"output.directory: cannot create {directory}: {e.strerror}") from e
-    for name, lines in files.items():
-        path = os.path.join(directory, name)
-        try:
-            with open(path, "w") as f:
+    temps = {}  # file name: its temporary path, until the file is in place
+    try:
+        for name, lines in files.items():
+            path = targets[name]
+            temps[name] = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+            with open(temps[name], "w") as f:
                 f.write("\n".join(lines) + "\n")
-        except OSError as e:
-            raise ConfigError(f"output.directory: cannot write {path}: {e.strerror}") from e
+        for name, path in targets.items():
+            os.replace(temps[name], path)
+            del temps[name]
+    except OSError as e:
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise ConfigError(f"output.directory: cannot write {path}: {e.strerror}") from e
 
 
 # A command maps a scenario to (exit code, {file name: lines}, summary text)
@@ -116,21 +130,19 @@ def _cmd_laplace(sc: ScenarioConfig) -> Outputs:
         raise ConfigError("truncation.branching_rule: laplace supports environment truncation "
                           "only; phi of a truncated mechanism is not implemented")
     lam, t = sc.laplace_lambda, sc.laplace_t
-    env, clip = sc.environment, sc.truncation.env_clip
-    skel = sample_env_skeleton(env, t, sc.step, np.random.default_rng(sc.seed))
-    env_path = realize_env_path(env, skel, clip)
-    ql = quenched_laplace(env_path, sc.branching, lam, t)
-    files = {"laplace.csv": csv_lines("r,v1,v2", zip(ql.r_grid, ql.v[:, 0], ql.v[:, 1]))}
-    ann, ann_se = annealed_laplace_mc(
-        env, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1, clip=clip
+    ann, ann_se, path0 = annealed_laplace_mc(
+        sc.environment, sc.branching, sc.x0, lam, t, sc.n_paths, sc.step, sc.seed + 1,
+        clip=sc.truncation.env_clip,
     )
+    # laplace.csv and v0 are the backward solve on annealed path 0
+    files = {"laplace.csv": csv_lines("r,v1,v2", zip(path0.r_grid, path0.v[:, 0], path0.v[:, 1]))}
     _, states = scenario_states(sc, sc.n_paths, sc.seed + 2, record_times=[t])
     direct, direct_se = fsum_mean_se(
         np.exp(-(states[0, :, 0, 0] * lam[0] + states[0, :, 0, 1] * lam[1]))
     )
     z = z_score(ann - direct, math.hypot(ann_se, direct_se))
     return 0 if abs(z) <= 4.0 else 2, files, (  # also 2 for an infinite or NaN z
-        f"v0 = ({ql.v0[0]:.8g}, {ql.v0[1]:.8g}); "
+        f"v0 = ({path0.v0[0]:.8g}, {path0.v0[1]:.8g}); "
         f"annealed {ann:.6g} (se {ann_se:.2g}) vs direct MC {direct:.6g} "
         f"(se {direct_se:.2g}), z = {z:+.2f}"
     )

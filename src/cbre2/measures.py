@@ -433,7 +433,7 @@ class JumpMeasure(_Measure):
         own_axis selects which coordinate carries the linear compensation
         term (1 for the first mechanism component, 2 for the second).
         Closed form for atoms and both tail families; rates may be arrays,
-        which broadcast, and scalar rates give a float.  `phi_eval_vec`
+        which broadcast, and scalar rates give a float.  `phi_eval_cols`
         evaluates both measures at once from `BranchingSpec.phi_kernel`;
         this per-measure sum is the reference it is tested against.
         """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingSpec, effective_drift_matrix, phi_eval_vec
+from .branching import BranchingSpec, effective_drift_matrix, phi_eval_cols
 from .env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent
 from .errors import DivergentCoefficient, ExponentOverflow, FixedPointDivergence, HypothesisViolated
 from .fmoment import FINITE, classify_branching_tail, classify_env_tail, power
@@ -349,7 +349,7 @@ def quenched_laplace(
     """Solve the backward equation for v_{r,t} given one environment path.
 
     Implicit trapezoidal stepping on the path's grid, the solver of
-    `annealed_laplace_mc` on one row, with a fixed-point solve per step;
+    `annealed_laplace_mc` on one path, with a fixed-point solve per step;
     t must be a grid point of the path.
     """
     lam = np.asarray(lam, dtype=float)
@@ -358,53 +358,63 @@ def quenched_laplace(
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
     dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
-    with np.errstate(over="ignore", invalid="ignore"):  # the solver reports its own failure
-        steps = list(_backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), 1e-13))
-    v = np.concatenate(steps[::-1] + [lam[None, :]])
+    _, v = _backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), it, 1e-13)
     return QuenchedLaplace(tuple(lam), float(grid[it]), grid[: it + 1], v)
 
 
 _FP_MAX_ITER = 100  # fixed-point iterations per backward step
 
 
-def _backward_steps(spec, lam, steps, fp_tol):
-    """Yield v (n_paths, 2) after each backward implicit-trapezoid step.
+def _backward_steps(spec, lam, steps, n_steps, fp_tol):
+    """Solve backward over `n_steps` intervals: (v_{0,t} as (2, n_paths), path 0's trajectory).
 
     steps: (h, dxi) per interval, last interval first, where dxi holds the
     environment increments of the n_paths paths (or one float for all).
-    lam must be finite and >= 0 (ValueError otherwise).  Each step solves
-    v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v) by fixed point,
-    starting from v = lam.  phi(v_next) is the phi of the last iterate of
-    the step before, which differs from v_next by at most the tolerance,
-    so the explicit half costs no evaluation after the first.  The first
-    iterate extrapolates phi linearly from the two steps before.
+    The trajectory is (n_steps + 1, 2), read forward in time, its last row
+    lam.  lam must be finite and >= 0 (ValueError otherwise).  Each step
+    solves v = e^{dxi} (v_next - h/2 phi(v_next)) - h/2 phi(v) by fixed
+    point, starting from v = lam.  phi(v_next) is the phi of the last
+    iterate of the step before, which differs from v_next by at most the
+    tolerance, so the explicit half costs no evaluation after the first.
+    The first iterate extrapolates phi linearly from the two steps before.
+    The state keeps phi's (2, n) layout; one abs and one max over a stacked
+    (iterate, change) buffer test each iteration's convergence.
     """
-    v = np.asarray(lam, dtype=float)[None, :]
+    v = np.asarray(lam, dtype=float)[:, None]
     if not ((v >= 0) & (v < math.inf)).all():
-        raise ValueError(f"lam must be finite and >= 0, got {v[0].tolist()}")
-    phi = prev = phi_eval_vec(spec, v)
-    for h, dxi in steps:
-        mult = np.exp(dxi).reshape(-1, 1)
-        half_phi = 0.5 * h * phi
-        const = mult * (v - half_phi)
-        cur = const - mult * (0.5 * h * (2.0 * phi - prev))  # explicit predictor
-        prev = phi
-        for _ in range(_FP_MAX_ITER):
-            phi = phi_eval_vec(spec, np.maximum(cur, 0.0))
-            nxt = const - 0.5 * h * phi
-            scale = 1.0 + abs(nxt).max()
-            done = abs(nxt - cur).max() <= fp_tol * scale
-            cur = nxt
-            if done:
-                break
-        else:
-            raise FixedPointDivergence("per-step fixed point did not converge; reduce the step")
-        # only the nonnegative root is meaningful; a clearly negative
-        # iterate means the step is too coarse for this mechanism
-        if cur.min() < -1e-8 * scale:
-            raise FixedPointDivergence("backward step produced a negative rate; reduce the step")
-        v = np.maximum(cur, 0.0)
-        yield v
+        raise ValueError(f"lam must be finite and >= 0, got {v[:, 0].tolist()}")
+    path0 = np.empty((n_steps + 1, 2))
+    path0[n_steps] = v[:, 0]
+    phi = prev = phi_eval_cols(spec, v)
+    bufs = None
+    with np.errstate(over="ignore", invalid="ignore"):  # the solver reports its own failure
+        for r, (h, dxi) in zip(range(n_steps - 1, -1, -1), steps):
+            mult, hh = np.exp(dxi), 0.5 * h
+            const = mult * (v - hh * phi)
+            cur = const - mult * (hh * (2.0 * phi - prev))  # explicit predictor
+            prev = phi
+            if bufs is None or bufs[0].shape[2] != cur.shape[1]:
+                # two (iterate, change) stacks that alternate, and their magnitudes
+                bufs = [np.empty((2,) + cur.shape) for _ in range(3)]
+            nxt, spare, mag = bufs
+            for _ in range(_FP_MAX_ITER):
+                phi = phi_eval_cols(spec, np.maximum(cur, 0.0))
+                np.subtract(const, hh * phi, out=nxt[0])
+                np.subtract(nxt[0], cur, out=nxt[1])
+                size, change = np.maximum.reduce(np.abs(nxt, out=mag), axis=(1, 2))
+                scale = 1.0 + size
+                cur, nxt, spare = nxt[0], spare, nxt
+                if change <= fp_tol * scale:
+                    break
+            else:
+                raise FixedPointDivergence("per-step fixed point did not converge; reduce the step")
+            # only the nonnegative root is meaningful; a clearly negative
+            # iterate means the step is too coarse for this mechanism
+            if cur.min() < -1e-8 * scale:
+                raise FixedPointDivergence("backward step produced a negative rate; reduce the step")
+            v = np.maximum(cur, 0.0)
+            path0[r] = v[:, 0]
+    return v, path0
 
 
 def annealed_laplace_mc(
@@ -417,7 +427,7 @@ def annealed_laplace_mc(
     step: float,
     seed: int,
     clip: float = math.inf,
-) -> tuple[float, float]:
+) -> tuple[float, float, QuenchedLaplace]:
     """Monte Carlo estimate of E exp(-<x0, v_{0,t}>) over environment paths.
 
     The environment increments come from `env_increments` on the base
@@ -425,13 +435,15 @@ def annealed_laplace_mc(
     first; the increments are stationary, so this is exact in law, and
     all paths are solved at once in O(n_env_paths) memory.  Positive
     environment jumps above `clip` are removed.  Returns (estimate,
-    standard error).
+    standard error, path 0's quenched solve), the last on the base grid.
     """
+    lam = np.asarray(lam, dtype=float)
     rng = np.random.default_rng(seed)
-    grid = t - _base_grid(t, step)[::-1]
+    base = _base_grid(t, step)
+    grid = t - base[::-1]
     steps = zip(np.diff(grid), env_increments(env, grid, step, n_env_paths, rng, clip))
-    with np.errstate(over="ignore", invalid="ignore"):  # the solver reports its own failure
-        for v in _backward_steps(spec, lam, steps, 1e-12):
-            pass  # only the last step, v_{0,t}, is needed
-    vals = np.exp(-(v @ np.asarray(x0, dtype=float)))
-    return fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic
+    v, path0 = _backward_steps(spec, lam, steps, len(grid) - 1, 1e-12)
+    # on a C-ordered (n, 2) copy: BLAS rounds the product of the transposed view differently
+    vals = np.exp(-(np.ascontiguousarray(v.T) @ np.asarray(x0, dtype=float)))
+    est, se = fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic
+    return est, se, QuenchedLaplace(tuple(lam), float(base[-1]), base, path0)

@@ -228,7 +228,7 @@ def test_criterion_10_quenched_laplace():
     feller_gap = abs(ql.v0[0] - lam1 / (1.0 + c1 * lam1 * t))
     sc = bundled_scenario("laplace", 10_000, 2e-3)
     lam, tl = sc.laplace_lambda, sc.laplace_t
-    ann, ann_se = annealed_laplace_mc(
+    ann, ann_se, _ = annealed_laplace_mc(
         sc.environment, sc.branching, sc.x0, lam, tl, 10_000, sc.step, sc.seed + 1
     )
     _, states = scenario_states(sc, 10_000, sc.seed + 2, record_times=[tl])

@@ -10,7 +10,7 @@ from cbre2.branching import (
     effective_drift_matrix,
     kept_jump_means,
     phi_eval,
-    phi_eval_vec,
+    phi_eval_cols,
 )
 from cbre2.measures import Atom2D, AxisTail, JumpMeasure
 from cbre2.truncation import norm_cap, unit_square
@@ -84,12 +84,13 @@ RATE = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
     rows=st.lists(st.tuples(RATE, RATE), min_size=1, max_size=8),
 )
 def test_phi_kernel_matches_per_measure_reference(diag, off, c, atoms, tails, rows):
-    """phi_eval_vec's kernel equals lam b^T + c lam^2 + m_i.phi_integral, and one row
-    evaluated alone has the bits of the same row evaluated in a batch."""
+    """phi_eval_cols's kernel equals lam b^T + c lam^2 + m_i.phi_integral, and one rate
+    pair evaluated alone has the bits of the same pair evaluated in a batch."""
     m1, m2 = (JumpMeasure(a, t) for a, t in zip(atoms, tails))
     spec = BranchingSpec(diag[0], off[0], off[1], diag[1], *c, m1, m2)
     lam = np.array(rows)
-    got = phi_eval_vec(spec, lam)
+    cols = phi_eval_cols(spec, lam.T.copy())
+    got = cols.T
     l1, l2 = lam.T
     jumps, sizes = np.zeros_like(lam), np.zeros_like(lam)
     for i, m in enumerate((m1, m2)):
@@ -101,7 +102,7 @@ def test_phi_kernel_matches_per_measure_reference(diag, off, c, atoms, tails, ro
     terms = lam @ abs(spec.b.T) + c * lam**2 + abs(jumps) + sizes
     assert (abs(got - ref) <= 1e-12 * abs(ref) + 1e-15 * terms).all()
     for k in range(len(lam)):
-        assert phi_eval_vec(spec, lam[k : k + 1].copy()).tobytes() == got[k : k + 1].tobytes()
+        assert phi_eval_cols(spec, lam[k : k + 1].T.copy()).tobytes() == cols[:, k].tobytes()
 
 
 def test_phi_rejects_negative_rates():

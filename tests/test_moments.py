@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbre2.branching import BranchingSpec, effective_drift_matrix
+from cbre2.branching import BranchingSpec, effective_drift_matrix, phi_eval_cols
 from cbre2.env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent, sample_env_path
 from cbre2.errors import (
     DivergentCoefficient,
@@ -25,7 +25,6 @@ from cbre2.moments import (
     moment_polynomial,
     moment_table,
     monomial_basis,
-    phi_eval_vec,
     quenched_laplace,
     recursion_check,
     recursion_coefficients,
@@ -360,30 +359,30 @@ def test_backward_steps_reuse_phi(monkeypatch):
 
     calls = []
 
-    def counted(spec, lam):
-        calls.append(len(lam))
-        return phi_eval_vec(spec, lam)
+    def counted(spec, lt):
+        calls.append(lt.shape[1])
+        return phi_eval_cols(spec, lt)
 
-    monkeypatch.setattr(cbre2.moments, "phi_eval_vec", counted)
+    monkeypatch.setattr(cbre2.moments, "phi_eval_cols", counted)
     steps = 1000
     path = sample_env_path(LevyEnvSpec(), 1.0, 1.0 / steps, np.random.default_rng(0))
     ql = quenched_laplace(path, BranchingSpec(c1=0.6), (1.0, 0.0), 1.0)
     assert len(ql.v) == steps + 1
-    assert len(calls) <= 3 * steps + 1
+    assert steps + 1 <= len(calls) <= 3 * steps + 1  # at least one iteration a step
 
 
-def test_phi_eval_vec_matches_scalar(phi_reference):
+def test_phi_eval_cols_matches_scalar(phi_reference):
     from cbre2.branching import phi_eval
 
     lam = np.array([[0.3, 0.7], [1.2, 0.0], [0.0, 0.0]])
-    out = phi_eval_vec(BSPEC, lam)
+    out = phi_eval_cols(BSPEC, lam.T).T
     for k in range(len(lam)):
         assert np.allclose(out[k], phi_eval(BSPEC, lam[k]), rtol=1e-12)
     # tail measures evaluate too, and match an independent quadrature
     exp_tail = AxisTail(1, "exponential", 0.5, 2.0, 0.0)
     par_tail = AxisTail(1, "pareto", 0.5, 2.5, 1.0)
     tails = BranchingSpec(m1=JumpMeasure(tails=[exp_tail]), m2=JumpMeasure(tails=[par_tail]))
-    out = phi_eval_vec(tails, lam)
+    out = phi_eval_cols(tails, lam.T).T
     for k, (l1, _) in enumerate(lam):
         assert tuple(out[k]) == phi_eval(tails, lam[k])
         ref = (phi_reference(exp_tail, l1, True), phi_reference(par_tail, l1, False))
@@ -411,10 +410,9 @@ def test_quenched_laplace_is_the_shared_solver_on_one_path():
     lam = np.array([0.7, 0.4])
     ql = quenched_laplace(path, TAIL_SPEC, lam, 1.0)
     increments = zip(np.diff(path.grid)[::-1], path.xi_increments[::-1])
-    steps = _backward_steps(TAIL_SPEC, lam, increments, 1e-13)
-    shared = np.concatenate(list(steps)[::-1])
-    np.testing.assert_allclose(ql.v[:-1], shared, rtol=1e-15, atol=0)
-    assert tuple(ql.v[-1]) == (0.7, 0.4)
+    v0, shared = _backward_steps(TAIL_SPEC, lam, increments, len(path.grid) - 1, 1e-13)
+    np.testing.assert_allclose(ql.v, shared, rtol=1e-15, atol=0)
+    assert tuple(ql.v[-1]) == (0.7, 0.4) and tuple(v0[:, 0]) == tuple(ql.v0)
 
 
 def test_backward_solver_batches_paths():
@@ -424,9 +422,9 @@ def test_backward_solver_batches_paths():
     lam = np.array([0.9, 0.2])
     dxi = np.stack([p.xi_increments for p in paths])
     increments = zip(np.diff(paths[0].grid)[::-1], dxi.T[::-1])
-    *_, v0 = _backward_steps(TAIL_SPEC, lam, increments, 1e-13)
+    v0, _ = _backward_steps(TAIL_SPEC, lam, increments, len(dxi.T), 1e-13)
     for k, p in enumerate(paths):
-        np.testing.assert_allclose(v0[k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
+        np.testing.assert_allclose(v0[:, k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [(-0.5, 0.2), (math.nan, 0.2), (0.7, math.inf)],
@@ -446,7 +444,7 @@ def test_annealed_laplace_is_the_mean_of_quenched_solves(name):
     """The annealed estimate averages exp(-<x0, v0>) over quenched solves of the same increments."""
     sc = bundled_scenario(name, 10_000, 2e-3)
     lam, t, step, n, seed = (0.7, 0.4), 0.5, 0.01, 200, 123
-    est, _ = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
+    est, _, _ = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
     grid = _base_grid(t, step)
     reflected = t - grid[::-1]
     incs = env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed))
@@ -459,9 +457,27 @@ def test_annealed_laplace_is_the_mean_of_quenched_solves(name):
     assert est == pytest.approx(math.fsum(vals) / n, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("name", ["laplace", "pareto", "feller"])
+def test_annealed_laplace_path_zero_is_a_quenched_solve(name):
+    """The trajectory `annealed_laplace_mc` returns is the quenched solve of its path 0, on
+    the base grid read forward in time, ending exactly at lam."""
+    sc = bundled_scenario(name, 10_000, 2e-3)
+    lam, t, step, n, seed = (0.7, 0.4), 0.5, 0.01, 50, 7
+    *_, path0 = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
+    grid = _base_grid(t, step)
+    reflected = t - grid[::-1]
+    incs = env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed))
+    dxi = np.array([np.broadcast_to(d, (n,)) for d in incs])[::-1]  # forward in time
+    ql = quenched_laplace(EnvPath(grid, dxi[:, 0]), sc.branching, lam, t)
+    assert path0.r_grid.tobytes() == grid.tobytes() and path0.t == t
+    assert path0.v.shape == (len(grid), 2) and tuple(path0.v[-1]) == lam
+    assert (path0.v[:-1] != lam).any(axis=1).all()  # every earlier row was solved
+    np.testing.assert_allclose(path0.v, ql.v, rtol=1e-12, atol=0)
+
+
 def test_annealed_laplace_matches_quenched_average():
     sc = bundled_scenario("laplace", 10_000, 2e-3)
-    est, se = annealed_laplace_mc(
+    est, se, _ = annealed_laplace_mc(
         sc.environment, sc.branching, sc.x0, sc.laplace_lambda, 0.5, 3000, 0.01, 123
     )
     # independent estimate: average exp(-<x0, v0>) over separately sampled paths

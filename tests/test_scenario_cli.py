@@ -194,6 +194,30 @@ def test_cli_unusable_out_exit_code(tmp_path, capsys, kind):
     assert err.startswith("config error: output.directory") and str(out) in err
 
 
+@pytest.mark.parametrize("failure", ["a-directory-target", "a-failed-rename"])
+def test_cli_unwritable_file_leaves_no_partial_output(tmp_path, capsys, monkeypatch, failure):
+    """simulate writes a summary and path dumps: when one of them cannot be written, none is
+    left in the directory, and no temporary either."""
+    out = tmp_path / "o"
+    out.mkdir()
+    if failure == "a-directory-target":
+        (out / "path_001.csv").mkdir()  # the third of six files
+        error = f"config error: output.directory: cannot write {out}/path_001.csv: Is a directory\n"
+    else:
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        error = (f"config error: output.directory: cannot write {out}/simulate_summary.csv: "
+                 "Permission denied\n")
+    rc = main(["simulate", "--config", _scen("mixed.json"), "--paths", "50", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err == error
+    left = sorted(os.listdir(out))
+    assert left == (["path_001.csv"] if failure == "a-directory-target" else [])
+    assert not any((out / name).is_file() for name in left)
+
+
 def test_cli_moments_csv_contract(tmp_path, capsys):
     out = tmp_path / "m"
     rc = main(["moments", "--config", _scen("mixed.json"), "--out", str(out), "--n", "2"])
@@ -654,10 +678,10 @@ def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, z, c
     pytest.param(2.0, 400.0, id="overflowing-phi"),
 ])
 def test_cli_laplace_divergence_is_one_error_line(tmp_path, capsys, mass, z):
-    """An environment atom that the annealed Laplace solve cannot step over: laplace.json's
-    quenched path at its seed has no jump, so the quenched solve succeeds and the annealed one
-    fails.  At z = 400, phi overflows on the way.  Exit 1 with one FixedPointDivergence line, no
-    warning, and no output directory, so no laplace.csv of the quenched solve is left behind."""
+    """An environment atom that the annealed Laplace solve cannot step over (laplace.csv, the
+    solve on annealed path 0, is computed by the same failed solve).  At z = 400, phi overflows
+    on the way.  Exit 1 with one FixedPointDivergence line, no warning, and no output directory,
+    so no laplace.csv is left behind."""
     config = _edited_config(tmp_path, "laplace.json", lambda d: d["environment"].__setitem__(
         "nu", [{"kind": "atom", "mass": mass, "z": z}]))
     with warnings.catch_warnings():

@@ -22,7 +22,8 @@ sample the same drift of the host's speed.  Each round gives one ratio per
 operation, the change's two calls over the parent's two, and in workload
 mode one `job_s` ratio, the change's calls of every operation over the
 parent's.  The script prints each median ratio with its distribution-free
-95% confidence interval (sign-test order statistics; none below 6 rounds).
+95% confidence interval (sign-test order statistics; none below 6 rounds),
+and then each worker's peak resident set size (`ru_maxrss`, in MB).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WORKER = r"""
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 src, root, workload, seed, tmp = sys.argv[1:6]
 sys.path.insert(0, src)
 from cbre2.cli import main
@@ -52,8 +53,10 @@ if workload:
 reply = sys.stdout
 for line in sys.stdin:
     kind, arg = json.loads(line)
-    if kind == "names":
-        reply.write(json.dumps([op.name for op in ops]) + "\n")
+    if kind in ("names", "rss"):  # rss: this process's peak resident set so far, in MB
+        answer = ([op.name for op in ops] if kind == "names"
+                  else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+        reply.write(json.dumps(answer) + "\n")
         reply.flush()
         continue
     sink = io.StringIO()
@@ -98,6 +101,10 @@ class Worker:
 
     def op_names(self) -> list[str]:
         return self._ask("names", None)
+
+    def peak_rss_mb(self) -> float:
+        """The worker's peak resident set size so far (`ru_maxrss`), in MB."""
+        return self._ask("rss", None)
 
     def call(self, argv: list[str]) -> tuple[float, int]:
         """Time one CLI call; (seconds, exit code)."""
@@ -221,6 +228,8 @@ def main(argv=None) -> int:
                    for tree, side in ((args.parent, "parent"), (args.change, "change"))]
         try:
             (run_workload if args.workload else run_cli)(args, workers)
+            parent_mb, change_mb = (w.peak_rss_mb() for w in workers)
+            print(f"  worker peak RSS: parent {parent_mb:.1f} MB, change {change_mb:.1f} MB")
         finally:
             for w in workers:
                 w.close()
