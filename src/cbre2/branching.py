@@ -90,10 +90,10 @@ def phi_eval_cols(spec: BranchingSpec, lt: np.ndarray) -> np.ndarray:
     """(phi_1, phi_2) as a (2, n) array, for a (2, n) array whose columns are rate pairs.
 
     At each column lam: lam L + c lam^2 + expm1(-lam Z^T) W plus each tail's
-    Laplace part, from `BranchingSpec.phi_kernel`: a fixed handful of numpy calls however
-    many atoms there are.  Every product is elementwise, summed in a fixed
-    order (no BLAS call), so a column's bits do not depend on the columns
-    beside it.
+    Laplace part, from `BranchingSpec.phi_kernel`: a fixed handful of numpy
+    calls however many atoms there are.  Every product is elementwise,
+    summed in a fixed order (no BLAS call), so a column's bits do not
+    depend on the columns beside it.
     """
     k = spec.phi_kernel
     s = lt[0] * k.lin[0] + lt[1] * k.lin[1]  # (2 + K, n): the linear part, then -<lam, z>
