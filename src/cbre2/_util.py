@@ -12,8 +12,10 @@ def expm2(a: np.ndarray) -> np.ndarray:
 
     Splits A = tau*I + B with tr(B) = 0, so B^2 = mu^2 * I and
     exp(A) = e^tau * (cosh(mu) I + sinh(mu)/mu B).  The mu -> 0 limit
-    (defective / equal-eigenvalue case) is taken by series, and complex
-    conjugate eigenvalues go through the same formula with imaginary mu.
+    (defective / equal-eigenvalue case) is taken by series.  A's
+    off-diagonal entries must have a product >= 0 (as in an essentially
+    nonnegative matrix or its negative), so mu^2 >= 0 and the eigenvalues
+    are real; a NaN entry gives a NaN result.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
@@ -24,12 +26,9 @@ def expm2(a: np.ndarray) -> np.ndarray:
     if abs(mu2) < 1e-14:
         # sinh(mu)/mu ~ 1 + mu^2/6, cosh(mu) ~ 1 + mu^2/2
         c, s = 1.0 + mu2 / 2.0, 1.0 + mu2 / 6.0
-    elif mu2 > 0:
+    else:
         mu = math.sqrt(mu2)
         c, s = math.cosh(mu), math.sinh(mu) / mu
-    else:
-        om = math.sqrt(-mu2)
-        c, s = math.cos(om), math.sin(om) / om
     return math.exp(tau) * (c * np.eye(2) + s * b)
 
 

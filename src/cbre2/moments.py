@@ -358,14 +358,15 @@ def quenched_laplace(
     if abs(grid[it] - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} is not a grid point of the environment path")
     dt, dxi = np.diff(grid[: it + 1]), env_path.xi_increments[:it]
-    _, v = _backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), it, 1e-13)
+    _, v = _backward_steps(spec, lam, zip(dt[::-1], dxi[::-1]), it)
     return QuenchedLaplace(tuple(lam), float(grid[it]), grid[: it + 1], v)
 
 
 _FP_MAX_ITER = 100  # fixed-point iterations per backward step
+_FP_TOL = 1e-12  # a step's fixed point has converged when the last change is this relative size
 
 
-def _backward_steps(spec, lam, steps, n_steps, fp_tol):
+def _backward_steps(spec, lam, steps, n_steps):
     """Solve backward over `n_steps` intervals: (v_{0,t} as (2, n_paths), path 0's trajectory).
 
     steps: (h, dxi) per interval, last interval first, where dxi holds the
@@ -404,7 +405,7 @@ def _backward_steps(spec, lam, steps, n_steps, fp_tol):
                 size, change = np.maximum.reduce(np.abs(nxt, out=mag), axis=(1, 2))
                 scale = 1.0 + size
                 cur, nxt, spare = nxt[0], spare, nxt
-                if change <= fp_tol * scale:
+                if change <= _FP_TOL * scale:
                     break
             else:
                 raise FixedPointDivergence("per-step fixed point did not converge; reduce the step")
@@ -442,7 +443,7 @@ def annealed_laplace_mc(
     base = _base_grid(t, step)
     grid = t - base[::-1]
     steps = zip(np.diff(grid), env_increments(env, grid, step, n_env_paths, rng, clip))
-    v, path0 = _backward_steps(spec, lam, steps, len(grid) - 1, 1e-12)
+    v, path0 = _backward_steps(spec, lam, steps, len(grid) - 1)
     # on a C-ordered (n, 2) copy: BLAS rounds the product of the transposed view differently
     vals = np.exp(-(np.ascontiguousarray(v.T) @ np.asarray(x0, dtype=float)))
     est, se = fsum_mean_se(np.broadcast_to(vals, (n_env_paths,)))  # one row if xi is deterministic

@@ -63,6 +63,13 @@ def test_condition_b_small_constant_fails_b3_at_zero():
     assert label == "f>1" and witness[0] == 0.0
 
 
+def test_condition_b_decreasing_function_fails_b3_and_b1_after_zero():
+    """1/(1+x) touches 1 at 0, so B3 fails at the first grid point after it, and B1 there."""
+    res = condition_b_check(lambda x: 1.0 / (1.0 + x))
+    assert not res.passed
+    assert res.failures[:2] == [("f>1", (0.001, 1.0 / 1.001)), ("monotone", (0.0, 0.001))]
+
+
 def test_condition_b_exp_power_sublinear_gamma_not_convex_at_zero():
     res = condition_b_check(exp_power(0.5, 0.5))
     assert not res.passed  # honest: concave near 0, certified only for gamma=1

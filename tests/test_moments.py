@@ -410,7 +410,7 @@ def test_quenched_laplace_is_the_shared_solver_on_one_path():
     lam = np.array([0.7, 0.4])
     ql = quenched_laplace(path, TAIL_SPEC, lam, 1.0)
     increments = zip(np.diff(path.grid)[::-1], path.xi_increments[::-1])
-    v0, shared = _backward_steps(TAIL_SPEC, lam, increments, len(path.grid) - 1, 1e-13)
+    v0, shared = _backward_steps(TAIL_SPEC, lam, increments, len(path.grid) - 1)
     np.testing.assert_allclose(ql.v, shared, rtol=1e-15, atol=0)
     assert tuple(ql.v[-1]) == (0.7, 0.4) and tuple(v0[:, 0]) == tuple(ql.v0)
 
@@ -422,9 +422,21 @@ def test_backward_solver_batches_paths():
     lam = np.array([0.9, 0.2])
     dxi = np.stack([p.xi_increments for p in paths])
     increments = zip(np.diff(paths[0].grid)[::-1], dxi.T[::-1])
-    v0, _ = _backward_steps(TAIL_SPEC, lam, increments, len(dxi.T), 1e-13)
+    v0, _ = _backward_steps(TAIL_SPEC, lam, increments, len(dxi.T))
     for k, p in enumerate(paths):
         np.testing.assert_allclose(v0[:, k], quenched_laplace(p, TAIL_SPEC, lam, 0.5).v0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: moment_table(ENV, BSPEC, X0, [0.5, 1.0], 2).entry(1, 0, 0.75),
+                 "t=0.75 is not a grid time", id="moment-table-entry"),
+    pytest.param(lambda: quenched_laplace(_jumpy_path(0), TAIL_SPEC, (0.7, 0.4), 0.255),
+                 "t=0.255 is not a grid point of the environment path", id="quenched-laplace"),
+])
+def test_a_time_off_the_grid_is_a_value_error(call, error):
+    """A moment table is read, and a quenched solve ends, only at a time of its grid."""
+    with pytest.raises(ValueError, match=error):
+        call()
 
 
 @pytest.mark.parametrize("lam", [(-0.5, 0.2), (math.nan, 0.2), (0.7, math.inf)],
@@ -460,7 +472,9 @@ def test_annealed_laplace_is_the_mean_of_quenched_solves(name):
 @pytest.mark.parametrize("name", ["laplace", "pareto", "feller"])
 def test_annealed_laplace_path_zero_is_a_quenched_solve(name):
     """The trajectory `annealed_laplace_mc` returns is the quenched solve of its path 0, on
-    the base grid read forward in time, ending exactly at lam."""
+    the base grid read forward in time, ending exactly at lam.  Both solves test convergence
+    against one tolerance, so on feller.json, whose environment is deterministic and whose
+    annealed solve is one row, the two are the same computation, bit for bit."""
     sc = bundled_scenario(name, 10_000, 2e-3)
     lam, t, step, n, seed = (0.7, 0.4), 0.5, 0.01, 50, 7
     *_, path0 = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
@@ -473,6 +487,8 @@ def test_annealed_laplace_path_zero_is_a_quenched_solve(name):
     assert path0.v.shape == (len(grid), 2) and tuple(path0.v[-1]) == lam
     assert (path0.v[:-1] != lam).any(axis=1).all()  # every earlier row was solved
     np.testing.assert_allclose(path0.v, ql.v, rtol=1e-12, atol=0)
+    if name == "feller":
+        assert path0.v.tobytes() == ql.v.tobytes()
 
 
 def test_annealed_laplace_matches_quenched_average():

@@ -160,12 +160,16 @@ def test_cli_dump_config_roundtrip(tmp_path, capsys):
     assert scenario_to_dict(sc1) == scenario_to_dict(sc2)
 
 
-def test_cli_bad_config_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("text, error", [
+    ("{not json", "config error"),
+    ("[1, 2]", "config error: <root>: config root must be an object\n"),
+], ids=["not-json", "root-a-list"])
+def test_cli_bad_config_exit_code(tmp_path, capsys, text, error):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
+    p.write_text(text)
     assert main(["moments", "--config", str(p)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert err.startswith(error) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
@@ -399,6 +403,9 @@ def _set(data, path, value):
         # a Laplace time below the step has no grid interval
         pytest.param("laplace", "laplace.json", ("laplace", "t"), 0.001, "laplace.t",
                      id="laplace_t-below-step"),
+        pytest.param("simulate", "mixed.json", ("x0",), [-1.0, 1.0], "x0", id="x0-negative"),
+        pytest.param("laplace", "laplace.json", ("laplace", "lambda"), [-0.1, 0.2],
+                     "laplace.lambda", id="lambda-negative"),
         pytest.param("moments", "mixed.json", ("moment_degree",), "x", "moment_degree",
                      id="moment_degree-text"),
         pytest.param("moments", "mixed.json", ("moment_degree",), 0, "moment_degree",
@@ -406,6 +413,10 @@ def _set(data, path, value):
         pytest.param("simulate", "mixed.json", ("seed",), "abc", "seed", id="seed-text"),
         pytest.param("recursion-check", "mixed.json", ("recursion_tol",), "x", "recursion_tol",
                      id="recursion_tol-text"),
+        pytest.param("recursion-check", "mixed.json", ("recursion_tol",), 0, "recursion_tol",
+                     id="recursion_tol-zero"),
+        pytest.param("fmoment", "fmoment_power3_pareto.json", ("fmoment", "family"), "nope",
+                     "fmoment.family", id="fmoment-family-unknown"),
         pytest.param("simulate", "mixed.json", ("output", "dump_paths"), "x", "output.dump_paths",
                      id="dump_paths-text"),
         pytest.param("simulate", "mixed.json", ("output", "dump_paths"), -1, "output.dump_paths",
@@ -635,9 +646,12 @@ def test_cli_bounded_pareto_moment_beyond_the_float_range(tmp_path, capsys, comm
         {"kind": "pareto", "mass": 0.1, "alpha": 3.0, "x0": 1.5}), "HypothesisViolated", id="env-pareto"),
     pytest.param("simulate", "pareto.json", lambda d: d["branching"]["m2"][1].__setitem__("x0", 1e200),
                  "MassOverflow", id="tail-cutoff-1e200"),
+    pytest.param("moments", "mixed.json", lambda d: d["environment"].__setitem__("a", 1e308),
+                 "ExponentOverflow", id="env-drift-1e308"),
 ])
 def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error):
-    """No feasible moment degree, or tail jumps of at least 1e200: exit 1 with one error line.
+    """No feasible moment degree, tail jumps of at least 1e200, or an environment drift whose
+    beta(2) leaves the float range: exit 1 with one error line.
 
     The run is a subprocess with a timeout, so a run that does not finish fails the test.
     """

@@ -109,6 +109,22 @@ def test_truncation_gap_zero_when_inactive():
     assert gaps == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("caps, nonincreasing", [
+    pytest.param((1, 0, 1), False, id="gap-rises-at-k4"),
+    pytest.param((0, 1, 1), True, id="gap-falls-at-k4"),
+])
+def test_truncation_convergence_verdict_on_fed_states(caps, nonincreasing):
+    """States fed at the horizon for the caps k = 2, 4, 8 (ones or zeros) and the full system
+    (ones): a gap that rises by more than its band fails `nonincreasing` and the report."""
+    sc = bundled_scenario("verify", 100, 1e-2)
+    conv = verify_mod._Convergence(sc, [2.0, 4.0, 8.0])
+    conv.feed(sc.horizon, [np.full((10, 2), float(c)) for c in caps] + [np.ones((10, 2))])
+    rep = conv.report()
+    rows = {r.statistic: r for r in rep.rows}
+    assert rows["nonincreasing"].ok is nonincreasing and rows["final_gap_below_eps"].ok
+    assert rep.passed is nonincreasing
+
+
 def test_truncation_convergence_keeps_the_scenario_env_clip():
     """The default eps is 5% of |E X(1)| of the clipped system (0.17948 unclipped)."""
     clipped = TruncationPredicate(env_clip=1.0)

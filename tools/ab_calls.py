@@ -8,22 +8,24 @@ From the repository root, with two exports of the code (e.g. `git archive`):
 
 PARENT and CHANGE are directories that each hold a `src/cbre2`.  One
 long-lived worker process per tree imports cbre2 from that tree's `src`
-with BLAS and OpenMP pinned to one thread.  With `--config/--cmd` it
-times `cbre2.cli.main` on the call, writing its files to a temporary
-directory.  With `--workload W` it builds the benchmark's own operations
-of W (`bench/workloads.py` of this repository, on its `scenarios/`, at
-`--seed`) and times each operation's call, then runs the operation's
-checks on what the call returned and counts the calls that fail them.
+with BLAS and OpenMP pinned to one thread, and builds a list of
+operations with `bench/workloads.py` of this repository.  With
+`--workload W` they are the benchmark's own operations of W, on its
+`scenarios/` at `--seed`.  With `--config/--cmd` there is one: the CLI
+call, writing its files to a temporary directory, which fails when it
+exits with a code other than 0 or 2 (2: a check of the run failed).  The
+worker times each operation's call, then runs the operation's checks on
+what the call returned and counts the calls that fail them.
 
 After one untimed call of each operation, the workers take turns in ABBA
 rounds (parent, change, change, parent; the next round starts with the
 change), one call at a time, so the two trees never run at once and both
 sample the same drift of the host's speed.  Each round gives one ratio per
-operation, the change's two calls over the parent's two, and in workload
-mode one `job_s` ratio, the change's calls of every operation over the
-parent's.  The script prints each median ratio with its distribution-free
-95% confidence interval (sign-test order statistics; none below 6 rounds),
-and then each worker's peak resident set size (`ru_maxrss`, in MB).
+operation, the change's two calls over the parent's two, and one `job_s`
+ratio, the change's calls of every operation over the parent's.  The
+script prints each median ratio with its distribution-free 95% confidence
+interval (sign-test order statistics; none below 6 rounds), and then each
+worker's peak resident set size (`ru_maxrss`, in MB).
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = r"""
 import contextlib, io, json, resource, sys, time
 src, root, workload, seed, tmp = sys.argv[1:6]
-sys.path.insert(0, src)
-from cbre2.cli import main
-ops = []
-if workload:
-    sys.path.insert(0, root + "/bench")
-    import workloads
+sys.path[:0] = [src, root + "/bench"]
+import workloads
+if workload.startswith("["):  # a CLI call, as its argument list; exit codes 0 and 2 pass
+    argv = json.loads(workload) + ["--out", tmp]
+    ops = [workloads.Op(argv[0], workloads.cli_call(argv), lambda r: workloads._rc(r, (0, 2), argv[0]))]
+else:
     ops = workloads.WORKLOADS[workload](workloads.Configs(root, tmp, int(seed)))
 reply = sys.stdout
 for line in sys.stdin:
@@ -63,31 +65,29 @@ for line in sys.stdin:
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         t0 = time.perf_counter()
         try:
-            result = main(arg) if kind == "cli" else ops[arg].run()
-            failed = None
+            result, failed = ops[arg].run(), None
         except Exception as e:  # a crash in cbre2 is a failed call
             result, failed = None, f"raised {type(e).__name__}: {e}"
         dt = time.perf_counter() - t0
-        if kind == "op" and failed is None:
+        if failed is None:
             failed = "; ".join(ops[arg].check(result)[:3]) or None
-    reply.write(json.dumps([dt, result if kind == "cli" else failed]) + "\n")
+    reply.write(json.dumps([dt, failed]) + "\n")
     reply.flush()
 """
 
 
 class Worker:
-    """One interpreter that imports cbre2 from `tree`/src and times calls on request."""
+    """One interpreter that imports cbre2 from `tree`/src and times operations on request."""
 
-    def __init__(self, tree: str, out: str, workload: str = "", seed: int = 1):
+    def __init__(self, tree: str, tmp: str, workload: str, seed: int):
         src = os.path.join(os.path.abspath(tree), "src")
         if not os.path.isdir(os.path.join(src, "cbre2")):
             raise SystemExit(f"{tree}: no src/cbre2")
         env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
         env.pop("PYTHONPATH", None)
-        self.out = out
-        os.makedirs(out, exist_ok=True)
+        os.makedirs(tmp, exist_ok=True)
         self.proc = subprocess.Popen(
-            [sys.executable, "-c", WORKER, src, ROOT, workload, str(seed), out],
+            [sys.executable, "-c", WORKER, src, ROOT, workload, str(seed), tmp],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
         )
 
@@ -106,15 +106,9 @@ class Worker:
         """The worker's peak resident set size so far (`ru_maxrss`), in MB."""
         return self._ask("rss", None)
 
-    def call(self, argv: list[str]) -> tuple[float, int]:
-        """Time one CLI call; (seconds, exit code)."""
-        dt, rc = self._ask("cli", argv + ["--out", self.out])
-        return dt, rc
-
-    def op(self, i: int) -> tuple[float, str | None]:
-        """Time the workload's operation i and check it; (seconds, failure or None)."""
-        dt, failed = self._ask("op", i)
-        return dt, failed
+    def op(self, i: int) -> list:
+        """Time operation i and check it; [seconds, failure or None]."""
+        return self._ask("op", i)
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -165,22 +159,7 @@ def abba(rounds: int, calls: int, timed_call) -> tuple[list, list]:
     return times, ratios
 
 
-def run_cli(args, workers) -> None:
-    words = shlex.split(args.cmd)
-    call = words[:1] + ["--config", os.path.abspath(args.config)] + words[1:]
-    codes = [w.call(call)[1] for w in workers]  # warm-up, untimed
-    if codes[0] != codes[1]:
-        print(f"warning: exit codes differ: parent {codes[0]}, change {codes[1]}")
-    times, ratios = abba(args.rounds, 1, lambda side, i: workers[side].call(call)[0])
-    print(f"{args.cmd} on {args.config}: {args.rounds} ABBA rounds, exit code {codes[1]}")
-    for side, name in ((0, "parent"), (1, "change")):
-        print(f"  {name}: median call {statistics.median(times[side][0]):.4f} s")
-    ratios = [row[0] for row in ratios]
-    print(ratio_line("change/parent", ratios))
-    print("  ratios: " + " ".join(f"{x:.3f}" for x in ratios))
-
-
-def run_workload(args, workers) -> None:
+def run(args, workers, title: str) -> None:
     names = workers[0].op_names()  # both workers build them from this repository's bench
     failures = [[0] * len(names), [0] * len(names)]
 
@@ -195,7 +174,7 @@ def run_workload(args, workers) -> None:
         for side in (0, 1):
             timed(side, i)
     times, ratios = abba(args.rounds, len(names), timed)
-    print(f"workload {args.workload} at seed {args.seed}: {args.rounds} ABBA rounds")
+    print(f"{title}: {args.rounds} ABBA rounds")
     for i, name in enumerate(names):
         print(f"  {name}: median call parent {statistics.median(times[0][i]):.4f} s, "
               f"change {statistics.median(times[1][i]):.4f} s; failed calls parent "
@@ -223,11 +202,17 @@ def main(argv=None) -> int:
     if given not in ((True, False, False), (False, True, True)):
         parser.error("give either --config and --cmd, or --workload")
 
+    if args.workload:
+        job, title = args.workload, f"workload {args.workload} at seed {args.seed}"
+    else:
+        words = shlex.split(args.cmd)
+        job = json.dumps(words[:1] + ["--config", os.path.abspath(args.config)] + words[1:])
+        title = f"{args.cmd} on {args.config}"
     with tempfile.TemporaryDirectory() as tmp:
-        workers = [Worker(tree, os.path.join(tmp, side), args.workload or "", args.seed)
+        workers = [Worker(tree, os.path.join(tmp, side), job, args.seed)
                    for tree, side in ((args.parent, "parent"), (args.change, "change"))]
         try:
-            (run_workload if args.workload else run_cli)(args, workers)
+            run(args, workers, title)
             parent_mb, change_mb = (w.peak_rss_mb() for w in workers)
             print(f"  worker peak RSS: parent {parent_mb:.1f} MB, change {change_mb:.1f} MB")
         finally:
