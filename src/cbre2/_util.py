@@ -12,10 +12,9 @@ def expm2(a: np.ndarray) -> np.ndarray:
 
     Splits A = tau*I + B with tr(B) = 0, so B^2 = mu^2 * I and
     exp(A) = e^tau * (cosh(mu) I + sinh(mu)/mu B).  The mu -> 0 limit
-    (defective / equal-eigenvalue case) is taken by series.  A's
-    off-diagonal entries must have a product >= 0 (as in an essentially
-    nonnegative matrix or its negative), so mu^2 >= 0 and the eigenvalues
-    are real; a NaN entry gives a NaN result.
+    (defective / equal-eigenvalue case) is taken by series.  A's off-diagonal
+    product must be >= 0 (A essentially nonnegative, or its negative), so
+    mu^2 >= 0 and the eigenvalues are real; a NaN entry gives a NaN result.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
