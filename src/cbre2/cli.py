@@ -1,8 +1,8 @@
 """Command-line entry point: scenario ingestion, orchestration, report files.
 
 Subcommands: simulate, moments, recursion-check, laplace, verify,
-fmoment, couple.  Exit codes: 0 on success/pass, 1 on a validation or
-configuration error, 2 on a failed verification assertion.  Only `main`
+fmoment, couple.  Exit codes: 0 on success/pass, 1 on a usage, validation
+or configuration error, 2 on a failed verification assertion.  Only `main`
 writes files, after the command has returned, so a command that fails
 leaves no output directory and no file, and it writes all of a command's
 files or none of them.  All CSV numbers use the
@@ -27,7 +27,7 @@ from .errors import Cbre2Error, ConfigError
 from .fmoment import f_moment_verdict
 from .moments import annealed_laplace_mc, moment_table, monomial_basis, recursion_check
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
-from .simulate import scenario_states, simulate_paths
+from .simulate import scenario_states, scenario_stream
 from ._util import csv_lines, fsum_mean_se, z_score
 
 
@@ -70,17 +70,17 @@ Outputs = tuple[int, dict[str, list[str]], str]
 
 
 def _cmd_simulate(sc: ScenarioConfig) -> Outputs:
-    _, states = scenario_states(sc, sc.n_paths, sc.seed, record_times=[sc.horizon])
+    n_dump = min(sc.output.dump_paths, sc.n_paths)
+    heads = []  # (t, X1, X2, xi) of the first n_dump rows of the one pass, at each grid time
+    for t, (x,), xi in scenario_stream(sc, sc.n_paths, sc.seed, record_times=[sc.horizon]):
+        heads.append(np.column_stack((np.full(n_dump, t), x[:n_dump], xi[:n_dump])))
     summary = verify_mod.EstimateReport("simulate")
     for i in (0, 1):
-        summary.add(sc.horizon, f"mean_X{i + 1}", *fsum_mean_se(states[0, :, 0, i]))
+        summary.add(sc.horizon, f"mean_X{i + 1}", *fsum_mean_se(x[:, i]))
     files = {"simulate_summary.csv": summary.csv_lines()}
     m1, m2 = (r.estimate for r in summary.rows)
-    n_dump = min(sc.output.dump_paths, sc.n_paths)
-    if n_dump > 0:
-        for i, path in enumerate(simulate_paths(sc, n_dump, sc.seed)):
-            rows = zip(path.grid, path.states[:, 0], path.states[:, 1], path.xi)
-            files[f"path_{i:03d}.csv"] = csv_lines("t,X1,X2,xi", rows)
+    for k, rows in enumerate(np.stack(heads, axis=1)):
+        files[f"path_{k:03d}.csv"] = csv_lines("t,X1,X2,xi", rows.tolist())
     return 0, files, (
         f"{sc.n_paths} paths to t={sc.horizon:g}; mean X({sc.horizon:g}) = ({m1:.6g}, {m2:.6g}); "
         f"dumped {n_dump} paths to {sc.output.directory}"
@@ -224,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a usage error is bad input (exit 1); --help exits 0
+        return 1 if e.code else 0
     try:
         sc = load_scenario(args.config)
         sc = sc.with_overrides(

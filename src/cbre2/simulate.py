@@ -48,7 +48,6 @@ with diffusion on, ordering holds in expectation only.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +200,9 @@ def scenario_stream(
 
     for m in range(len(grid) - 1):
         h = grid[m + 1] - grid[m]
-        # a state that the environment lifts past the float range is caught below, not
-        # warned about; an environment that never moves multiplies by 1 and is skipped
-        with nullcontext() if still else np.errstate(over="ignore", invalid="ignore"):
+        # a state that the drift or the environment lifts past the float range is caught
+        # below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
             # 1. exact linear drift flow
             np.matmul(flows[step_of[m]], x, out=y)
             x, y, xv, yv = y, x, yv, xv
@@ -265,15 +264,16 @@ def scenario_stream(
                     if not due.any():
                         break
                     active, xm, ca = active[due], xm[:, due], ca[due]
-            # 4. exact environment multiplier, one for every variant
+            # 4. exact environment multiplier, one for every variant; an environment
+            # that never moves multiplies by 1 and is skipped
             if not still:
                 dxi = next(env_incs)
                 xi += dxi
                 x *= np.exp(dxi)
-                # the rate above checks branching passes at each step; the state is
-                # checked here on the others, and on the last step of every pass
-                if (not branching or m == len(grid) - 2) and not math.isfinite(x.max()):
-                    raise _runaway(grid[m + 1], xi)
+            # the rate above checks branching passes at each step; the state is
+            # checked here on the others, and on the last step of every pass
+            if (not branching or m == len(grid) - 2) and not math.isfinite(x.max()):
+                raise _runaway(grid[m + 1], xi)
         yield grid[m + 1], xv, xi
 
 

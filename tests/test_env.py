@@ -47,6 +47,15 @@ def test_divergent_exponent_raises():
         levy_exponent(LevyEnvSpec(nu=JumpMeasure1D(tails=[Tail1D("pareto", 1.0, 3.0, 1.0)])), 1)
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: LevyEnvSpec(sigma1=-1.0), "sigma1 must be >= 0", id="negative-sigma1"),
+    pytest.param(lambda: levy_exponent(LevyEnvSpec(), -1), "n must be >= 0", id="negative-order"),
+])
+def test_bad_environment_arguments_are_value_errors(call, error):
+    with pytest.raises(ValueError, match=error):
+        call()
+
+
 def test_truncation_restores_finiteness():
     nu = JumpMeasure1D(tails=[Tail1D("pareto", 1.0, 3.0, 1.0)])
     spec = LevyEnvSpec(nu=nu)

@@ -82,6 +82,8 @@ def test_family_parameter_validation():
         exp_power(0.5, 1.5)
     with pytest.raises(ValueError):
         exp_power(-1.0)
+    with pytest.raises(ValueError, match="p >= 1"):
+        power_log(0.5)
 
 
 def test_classify_power_vs_pareto():

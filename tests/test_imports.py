@@ -23,8 +23,10 @@ out = sys.argv[1]
 for path in sys.argv[2:]:
     sc = load_scenario(path)
     assert main(["simulate", "--config", path, "--paths", "200", "--out", out]) == 0
-    if sc.coupling_k is not None:
-        assert main(["couple", "--config", path, "--paths", "200", "--out", out]) == 0
+    for command, block in (("couple", sc.coupling_k), ("laplace", sc.laplace_lambda),
+                           ("fmoment", sc.fmoment_function)):
+        if block is not None:
+            assert main([command, "--config", path, "--paths", "200", "--out", out]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 

@@ -257,6 +257,10 @@ def test_invalid_components_rejected():
         AxisTail(1, "pareto", 1.0, 2.0, 0.0)  # pareto needs x0 > 0
     with pytest.raises(ValueError):
         Tail1D("cauchy", 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="side must be"):
+        Tail1D("exponential", 1.0, 2.0, 0.0, 0)
+    with pytest.raises(ValueError, match="mass and shape must be > 0"):
+        AxisTail(1, "exponential", 0.0, 2.0, 0.0)
 
 
 PHI_Z = [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 0.5, 1.0, 5.0, 50.0]

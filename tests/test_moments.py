@@ -154,6 +154,20 @@ def test_recursion_coefficient_divergence():
         recursion_coefficients(BranchingSpec(m1=heavy), 4, 1)
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: build_moment_generator(ENV, BSPEC, 0), "degree must be >= 1",
+                 id="generator-degree-0"),
+    pytest.param(lambda: recursion_coefficients(BSPEC, 1, 1), "need n >= 2", id="coefficients-n-1"),
+    pytest.param(lambda: recursion_coefficients(BSPEC, 2, 3), "type_index must be 1 or 2",
+                 id="coefficients-type-3"),
+    pytest.param(lambda: recursion_check(BSPEC, moment_table(ENV, BSPEC, X0, [1.0], 2), 3, 1, 1.0),
+                 "table degree is below the requested moment order", id="check-beyond-table"),
+])
+def test_bad_moment_arguments_are_value_errors(call, error):
+    with pytest.raises(ValueError, match=error):
+        call()
+
+
 def test_recursion_check_frozen_process():
     table = moment_table(LevyEnvSpec(), BranchingSpec(), (1.3, 0.8), [1.0], 3)
     for n in (2, 3):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from cbre2.cli import SUBCOMMANDS, main
 from cbre2.errors import ConfigError
+from cbre2.simulate import scenario_stream
 from cbre2.scenario import (
     dump_scenario,
     load_scenario,
@@ -299,6 +300,8 @@ def test_cli_couple_pass(tmp_path, capsys):
 
 
 def test_cli_simulate_path_dump(tmp_path, capsys):
+    """path_00k.csv is row k of the one pass that simulate_summary.csv summarises, at every grid
+    time, so a dump does not change with the number of paths dumped."""
     out = tmp_path / "s"
     rc = main(["simulate", "--config", _scen("coupling.json"), "--out", str(out), "--paths", "50"])
     assert rc == 0
@@ -306,6 +309,28 @@ def test_cli_simulate_path_dump(tmp_path, capsys):
     assert lines[0] == "t,X1,X2,xi"
     first = lines[1].split(",")
     assert [float(first[0]), float(first[1]), float(first[2]), float(first[3])] == [0.0, 1.0, 1.2, 0.0]
+    sc = load_scenario(_scen("coupling.json"))
+    rows = [[[t, *x[k], xi[k]] for k in range(5)]  # the stream's views are live: copy as floats
+            for t, (x,), xi in scenario_stream(sc, 50, sc.seed, record_times=[sc.horizon])]
+    for k in range(5):
+        dumped = (out / f"path_{k:03d}.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in line.split(",")] for line in dumped] == [r[k] for r in rows]
+    assert not (out / "path_005.csv").exists()
+    for n in (2, 3):
+        config = _edited_config(tmp_path, "coupling.json", lambda d: d["output"].__setitem__("dump_paths", n))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / f"d{n}"), "--paths", "50"]) == 0
+    for name in ("path_000.csv", "path_001.csv"):
+        assert (tmp_path / "d2" / name).read_bytes() == (tmp_path / "d3" / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["moments"], ["moments", "--config", _scen("mixed.json"), "--paths", "x"],
+    ["nosuch", "--config", _scen("mixed.json")],
+], ids=["no-config", "bad-integer", "unknown-command"])
+def test_cli_usage_error_exits_1(capsys, args):
+    """A usage error is bad input like any other: exit 1 with argparse's usage text, not 2."""
+    assert main(args) == 1
+    assert "usage: cbre2" in capsys.readouterr().err
 
 
 def test_cli_seed_determinism_byte_identical(tmp_path):
@@ -648,10 +673,13 @@ def test_cli_bounded_pareto_moment_beyond_the_float_range(tmp_path, capsys, comm
                  "MassOverflow", id="tail-cutoff-1e200"),
     pytest.param("moments", "mixed.json", lambda d: d["environment"].__setitem__("a", 1e308),
                  "ExponentOverflow", id="env-drift-1e308"),
+    pytest.param("simulate", "feller.json", lambda d: d["branching"].__setitem__(
+        "b", [[-800.0, 0.0], [0.0, 0.0]]), "ExponentOverflow", id="still-env-drift-flow"),
 ])
 def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error):
-    """No feasible moment degree, tail jumps of at least 1e200, or an environment drift whose
-    beta(2) leaves the float range: exit 1 with one error line.
+    """No feasible moment degree, tail jumps of at least 1e200, an environment drift whose
+    beta(2) leaves the float range, or a supercritical drift flow that lifts a state past the
+    float range in an environment that never moves: exit 1 with one error line.
 
     The run is a subprocess with a timeout, so a run that does not finish fails the test.
     """

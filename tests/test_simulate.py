@@ -30,6 +30,7 @@ from cbre2.truncation import (
     norm_cap,
     unit_square,
 )
+from cbre2._util import expm2
 from tests.conftest import SCENARIO_DIR, bundled_scenario
 from tests.test_branching import ATOMS, TAILS
 from tests.test_measures import ENV_ATOMS, ENV_TAILS
@@ -188,6 +189,16 @@ def test_one_pass_runs_one_environment_clip():
     preds = (TruncationPredicate(env_clip=1.2), TruncationPredicate(env_clip=2.0))
     with pytest.raises(ValueError, match="env_clip"):
         next(scenario_stream(sc, 10, 4, predicates=preds))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: scenario_states(bundled_scenario("mixed", 5, 0.01), 5, 1, record_times=[2.0]),
+                 r"record times must lie in \[0, horizon\]", id="record-time-past-horizon"),
+    pytest.param(lambda: expm2(np.eye(3)), "expm2 expects a 2x2 matrix", id="expm2-3x3"),
+])
+def test_bad_engine_arguments_are_value_errors(call, error):
+    with pytest.raises(ValueError, match=error):
+        call()
 
 
 def test_mass_overflow_fail_fast(monkeypatch):

@@ -15,7 +15,8 @@ operations with `bench/workloads.py` of this repository.  With
 call, writing its files to a temporary directory, which fails when it
 exits with a code other than 0 or 2 (2: a check of the run failed).  The
 worker times each operation's call, then runs the operation's checks on
-what the call returned and counts the calls that fail them.
+what the call returned and counts the calls that fail them; a failed call
+is printed with the first non-empty line that it wrote to stderr.
 
 After one untimed call of each operation, the workers take turns in ABBA
 rounds (parent, change, change, parent; the next round starts with the
@@ -61,8 +62,8 @@ for line in sys.stdin:
         reply.write(json.dumps(answer) + "\n")
         reply.flush()
         continue
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    sink, err = io.StringIO(), io.StringIO()  # stdout is discarded; stderr says why a call failed
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
         t0 = time.perf_counter()
         try:
             result, failed = ops[arg].run(), None
@@ -71,6 +72,9 @@ for line in sys.stdin:
         dt = time.perf_counter() - t0
         if failed is None:
             failed = "; ".join(ops[arg].check(result)[:3]) or None
+    why = next((line for line in err.getvalue().splitlines() if line.strip()), None)
+    if failed and why:
+        failed += ": " + why
     reply.write(json.dumps([dt, failed]) + "\n")
     reply.flush()
 """
