@@ -55,6 +55,7 @@ from .moments import (
     monomial_basis,
     quenched_laplace,
     recursion_check,
+    recursion_checks,
     recursion_coefficients,
     solve_moment_ode,
 )

@@ -25,7 +25,7 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import Cbre2Error, ConfigError
 from .fmoment import f_moment_verdict
-from .moments import annealed_laplace_mc, moment_table, monomial_basis, recursion_check
+from .moments import annealed_laplace_mc, moment_table, monomial_basis, recursion_checks
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
 from .simulate import scenario_states, scenario_stream
 from ._util import csv_lines, fsum_mean_se, z_score
@@ -107,8 +107,9 @@ def _cmd_recursion_check(sc: ScenarioConfig) -> Outputs:
     degree = max(2, sc.moment_degree)
     t_grid = [sc.horizon / 2.0, sc.horizon]
     table = moment_table(sc.environment, sc.branching, sc.x0, t_grid, degree, sc.truncation)
+    checks = {t: recursion_checks(sc.branching, table, t) for t in t_grid}  # one expm per time
     rows = [
-        (t, n, type_index, *recursion_check(sc.branching, table, n, type_index, t))
+        (t, n, type_index, *checks[t][n, type_index])
         for n in range(2, degree + 1)
         for type_index in (1, 2)
         for t in t_grid

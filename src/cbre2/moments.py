@@ -21,7 +21,7 @@ from .env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent
 from .errors import DivergentCoefficient, ExponentOverflow, FixedPointDivergence, HypothesisViolated
 from .fmoment import FINITE, classify_branching_tail, classify_env_tail, power
 from .truncation import IDENTITY, TruncationPredicate
-from ._util import expm2, fsum_mean_se
+from ._util import expm, expm2, fsum_mean_se
 
 
 def monomial_basis(degree: int) -> tuple[tuple[int, int], ...]:
@@ -154,8 +154,6 @@ def solve_moment_ode(gen: MomentGenerator, x0, t_grid) -> MomentTable:
     Steps the sorted times by expm(G dt), one exponential per distinct dt;
     raises ExponentOverflow when a moment leaves the float range.
     """
-    from scipy.linalg import expm
-
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     m0 = initial_moment_vector(gen, x0)
     order = np.argsort(t_grid, kind="stable")
@@ -263,6 +261,50 @@ def recursion_coefficients(
     return a, b
 
 
+def recursion_checks(spec: BranchingSpec, table: MomentTable, t: float, keys=None) -> dict:
+    """{(n, type_index): (lhs, rhs, residual)} of the n-th own-moment recursion identities at t.
+
+    Exact convolution (Van Loan 1978): each key appends one row [c, theta]
+    to the table's generator G, with c the recursion coefficients on their
+    monomials and theta = beta(n) - n b_ii, so that w' = theta w + c.m,
+    w(0) = x0_i^n gives rhs = w(t).  The appended rows feed neither G nor
+    each other (their block is diagonal), so one expm of the bordered matrix
+    serves every key: by default the orders 2..table.degree of both types.
+    lhs is m_n(t) from the same exponential, and the residual is
+    |rhs - lhs| / max(1, |lhs|).  beta(n) and the truncation of the
+    coefficients are the ones the table's generator was built with.
+    """
+    if keys is None:
+        keys = [(n, i) for n in range(2, table.degree + 1) for i in (1, 2)]
+    for n, type_index in keys:
+        if table.degree < n:
+            raise ValueError("table degree is below the requested moment order")
+        target = (n, 0) if type_index == 1 else (0, n)
+        if not table.finite.get(target, False):
+            raise HypothesisViolated(f"moment {target} is flagged infinite in the table")
+    gen = table.generator
+    size = len(gen.basis)
+    aug = np.zeros((size + len(keys), size + len(keys)))
+    aug[:size, :size] = gen.matrix
+    targets = []
+    for row, (n, type_index) in enumerate(keys, start=size):
+        a_coef, b_coef = recursion_coefficients(spec, n, type_index, gen.truncation)
+        b_ii = spec.b11 if type_index == 1 else spec.b22
+        mono = gen.index if type_index == 1 else (lambda own, cross: gen.index(cross, own))
+        for j in range(n - 1):
+            aug[row, mono(j + 1, 0)] += a_coef[j]
+        for j in range(n):
+            aug[row, mono(j, 1)] += b_coef[j]
+        aug[row, row] = gen.beta[n] - n * b_ii
+        targets.append(mono(n, 0))
+    out = expm(aug * t) @ np.concatenate((table.m0, table.m0[targets]))
+    checks = {}
+    for row, (key, k) in enumerate(zip(keys, targets), start=size):
+        lhs, rhs = float(out[k]), float(out[row])
+        checks[key] = (lhs, rhs, abs(rhs - lhs) / max(1.0, abs(lhs)))
+    return checks
+
+
 def recursion_check(
     spec: BranchingSpec,
     table: MomentTable,
@@ -270,37 +312,8 @@ def recursion_check(
     type_index: int,
     t: float,
 ) -> tuple[float, float, float]:
-    """(lhs, rhs, residual) of the n-th own-moment recursion identity.
-
-    Exact convolution (Van Loan 1978): with c the recursion coefficients on
-    their monomials and theta = beta(n) - n b_ii, expm([[G, 0], [c, theta]] t)
-    gives m(t) and rhs = w(t), where w' = theta w + c.m, w(0) = x0^n.  The
-    residual is |rhs - lhs| / max(1, |lhs|).  beta(n) and the truncation
-    of the coefficients are the ones the table's generator was built with.
-    """
-    if table.degree < n:
-        raise ValueError("table degree is below the requested moment order")
-    target = (n, 0) if type_index == 1 else (0, n)
-    if not table.finite.get(target, False):
-        raise HypothesisViolated(f"moment {target} is flagged infinite in the table")
-    gen = table.generator
-    a_coef, b_coef = recursion_coefficients(spec, n, type_index, gen.truncation)
-    b_ii = spec.b11 if type_index == 1 else spec.b22
-    mono = gen.index if type_index == 1 else (lambda own, cross: gen.index(cross, own))
-    size = len(gen.basis)
-    aug = np.zeros((size + 1, size + 1))
-    aug[:size, :size] = gen.matrix
-    for j in range(n - 1):
-        aug[size, mono(j + 1, 0)] += a_coef[j]
-    for j in range(n):
-        aug[size, mono(j, 1)] += b_coef[j]
-    aug[size, size] = gen.beta[n] - n * b_ii
-    target_idx = mono(n, 0)
-    from scipy.linalg import expm
-
-    out = expm(aug * t) @ np.append(table.m0, table.m0[target_idx])
-    lhs, rhs = float(out[target_idx]), float(out[size])
-    return lhs, rhs, abs(rhs - lhs) / max(1.0, abs(lhs))
+    """(lhs, rhs, residual) of the n-th own-moment recursion identity: one key of `recursion_checks`."""
+    return recursion_checks(spec, table, t, [(n, type_index)])[n, type_index]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +328,6 @@ def moment_polynomial(
     The coefficients are row (n, 0) (type 1) or (0, n) (type 2) of expm(G t),
     keyed by the generator's basis, so the degree is at most n.
     """
-    from scipy.linalg import expm
-
     gen = build_moment_generator(env, spec, n)
     row = expm(gen.matrix * t)[gen.index(n, 0) if type_index == 1 else gen.index(0, n)]
     return {pq: float(c) for pq, c in zip(gen.basis, row)}

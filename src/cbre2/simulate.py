@@ -48,6 +48,7 @@ with diffusion on, ordering holds in expectation only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +116,24 @@ def _check_n_paths(n_paths) -> None:
 def _runaway(t: float, xi: np.ndarray, path=None) -> Cbre2Error:
     """The error of a pass that ran away by time `t`.
 
-    With `path` None a state left the float range.  Otherwise path `path`
+    With `path` None a state left the float range, and the environment is
+    named when its multiplier accounts for that, reaching at least the square
+    root of the largest float (half of the range's exponent); otherwise the
+    drift flow or the branching jumps lifted the state.  Else path `path`
     outran the branching event cap, and the environment is named when its
     multiplier e^xi on that path alone exceeds the cap (else MassOverflow).
     """
-    if path is not None and xi[path] <= math.log(DEFAULT_EVENTS_CAP):
-        return MassOverflow("branching event count exceeds the safety cap")
-    what = "a state leaves the float range" if path is None else (
-        "the branching event count with it exceeds the safety cap")
+    if path is not None:
+        if xi[path] <= math.log(DEFAULT_EVENTS_CAP):
+            return MassOverflow("branching event count exceeds the safety cap")
+        what = "the branching event count with it exceeds the safety cap"
+    elif xi.max() >= 0.5 * math.log(sys.float_info.max):
+        what = "a state leaves the float range"
+    else:
+        return ExponentOverflow(
+            f"a state leaves the float range by t = {t:.6g}, lifted by the drift flow or the "
+            f"branching jumps (the environment multiplier e^xi reaches only e^{xi.max():.6g})"
+        )
     return ExponentOverflow(
         f"the environment multiplier e^xi reaches e^{xi.max():.6g} by t = {t:.6g}, and {what}"
     )

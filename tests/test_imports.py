@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the moment layer and Pareto-tail phi load it.
+"""scipy stays off the import path: only the phi of Pareto tails loads it (scipy.special).
 
 Each check runs a fresh interpreter, so modules loaded by this test session
 do not count.
@@ -30,6 +30,19 @@ for path in sys.argv[2:]:
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
+MOMENT_RUNS = """
+import json, sys
+from cbre2.cli import main
+
+out = sys.argv[1]
+for path in sys.argv[2:]:
+    for command in ("moments", "recursion-check", "verify"):
+        assert main([command, "--config", path, "--paths", "200", "--out", out]) in (0, 2)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+ATOM_ONLY = [p for p in CONFIGS if not any(
+    tail in open(p).read() for tail in ('"pareto"', '"exponential"'))]
+
 
 def _run(args, tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -54,6 +67,13 @@ def test_moments_cli_loads_no_quadrature(tmp_path):
         tmp_path,
     )
     modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line}
-    assert "scipy.linalg" in modules  # expm: the importtime record does list scipy
+    assert "scipy.linalg" not in modules  # expm is cbre2._util.expm
     assert not any(m.startswith("scipy.integrate") for m in modules)
     assert (tmp_path / "out" / "moments.csv").exists()
+
+
+def test_moment_layer_on_atom_only_configs_loads_no_scipy(tmp_path):
+    """moments, recursion-check and verify on every bundled config without a tail measure."""
+    assert len(ATOM_ONLY) == 6 and any(p.endswith("mixed.json") for p in ATOM_ONLY)
+    proc = _run(["-c", MOMENT_RUNS, str(tmp_path / "out"), *ATOM_ONLY], tmp_path)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -715,6 +715,31 @@ def test_cli_environment_overflow_is_one_error_line(tmp_path, capsys, name, z, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    pytest.param("feller.json", lambda d: d["branching"].__setitem__("b", [[-800.0, 0.0], [0.0, 0.0]]),
+                 "a state leaves the float range by t = 0.887, lifted by the drift flow or the "
+                 "branching jumps (the environment multiplier e^xi reaches only e^0)", id="still-drift"),
+    pytest.param("env_only.json", lambda d: d["branching"].__setitem__("b", [[-800.0, 0.0], [0.0, 0.0]]),
+                 "a state leaves the float range by t = 0.888, lifted by the drift flow or the "
+                 "branching jumps (the environment multiplier e^xi reaches only e^0.510505)",
+                 id="moving-drift"),
+    pytest.param("env_only.json", lambda d: d["environment"].__setitem__(
+        "nu", [{"kind": "atom", "mass": 2.0, "z": 400.0}]),
+                 "the environment multiplier e^xi reaches e^799.862 by t = 0.67, and a state leaves "
+                 "the float range", id="environment"),
+])
+def test_cli_state_overflow_names_its_cause(tmp_path, capsys, name, edit, message):
+    """A state that leaves the float range blames the environment only when e^xi reaches
+    the square root of the largest float; a supercritical drift of e^(800 t) is named as
+    the drift, in a still environment and in a moving one."""
+    config = _edited_config(tmp_path, name, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", config, "--paths", "5", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ExponentOverflow: {message}\n"
+
+
 @pytest.mark.parametrize("mass, z", [
     pytest.param(3.0, 50.0, id="after-the-quenched-file"),
     pytest.param(2.0, 400.0, id="overflowing-phi"),
