@@ -33,22 +33,107 @@ def _exp_rem2(z):
     return np.where(np.abs(z) < 0.5, 0.5 * zs * zs * acc, np.expm1(-z) + z)
 
 
-def _expint(p: float, z):
-    """E_p(z) = z^{p-1} Gamma(1-p, z), z > 0: from exp1 (integer p) or gammaincc at
-    1 - q in [1.5, 2.5), where it is fast, raised by E_{q+1} = (e^{-z} - z E_q) / q,
-    i.e. Gamma(s, z) = (Gamma(s+1, z) - z^s e^{-z}) / s stepped down and scaled."""
-    from scipy import special
+_EULER_GAMMA = 0.57721566490153286
+_SERIES_BELOW, _SERIES_TERMS, _LAGUERRE_NODES = 2.0, 30, 30
+_MINUS_ONES = np.full(_SERIES_TERMS - 1, -1.0)
 
-    if p == int(p):
-        q, e = 1.0, special.exp1(z)
-    else:
-        q = p - math.ceil(p + 0.5)
-        e = z ** (q - 1.0) * special.gammaincc(1.0 - q, z) * special.gamma(1.0 - q)
-    ez = np.exp(-z)
-    while q < p:
-        e = (ez - z * e) / q
-        q += 1.0
-    return e
+
+def _zeta(k: int) -> float:
+    """Riemann zeta at an integer k >= 2: Euler-Maclaurin from N = 20 with B_2..B_12."""
+    big_n, tail = 20, []
+    rise, power = k, float(big_n) ** (-k - 1)  # k (k+1) ... (k+2j-2) and N^{-k-2j+1}
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1):
+        tail.append(b / math.factorial(2 * j) * rise * power)
+        rise *= (k + 2 * j - 1) * (k + 2 * j)
+        power /= big_n * big_n
+    head = [m**-k for m in range(1, big_n)] + [big_n ** (1 - k) / (k - 1), 0.5 * big_n**-k]
+    return math.fsum(head + tail)
+
+
+@functools.cache
+def _expint_constants(p: float):
+    """Per-p constants of E_p(z) = Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (k+1-p)).
+
+    Returns the series coefficients of (-z)^k, k < 30, negated, n = round(p),
+    e = p - n, d, and Gamma(1-p) when n = 0. For n >= 1 the pole of Gamma(1-p)
+    cancels the term k = n-1; the pair is -(-z)^{n-1} / (n-1)! * g(z), with
+    g = expm1(e (d + ln z)) / e, or d + ln z when e = 0, and
+    d = (ln Gamma(1-e) - sum_{j<n} log1p(e/j)) / e from the Taylor series of
+    ln Gamma(1-e) (gamma e + sum zeta(k) e^k / k). So p next to an integer loses
+    no digits. The coefficient of k = n-1 is the pair's -1 / (n-1)! / e (without
+    the 1/e when e = 0), for g to multiply; from n = 30 on the pair is below
+    2^29 / 29! ~ 1e-22 of E_p, and its coefficient is 0.
+    """
+    k = np.arange(_SERIES_TERMS)
+    n, e = round(p), p - round(p)
+    fact = np.array([math.factorial(i) for i in k], dtype=float)
+    coef = np.where(k == n - 1, 0.0, -1.0 / (fact * np.where(k == n - 1, 1.0, k + 1.0 - p)))
+    d = 0.0
+    if 1 <= n < _SERIES_TERMS:
+        coef[n - 1] = -1.0 / math.factorial(n - 1) / (e or 1.0)
+        log_gamma = math.fsum([_EULER_GAMMA] + [_zeta(j) * e ** (j - 1) / j for j in range(2, 64)])
+        d = log_gamma - math.fsum((math.log1p(e / j) / (e / j) if e else 1.0) / j for j in range(1, n))
+    return coef, n, e, d, math.gamma(1.0 - p) if n == 0 else None
+
+
+@functools.cache
+def _laguerre_nodes():
+    from numpy.polynomial.laguerre import laggauss
+
+    return laggauss(_LAGUERRE_NODES)
+
+
+def _expint_series(p: float, z):
+    coef, n, e, d, gamma = _expint_constants(p)
+    terms = np.multiply.outer(z, _MINUS_ONES)
+    np.multiply.accumulate(terms, axis=-1, out=terms)  # (-z)^k, k >= 1
+    terms *= coef[1:]
+    if n == 0:
+        return np.add.reduce(terms, axis=-1, initial=coef[0]) + gamma * z ** (p - 1.0)
+    if n < _SERIES_TERMS:
+        g = np.log(z) + d
+        if e:
+            g = np.expm1(g * e)
+        if n == 1:
+            return np.add.reduce(terms, axis=-1) + g * coef[0]
+        terms[..., n - 2] *= g
+    return np.add.reduce(terms, axis=-1, initial=coef[0])
+
+
+def _expint_laguerre(p: float, z):
+    """E_p(z) = e^{-z} / w int_0^inf e^{-v} exp(p (x - log1p x)) dv, w = z + p, x = v / w:
+    the integrand is smooth with its singularity at v = -w, for Gauss-Laguerre nodes."""
+    v, weight = _laguerre_nodes()
+    inv_w = 1.0 / (z + p)
+    x = np.multiply.outer(inv_w, v)
+    f = np.log1p(x)
+    np.subtract(x, f, out=f)
+    f *= p
+    np.exp(f, out=f)
+    f *= weight
+    return np.exp(-z) * inv_w * np.add.reduce(f, axis=-1)
+
+
+def _expint(p: float, z):
+    """E_p(z) = int_1^inf e^{-zt} t^{-p} dt for p > 0, z > 0 (DLMF 8.19), elementwise.
+
+    Below z = 2 the power series (`_expint_constants`), else 30 Gauss-Laguerre nodes
+    (`_expint_laguerre`); each element runs one of them, and sums run over a trailing
+    axis, so an element has the same bits alone and in a batch.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.size == 1:  # one column, as in a quenched solve: no masks
+        return (_expint_series if z.item() < _SERIES_BELOW else _expint_laguerre)(p, z)
+    small = z < _SERIES_BELOW
+    count = np.count_nonzero(small)
+    if count == small.size:
+        return _expint_series(p, z)
+    if count == 0:
+        return _expint_laguerre(p, z)
+    out = np.empty_like(z)
+    out[small] = _expint_series(p, z[small])
+    out[~small] = _expint_laguerre(p, z[~small])
+    return out
 
 
 def _gamma_cdf(k: int, u: float) -> float:

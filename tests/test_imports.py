@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the phi of Pareto tails loads it (scipy.special).
+"""cbre2 loads no scipy module at run time; scipy is a reference in the tests only.
 
 Each check runs a fresh interpreter, so modules loaded by this test session
 do not count.
@@ -40,8 +40,26 @@ for path in sys.argv[2:]:
         assert main([command, "--config", path, "--paths", "200", "--out", out]) in (0, 2)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
-ATOM_ONLY = [p for p in CONFIGS if not any(
-    tail in open(p).read() for tail in ('"pareto"', '"exponential"'))]
+
+PARETO_RUNS = """
+import json, sys
+import numpy as np
+import cbre2
+from cbre2.branching import BranchingSpec, phi_eval
+from cbre2.measures import AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
+from cbre2.scenario import load_scenario
+
+sc = load_scenario(sys.argv[1])
+path = cbre2.sample_env_path(sc.environment, 0.5, sc.step, np.random.default_rng(5))
+assert np.isfinite(cbre2.quenched_laplace(path, sc.branching, (0.7, 0.4), 0.5).v).all()
+tails = [AxisTail(1, "pareto", 0.5, 2.5, 1.0), AxisTail(2, "pareto", 0.3, 1.5, 0.4)]
+spec = BranchingSpec(m1=JumpMeasure(tails=tails), m2=JumpMeasure(tails=tails))
+for lam in ((0.7, 0.4), (30.0, 8.0), (1e-9, 0.0)):  # the series, Gauss-Laguerre, a tiny rate
+    assert np.isfinite(phi_eval(spec, lam)).all()
+env_tail = JumpMeasure1D(tails=[Tail1D("pareto", 0.5, 0.2, 1.0, side=-1)])
+assert np.isfinite(env_tail.exp_integral(2.0))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
 
 
 def _run(args, tmp_path):
@@ -72,8 +90,16 @@ def test_moments_cli_loads_no_quadrature(tmp_path):
     assert (tmp_path / "out" / "moments.csv").exists()
 
 
-def test_moment_layer_on_atom_only_configs_loads_no_scipy(tmp_path):
-    """moments, recursion-check and verify on every bundled config without a tail measure."""
-    assert len(ATOM_ONLY) == 6 and any(p.endswith("mixed.json") for p in ATOM_ONLY)
-    proc = _run(["-c", MOMENT_RUNS, str(tmp_path / "out"), *ATOM_ONLY], tmp_path)
+def test_moment_layer_on_every_config_loads_no_scipy(tmp_path):
+    """moments, recursion-check and verify on all nine bundled configs, tails included."""
+    assert len(CONFIGS) == 9
+    proc = _run(["-c", MOMENT_RUNS, str(tmp_path / "out"), *CONFIGS], tmp_path)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_pareto_phi_loads_no_scipy(tmp_path):
+    """The quenched Laplace solve on pareto.json, phi on Pareto axis tails (both E-function
+    branches) and a Pareto environment tail's exponent: E_p is numpy's."""
+    config = next(p for p in CONFIGS if p.endswith("/pareto.json"))
+    proc = _run(["-c", PARETO_RUNS, config], tmp_path)
     assert proc.stdout.strip().splitlines()[-1] == "[]"
