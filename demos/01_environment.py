@@ -17,8 +17,8 @@ from cbre2 import (
     Tail1D,
     levy_exponent,
     sample_env_path,
-    sample_xi_terminal,
 )
+from cbre2.env import env_increments
 from cbre2.errors import DivergentExponent
 
 spec = LevyEnvSpec(
@@ -31,9 +31,11 @@ print("exponent beta(n) for n = 0..4:")
 for n in range(5):
     print(f"  beta({n}) = {levy_exponent(spec, n):+.6f}")
 
-# Monte Carlo check of the defining identity at t = 1
+# Monte Carlo check of the defining identity at t = 1: xi(1) on 200 000 paths
+# is the increment of one interval [0, 1] (an array here, since sigma1 > 0;
+# a float when the environment is deterministic)
 rng = np.random.default_rng(42)
-xi = sample_xi_terminal(spec, 1.0, 200_000, rng)
+xi = next(env_increments(spec, np.array([0.0, 1.0]), 1.0, 200_000, rng))
 for n in (1, 2):
     est = np.exp(n * xi).mean()
     se = np.exp(n * xi).std(ddof=1) / math.sqrt(len(xi))

@@ -7,13 +7,7 @@ verification harness.
 """
 
 from .branching import BranchingSpec, effective_drift_matrix, phi_eval
-from .env import (
-    EnvPath,
-    LevyEnvSpec,
-    levy_exponent,
-    sample_env_path,
-    sample_xi_terminal,
-)
+from .env import EnvPath, LevyEnvSpec, levy_exponent, sample_env_path
 from .errors import (
     Cbre2Error,
     ConfigError,

@@ -192,13 +192,3 @@ def env_increments(
             np.add.at(dxi, paths[lo:hi], sizes[lo:hi])
         yield dxi
 
-
-def sample_xi_terminal(
-    spec: LevyEnvSpec,
-    horizon: float,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized exact-in-law sample of the untruncated xi(horizon) for many paths."""
-    xi = next(env_increments(spec, np.array([0.0, horizon]), horizon, n_paths, rng))
-    return xi + np.zeros(n_paths)

@@ -205,10 +205,9 @@ def moment_table(
 def first_moment_closed_form(
     env: LevyEnvSpec, spec: BranchingSpec, x0, t: float, truncation: TruncationPredicate = IDENTITY
 ) -> np.ndarray:
-    """E X(t) = e^{beta~ t} exp(-t b~^T) x0 (2x2 closed-form exponential)."""
+    """E X(t) = e^{beta~ t} exp(-t b~^T) x0 (2x2 closed form); ExponentOverflow out of range."""
     bt = levy_exponent(env, 1, truncation.env_clip)
-    btil = effective_drift_matrix(spec, truncation)
-    return math.exp(bt * t) * (expm2(-t * btil.T) @ np.asarray(x0, dtype=float))
+    return _scaled_flow(t, bt * t, -t * effective_drift_matrix(spec, truncation).T, x0)
 
 
 def martingale_factors(
@@ -216,13 +215,26 @@ def martingale_factors(
 ) -> list[np.ndarray]:
     """The 2x2 matrices e^{-beta~ t} exp(t b~^T), one per requested time.
 
-    beta~ is the first exponent of the clipped environment and b~ the
-    drift matrix corrected by the kept-region cross moments, so M is a
-    martingale of the truncated system.
+    beta~ is the first exponent of the clipped environment and b~ the drift
+    matrix corrected by the kept-region cross moments, so M is a martingale
+    of the truncated system.  A factor out of the float range raises ExponentOverflow.
     """
     bt = levy_exponent(env, 1, truncation.env_clip)
     btil_t = effective_drift_matrix(spec, truncation).T
-    return [math.exp(-bt * t) * expm2(t * btil_t) for t in np.atleast_1d(times)]
+    return [_scaled_flow(t, -bt * t, t * btil_t) for t in np.atleast_1d(times)]
+
+
+def _scaled_flow(t: float, x: float, a: np.ndarray, x0=None) -> np.ndarray:
+    """e^x expm2(a), times x0 if given; ExponentOverflow naming t out of the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            flow = expm2(a)
+            out = math.exp(x) * (flow if x0 is None else flow @ np.asarray(x0, dtype=float))
+        except OverflowError:  # from math.exp
+            out = np.array(math.inf)
+    if not np.isfinite(out).all():
+        raise ExponentOverflow(f"exp(+-t (beta~ I - b~^T)) leaves the float range at t = {t:g}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +401,8 @@ def _backward_steps(spec, lam, steps, n_steps):
     iterate of the step before, which differs from v_next by at most the
     tolerance, so the explicit half costs no evaluation after the first.
     The first iterate extrapolates phi linearly from the two steps before.
-    The state keeps phi's (2, n) layout; one abs and one max over a stacked
-    (iterate, change) buffer test each iteration's convergence.
+    The state keeps phi's (2, n) layout, n = 1 while increments are floats;
+    it has converged when max |change| <= _FP_TOL * (1 + max |iterate|).
     """
     v = np.asarray(lam, dtype=float)[:, None]
     if not ((v >= 0) & (v < math.inf)).all():
@@ -398,24 +410,18 @@ def _backward_steps(spec, lam, steps, n_steps):
     path0 = np.empty((n_steps + 1, 2))
     path0[n_steps] = v[:, 0]
     phi = prev = phi_eval_cols(spec, v)
-    bufs = None
     with np.errstate(over="ignore", invalid="ignore"):  # the solver reports its own failure
         for r, (h, dxi) in zip(range(n_steps - 1, -1, -1), steps):
             mult, hh = np.exp(dxi), 0.5 * h
             const = mult * (v - hh * phi)
             cur = const - mult * (hh * (2.0 * phi - prev))  # explicit predictor
             prev = phi
-            if bufs is None or bufs[0].shape[2] != cur.shape[1]:
-                # two (iterate, change) stacks that alternate, and their magnitudes
-                bufs = [np.empty((2,) + cur.shape) for _ in range(3)]
-            nxt, spare, mag = bufs
             for _ in range(_FP_MAX_ITER):
                 phi = phi_eval_cols(spec, np.maximum(cur, 0.0))
-                np.subtract(const, hh * phi, out=nxt[0])
-                np.subtract(nxt[0], cur, out=nxt[1])
-                size, change = np.maximum.reduce(np.abs(nxt, out=mag), axis=(1, 2))
-                scale = 1.0 + size
-                cur, nxt, spare = nxt[0], spare, nxt
+                nxt = const - hh * phi
+                change = np.abs(nxt - cur).max()
+                scale = 1.0 + np.abs(nxt).max()
+                cur = nxt
                 if change <= _FP_TOL * scale:
                     break
             else:

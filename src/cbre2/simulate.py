@@ -76,11 +76,8 @@ def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) ->
     """exp(-(b^T + diag(mu)) h) for each step h, mu the own-coordinate kept jump means."""
     mu = np.diag(kept_jump_means(bspec, predicate))
     a = -(bspec.b.T + np.diag(mu))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            flows = [expm2(a * h) for h in steps]
-    except OverflowError:
-        flows = [np.full((2, 2), math.inf)]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        flows = [expm2(a * h) for h in steps]
     if not all(np.isfinite(d).all() for d in flows):
         raise ExponentOverflow(f"the drift flow leaves the float range (kept jump means {mu})")
     return flows
@@ -199,13 +196,11 @@ def scenario_stream(
 
     x = np.empty((len(predicates), 2, n_paths))
     x[...] = np.asarray(x0, dtype=float)[:, None]
-    y = np.empty_like(x)  # the drift flow's output; the two swap every step
+    y = np.empty_like(x)  # the flow's output, swapped each step (fresh: mc_coupled verify 1.037x)
     xv, yv = list(x.transpose(0, 2, 1)), list(y.transpose(0, 2, 1))
     clock = rng.exponential(1.0, n_paths) if branching else None
     events = np.zeros(n_paths)
-    scratch = np.empty((len(predicates), n_paths))
-    top = np.empty((2, n_paths))  # the max over variants
-    rate = np.empty(n_paths)
+    scratch = np.empty((len(predicates), n_paths))  # diffusion (plain: laplace_feller 1.02x)
     xi = np.zeros(n_paths)
     yield grid[0], xv, xi
 
@@ -232,8 +227,8 @@ def scenario_stream(
                     np.maximum(scratch, 0.0, out=xc)
             # 3. branching jumps where the integrated intensity exhausts a clock
             if branching:
-                np.maximum.reduce(x, out=top)
-                np.matmul(lam, top, out=rate)
+                top = x.max(axis=0)  # the max over variants
+                rate = lam @ top
                 if not math.isfinite(rate.max()):
                     raise _runaway(grid[m], xi)
                 rate *= h

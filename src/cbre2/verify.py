@@ -150,14 +150,11 @@ class _Coupling:
         self.pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
         self.out = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
         self.max_gap = -math.inf
-        self.gap = None  # (paths, 2), refilled at every grid time; ordering wants <= 0
 
     def feed(self, t, states) -> None:
         lo, hi = states
-        if self.gap is None:
-            self.gap = np.empty_like(lo)
         self.t = t
-        np.subtract(lo, hi, out=self.gap)
+        self.gap = lo - hi  # (paths, 2); ordering wants <= 0
         if self.pure_jump:
             top = float(self.gap.max())  # NaN when a gap is, and then the count runs
             violations = 0 if top <= 1e-12 else int((self.gap > 1e-12).sum())
@@ -204,15 +201,10 @@ class _Convergence:
             ests.append(est)
             ses.append(se)
             report.add(t, f"l1_gap_k{k:g}", est, se, math.nan)
-        ok = True
-        for i in range(1, len(ests)):
-            band = 2.0 * math.hypot(ses[i], ses[i - 1])
-            if ests[i] > ests[i - 1] + band:
-                ok = False
+        ok = not any(ests[i] > ests[i - 1] + 2.0 * math.hypot(ses[i], ses[i - 1])
+                     for i in range(1, len(ests)))
         final_ok = ests[-1] < self.epsilon
-        report.rows.append(
-            EstimateRow(t, "nonincreasing", float(ok), 0.0, 1.0, 0.0, ok)
-        )
+        report.rows.append(EstimateRow(t, "nonincreasing", float(ok), 0.0, 1.0, 0.0, ok))
         report.rows.append(
             EstimateRow(t, "final_gap_below_eps", ests[-1], ses[-1], self.epsilon, 0.0, final_ok)
         )

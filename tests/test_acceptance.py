@@ -14,7 +14,7 @@ import pytest
 
 from cbre2.branching import BranchingSpec
 from cbre2.cli import main
-from cbre2.env import LevyEnvSpec, levy_exponent, sample_env_path, sample_xi_terminal
+from cbre2.env import LevyEnvSpec, env_increments, levy_exponent, sample_env_path
 from cbre2.fmoment import FINITE, INFINITE, exp_power, f_moment_verdict, power, power_log
 from cbre2.measures import Atom1D, Atom2D, AxisTail, JumpMeasure, JumpMeasure1D, Tail1D
 from cbre2.moments import (
@@ -52,7 +52,9 @@ def test_criterion_01_levy_exponent_identity():
     }
     worst = 0.0
     for name, spec in specs.items():
-        xi = sample_xi_terminal(spec, 1.0, 100_000, np.random.default_rng(101))
+        rng = np.random.default_rng(101)
+        xi = next(env_increments(spec, np.array([0.0, 1.0]), 1.0, 100_000, rng))  # xi(1)
+        xi = np.broadcast_to(xi, (100_000,))  # one float on "drift"
         for n in (1, 2):
             vals = np.exp(n * xi)
             est, se = fsum_mean_se(vals)

@@ -12,7 +12,6 @@ from cbre2.env import (
     realize_env_path,
     sample_env_path,
     sample_env_skeleton,
-    sample_xi_terminal,
 )
 from cbre2.errors import DivergentExponent, InvalidStep, MassOverflow
 from cbre2.measures import Atom1D, JumpMeasure1D, Tail1D
@@ -113,7 +112,7 @@ def test_skeleton_path_is_one_path_of_env_increments():
 
 def test_gaussian_terminal_statistics():
     rng = np.random.default_rng(31)
-    xi = sample_xi_terminal(LevyEnvSpec(sigma1=1.0), 1.0, 100_000, rng)
+    xi = next(env_increments(LevyEnvSpec(sigma1=1.0), np.array([0.0, 1.0]), 1.0, 100_000, rng))
     assert abs(xi.mean()) <= 3.0 / math.sqrt(100_000)
     assert abs(xi.std(ddof=1) - 1.0) < 0.01
 
@@ -150,7 +149,7 @@ def test_truncation_monotone_under_shared_randomness():
 def test_exponential_moment_monte_carlo():
     spec = LevyEnvSpec(a=0.1, sigma1=0.5, nu=JumpMeasure1D(atoms=[Atom1D(0.5, 0.4)]))
     rng = np.random.default_rng(99)
-    xi = sample_xi_terminal(spec, 1.0, 100_000, rng)
+    xi = next(env_increments(spec, np.array([0.0, 1.0]), 1.0, 100_000, rng))
     for n in (1, 2):
         vals = np.exp(n * xi)
         se = vals.std(ddof=1) / math.sqrt(len(vals))

@@ -281,7 +281,7 @@ def _expint_quad(p, z):
     return quad(f, 0.0, cut, **opts)[0] + quad(f, cut, hi, **opts)[0]
 
 
-EXPINT_P = [0.2, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 1.5, 2 - 1e-7, 2.0, 2.5, 3.5, 4.5, 6.0]
+EXPINT_P = [0.2, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 1.5, 2 - 1e-7, 2.0, 2.5, 3.5, 4.5, 6.0, 45.0]
 
 
 @pytest.mark.parametrize("p", EXPINT_P)

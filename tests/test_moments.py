@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +114,24 @@ def test_first_moment_closed_form_trivia():
         math.e * np.array([1.0, 2.0]),
         rtol=1e-14,
     )
+
+
+@pytest.mark.parametrize("a, b11, times, bad", [
+    (0.0, 1500.0, [0.2, 0.4, 0.6], "0.6"),  # the factor's exp(t b~^T) overflows in its cosh
+    (0.0, 800.0, [0.5, 1.0], "1"),  # in its product with e^(tau)
+    (-1000.0, 0.3, [0.5, 1.0], "1"),  # e^(-beta~ t) overflows
+])
+def test_martingale_factors_beyond_the_float_range_name_the_time(a, b11, times, bad):
+    """ExponentOverflow at the first time whose factor leaves the float range; no warning."""
+    env, spec = LevyEnvSpec(a=a), BranchingSpec(b11=b11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExponentOverflow, match=f"float range at t = {bad}$"):
+            martingale_factors(env, spec, times)
+        # E X(t) at the same times is finite (e^(beta~ t) and exp(-t b~^T) only shrink)
+        assert np.isfinite(first_moment_closed_form(env, spec, (1.0, 1.0), times[-1])).all()
+        with pytest.raises(ExponentOverflow, match="float range at t = 1$"):
+            first_moment_closed_form(LevyEnvSpec(a=-a), BranchingSpec(b11=-b11), (1.0, 1.0), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -465,15 +485,23 @@ def test_laplace_solvers_reject_a_bad_lambda(lam):
         annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, 0.5, 20, 0.01, 1)
 
 
-@pytest.mark.parametrize("name", ["laplace", "pareto"])
-def test_annealed_laplace_is_the_mean_of_quenched_solves(name):
-    """The annealed estimate averages exp(-<x0, v0>) over quenched solves of the same increments."""
+@pytest.mark.parametrize("name, sigma1", [("laplace", None), ("pareto", None), ("laplace", 0.0)],
+                         ids=["laplace", "pareto", "laplace-jump-only"])
+def test_annealed_laplace_is_the_mean_of_quenched_solves(name, sigma1):
+    """The annealed estimate averages exp(-<x0, v0>) over quenched solves of the same increments.
+
+    With sigma1 = 0 the environment only jumps: an interval with no jump on any path has one
+    float increment and the others an (n,) array, so the solver's state changes shape."""
     sc = bundled_scenario(name, 10_000, 2e-3)
+    if sigma1 is not None:
+        sc = replace(sc, environment=replace(sc.environment, sigma1=sigma1))
     lam, t, step, n, seed = (0.7, 0.4), 0.5, 0.01, 200, 123
     est, _, _ = annealed_laplace_mc(sc.environment, sc.branching, sc.x0, lam, t, n, step, seed)
     grid = _base_grid(t, step)
     reflected = t - grid[::-1]
-    incs = env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed))
+    incs = list(env_increments(sc.environment, reflected, step, n, np.random.default_rng(seed)))
+    if sigma1 == 0.0:
+        assert {isinstance(d, np.ndarray) for d in incs} == {True, False}
     dxi = np.array([np.broadcast_to(d, (n,)) for d in incs])[::-1]  # forward in time
     assert np.ptp(dxi.sum(axis=0)) > 0.5  # the paths differ
     vals = []

@@ -450,6 +450,13 @@ def _set(data, path, value):
         pytest.param("simulate", "mixed.json", ("truncation",), [1], "truncation",
                      id="truncation-list"),
         pytest.param("simulate", "mixed.json", ("horizon",), "inf", "horizon", id="horizon-inf"),
+        pytest.param("simulate", "mixed.json", ("horizon",), 0, "horizon: must be > 0",
+                     id="horizon-zero"),
+        pytest.param("simulate", "mixed.json", ("branching", "m1"), [{"kind": "bogus", "mass": 1.0}],
+                     "branching.m1.[0].kind: unknown component kind 'bogus'", id="kind-unknown"),
+        pytest.param("simulate", "mixed.json", ("branching", "m1"),
+                     [{"kind": "atom", "mass": 0.0, "z": [1.0, 0.5]}],
+                     "branching.m1.[0]: atom mass must be > 0", id="atom2d-mass-zero"),
         # a removed key: ignoring it would silently drop the clip it names
         pytest.param("simulate", "mixed.json", ("environment", "trunc_level"), 2.5,
                      "environment.trunc_level", id="trunc_level-removed"),
@@ -675,11 +682,18 @@ def test_cli_bounded_pareto_moment_beyond_the_float_range(tmp_path, capsys, comm
                  "ExponentOverflow", id="env-drift-1e308"),
     pytest.param("simulate", "feller.json", lambda d: d["branching"].__setitem__(
         "b", [[-800.0, 0.0], [0.0, 0.0]]), "ExponentOverflow", id="still-env-drift-flow"),
+    # the martingale factors e^(-beta~ t) exp(t b~^T) of `verify` leave the float range
+    *(pytest.param("verify", "feller.json", lambda d, b11=b11: d["branching"].__setitem__(
+        "b", [[b11, 0.0], [0.0, 0.0]]), "ExponentOverflow", id=f"martingale-b11-{b11:g}")
+      for b11 in (1500.0, 800.0)),
+    pytest.param("verify", "mixed.json", lambda d: d["environment"].__setitem__("a", -1000.0),
+                 "ExponentOverflow", id="martingale-env-drift"),
 ])
 def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error):
     """No feasible moment degree, tail jumps of at least 1e200, an environment drift whose
-    beta(2) leaves the float range, or a supercritical drift flow that lifts a state past the
-    float range in an environment that never moves: exit 1 with one error line.
+    beta(2) leaves the float range, a supercritical drift flow that lifts a state past the
+    float range in an environment that never moves, or martingale factors past the float
+    range (in cosh, in exp or in a product): exit 1 with one error line.
 
     The run is a subprocess with a timeout, so a run that does not finish fails the test.
     """

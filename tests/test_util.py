@@ -6,7 +6,7 @@ import pytest
 
 from cbre2 import moments
 from cbre2.moments import build_moment_generator, moment_table, recursion_check, recursion_checks
-from cbre2._util import expm, format_float
+from cbre2._util import expm, expm2, format_float
 from tests.conftest import bundled_scenario
 
 
@@ -89,6 +89,20 @@ def test_expm_of_a_huge_norm_is_non_finite(a):
         warnings.simplefilter("error")
         got = expm(a)
     assert got.shape == a.shape and not np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(np.diag([1500.0, 0.0]), id="cosh-overflows"),
+    pytest.param(np.diag([800.0, 0.0]), id="product-overflows"),
+    pytest.param(np.diag([1500.0, 1500.0]), id="exp-overflows"),
+    pytest.param(np.diag([-2e197, 0.0]), id="mu2-overflows"),
+])
+def test_expm2_beyond_the_float_range_is_non_finite(a):
+    """expm2 has expm's contract: no OverflowError and no warning, a non-finite result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm2(a)
+    assert got.shape == (2, 2) and not np.isfinite(got).all()
 
 
 def test_recursion_checks_make_one_expm_per_time(monkeypatch):
