@@ -376,7 +376,9 @@ class Tail1D(_Tail):
         y, w = _gauss_legendre(lo, hi, c)
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.expm1(c * y) if order == 1 else _exp_rem2(-c * y)
-            val = self.mass * a * self.x0**a * float(np.sum(w * y ** (-a - 1.0) * g))
+            # (x0/y)^a / y, not x0^a y^(-a-1): the latter underflows times overflows
+            # for a tiny x0
+            val = self.mass * a * float(np.sum(w * (self.x0 / y) ** a / y * g))
         if not math.isfinite(val):
             raise OverflowError("tail integral leaves the float range")
         return val

@@ -38,6 +38,21 @@ and event-driven:
   paths, and reductions such as the coupling report consume the stream
   without a full-grid record.
 
+Large passes run as two chunks (`run_chunks`):
+
+- a pass of V variants and n paths with V * n >= `CHUNK_MIN` (20 000
+  path-variants) runs chunk 0, ceil(n/2) paths on the pass's own
+  generator, and chunk 1, floor(n/2) paths on that generator's first
+  `spawn`ed child (independent substreams, L'Ecuyer et al. 2017); the
+  callers merge the chunks' results in chunk order, and a pass below
+  `CHUNK_MIN` is one chunk on the pass's generator;
+- chunk 1 runs in a child made by `os.fork` when at least two CPUs are
+  usable (`os.sched_getaffinity`) and no other Python thread is alive,
+  with the two processes pinned to two distinct CPUs while it runs (a
+  cpuset that does not balance load leaves a forked child on its
+  parent's CPU); otherwise both chunks run here, one after the other,
+  and the bytes are the same.
+
 In law this is the splitting scheme with per-step thinning and per-step
 Poisson counts; only the order of the random stream differs.
 Pathwise ordering of coupled truncated variants is exact for pure-jump
@@ -48,7 +63,10 @@ with diffusion on, ordering holds in expectation only.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +79,7 @@ from .truncation import IDENTITY, KeepMask, TruncationPredicate
 from ._util import expm2
 
 DEFAULT_EVENTS_CAP = 1_000_000  # branching events per path per unit time
+CHUNK_MIN = 20_000  # path-variants (V * n_paths) from which a pass runs as two chunks
 
 
 @dataclass
@@ -283,6 +302,70 @@ def scenario_stream(
         yield grid[m + 1], xv, xi
 
 
+def _usable_cpus() -> list:
+    """The CPUs this process may run on; one where a process cannot fork or be pinned."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"):
+        return [0]
+    return sorted(os.sched_getaffinity(0))
+
+
+def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
+    """`task(n, rng)` on the chunks of a pass, and its results in chunk order.
+
+    A pass of `n_variants` variants below `CHUNK_MIN` path-variants is one
+    chunk, `task(n_paths, default_rng(seed))`.  From `CHUNK_MIN` on it is
+    two: ceil(n/2) paths on the pass's own generator and floor(n/2) on its
+    first spawned child.  Chunk 1 runs in a forked child when two CPUs are
+    usable and no other Python thread is alive, else after chunk 0 in this
+    process; its result or its exception comes back pickled over a pipe,
+    so the results do not depend on the worker count.  While the child
+    runs, it and this process are pinned to two distinct CPUs.  The child
+    is always reaped, and killed first if chunk 0 raises.
+    """
+    rng = np.random.default_rng(seed)
+    if n_variants * n_paths < CHUNK_MIN or n_paths < 2:
+        return [task(n_paths, rng)]
+    sizes = (n_paths + 1) // 2, n_paths // 2
+    rest = rng.spawn(1)[0]
+    cpus = _usable_cpus()
+    if len(cpus) < 2 or threading.active_count() > 1:
+        return [task(sizes[0], rng), task(sizes[1], rest)]
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: chunk 1, its reply, and an exit that runs no cleanup
+        try:
+            os.sched_setaffinity(0, cpus[1:2])
+            os.close(r)
+            try:
+                reply = True, task(sizes[1], rest)
+            except BaseException as e:
+                reply = False, e
+            with os.fdopen(w, "wb") as f:
+                pickle.dump(reply, f, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as f:
+            os.sched_setaffinity(0, cpus[:1])
+            first = task(sizes[0], rng)
+            try:
+                ok, second = pickle.load(f)
+            except EOFError:  # killed before it replied
+                raise Cbre2Error("a pass's second chunk ended without a result") from None
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+        os.sched_setaffinity(0, cpus)
+    if not ok:
+        raise second
+    return [first, second]
+
+
 def scenario_states(
     scenario,
     n_paths: int,
@@ -301,13 +384,18 @@ def scenario_states(
     _check_n_paths(n_paths)
     predicates = (scenario.truncation,) if predicates is None else predicates
     grid, rec_idx = _batch_grid(scenario.horizon, scenario.step, record_times)
-    out = np.empty((len(predicates), n_paths, len(rec_idx), 2))
     slot = {m: r for r, m in enumerate(rec_idx.tolist())}
-    stream = scenario_stream(scenario, n_paths, seed, record_times, predicates)
-    for m, (_, states, _) in enumerate(stream):
-        if m in slot:
-            out[:, :, slot[m]] = states
-    return grid[rec_idx], out
+
+    def chunk(n, rng):
+        out = np.empty((len(predicates), n, len(rec_idx), 2))
+        stream = scenario_stream(scenario, n, rng, record_times, predicates)
+        for m, (_, states, _) in enumerate(stream):
+            if m in slot:
+                out[:, :, slot[m]] = states
+        return out
+
+    chunks = run_chunks(chunk, n_paths, seed, len(predicates))
+    return grid[rec_idx], chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
 
 
 def simulate_states(

@@ -16,6 +16,7 @@ one-report case of the same pass.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +29,7 @@ from .moments import (
     moment_table,
     monomial_basis,
 )
-from .simulate import scenario_stream
+from .simulate import run_chunks, scenario_stream
 from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
 from ._util import csv_lines, fsum_mean_se, z_score
 
@@ -91,6 +92,10 @@ class _Moments:
     def feed(self, t, states) -> None:
         self.states.append((t, states[0].copy()))
 
+    def merge(self, other) -> None:
+        self.states = [(t, np.concatenate((x, y)))
+                       for (t, x), (_, y) in zip(self.states, other.states)]
+
     def report(self) -> EstimateReport:
         sc, n = self.scenario, self.n
         report = EstimateReport(f"moments_n{n}")
@@ -124,16 +129,21 @@ class _Martingale:
         )
         self.factors = dict(zip(self.times.tolist(), factors))
         self.x0 = np.asarray(scenario.x0, dtype=float)
-        self.out = EstimateReport("martingale")
+        self.m = []  # (t, M(t) on each path)
 
     def feed(self, t, states) -> None:
-        m = states[0] @ self.factors[t].T
-        for i in (0, 1):
-            est, se = fsum_mean_se(m[:, i])
-            self.out.add(t, f"M{i + 1}", est, se, self.x0[i])
+        self.m.append((t, states[0] @ self.factors[t].T))
+
+    def merge(self, other) -> None:
+        self.m = [(t, np.concatenate((x, y))) for (t, x), (_, y) in zip(self.m, other.m)]
 
     def report(self) -> EstimateReport:
-        return self.out
+        report = EstimateReport("martingale")
+        for t, m in self.m:
+            for i in (0, 1):
+                est, se = fsum_mean_se(m[:, i])
+                report.add(t, f"M{i + 1}", est, se, self.x0[i])
+        return report
 
 
 class _Coupling:
@@ -148,8 +158,8 @@ class _Coupling:
             replace(scenario.truncation, branching=BranchingRule(NORM_CAP, k)) for k in (k1, k2)
         )
         self.pure_jump = scenario.branching.c1 == 0 and scenario.branching.c2 == 0
-        self.out = EstimateReport(f"coupling_k{k1:g}_k{k2:g}")
-        self.max_gap = -math.inf
+        self.name = f"coupling_k{k1:g}_k{k2:g}"
+        self.checks = []  # pure jump: (t, largest gap, violations) at each grid time
 
     def feed(self, t, states) -> None:
         lo, hi = states
@@ -158,13 +168,21 @@ class _Coupling:
         if self.pure_jump:
             top = float(self.gap.max())  # NaN when a gap is, and then the count runs
             violations = 0 if top <= 1e-12 else int((self.gap > 1e-12).sum())
-            self.out.add(t, "ordering_violations", violations, 0.0, 0.0)
-            self.max_gap = max(self.max_gap, top)
+            self.checks.append((t, top, violations))
+
+    def merge(self, other) -> None:
+        self.gap = np.concatenate((self.gap, other.gap))
+        self.checks = [(t, float(np.maximum(top, top2)), n + n2)  # NaN stays NaN
+                       for (t, top, n), (_, top2, n2) in zip(self.checks, other.checks)]
 
     def report(self) -> EstimateReport:
-        t, report = self.t, self.out
+        t, report = self.t, EstimateReport(self.name)
         if self.pure_jump:
-            report.add(t, "max_signed_gap", self.max_gap, 0.0, math.nan)
+            max_gap = -math.inf
+            for s, top, violations in self.checks:
+                report.add(s, "ordering_violations", violations, 0.0, 0.0)
+                max_gap = max(max_gap, top)
+            report.add(t, "max_signed_gap", max_gap, 0.0, math.nan)
             return report
         for i in (0, 1):
             est, se = fsum_mean_se(self.gap[:, i])
@@ -191,6 +209,9 @@ class _Convergence:
     def feed(self, t, states) -> None:
         self.states = [x.copy() for x in states]
 
+    def merge(self, other) -> None:
+        self.states = [np.concatenate((x, y)) for x, y in zip(self.states, other.states)]
+
     def report(self) -> EstimateReport:
         t, full = self.t, self.states[-1]
         report = EstimateReport("trunc_convergence")
@@ -215,21 +236,32 @@ def _one_pass(scenario, parts, paths: int, seed: int) -> list[EstimateReport]:
     """Run the engine once for `parts` and return their reports, in order.
 
     Each part names the truncation variants it reads (`predicates`), the
-    times it reads (`times`, None for every grid time), and reduces what
-    it is fed (`feed(t, states)`, its own variants in its own order) into
-    `report()`.  The pass runs the union of the variants, deduplicated by
-    equality, on one random stream and one environment path; the parts'
-    times join the grid, and each part is fed the grid times it reads.
+    times it reads (`times`, None for every grid time), keeps what it is
+    fed (`feed(t, states)`, its own variants in its own order), folds in
+    what a copy of it kept from the next chunk (`merge(other)`), and
+    reduces the whole into `report()`.  The pass runs the union of the
+    variants, deduplicated by equality, on one random stream and one
+    environment path per chunk (`run_chunks`); the parts' times join the
+    grid, and each part is fed the grid times it reads.
     """
     preds = list(dict.fromkeys(p for part in parts for p in part.predicates))
     times = [t for part in parts if part.times is not None for t in part.times]
     slots = [[preds.index(p) for p in part.predicates] for part in parts]
     reads = [None if part.times is None else set(part.times.tolist()) for part in parts]
-    for t, states, _ in scenario_stream(scenario, paths, seed, record_times=times, predicates=preds):
-        for part, slot, at in zip(parts, slots, reads):
-            if at is None or t in at:
-                part.feed(t, [states[i] for i in slot])
-    return [part.report() for part in parts]
+
+    def chunk(n, rng):
+        fed = copy.deepcopy(parts)
+        for t, states, _ in scenario_stream(scenario, n, rng, record_times=times, predicates=preds):
+            for part, slot, at in zip(fed, slots, reads):
+                if at is None or t in at:
+                    part.feed(t, [states[i] for i in slot])
+        return fed
+
+    first, *rest = run_chunks(chunk, paths, seed, len(preds))
+    for fed in rest:
+        for part in first:
+            part.merge(fed.pop(0))  # each copy is dropped once merged, to keep the peak low
+    return [part.report() for part in first]
 
 
 def verify_reports(scenario, n: int, paths: int, seed: int) -> dict[str, EstimateReport]:

@@ -1,0 +1,107 @@
+"""The chunk runner: a pass of at least CHUNK_MIN path-variants runs as two chunks."""
+
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from cbre2 import simulate, verify
+from cbre2.cli import main
+from cbre2.errors import ExponentOverflow
+from cbre2.simulate import CHUNK_MIN, run_chunks
+from tests.conftest import SCENARIO_DIR
+
+VERIFY = os.path.join(SCENARIO_DIR, "verify.json")  # six variants in its one pass
+
+
+def _workers(monkeypatch, n):
+    """Force the runner's worker count to n (1 or 2) through its CPU helper; a one-CPU host
+    lists its CPU twice."""
+    cpus = simulate._usable_cpus()
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: (cpus * 2)[:n])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_chunk_rule():
+    """Below CHUNK_MIN one chunk on the pass's generator; from it on, ceil(n/2) paths on that
+    generator and floor(n/2) on its first spawned child."""
+    def task(n, rng):
+        return n, rng.random()
+
+    below = run_chunks(task, 5, 3, (CHUNK_MIN - 1) // 5)
+    assert below == [(5, np.random.default_rng(3).random())]
+    rng = np.random.default_rng(3)
+    chunks = [(3, rng.random()), (2, rng.spawn(1)[0].random())]
+    assert run_chunks(task, 5, 3, CHUNK_MIN // 5) == chunks
+
+
+def test_no_fork_while_another_thread_is_alive(monkeypatch):
+    def fork():
+        raise AssertionError("forked with a second thread alive")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        chunks = run_chunks(lambda n, rng: n, 5, 3, CHUNK_MIN)
+    finally:
+        stop.set()
+        thread.join()
+    assert chunks == [3, 2]
+
+
+def test_a_chunked_pass_has_the_same_bytes_with_one_and_two_workers(monkeypatch, tmp_path, capsys):
+    """verify.json at 2 * CHUNK_MIN paths writes the same files with one worker and with two,
+    only the latter forks, and no child is left after it."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    files = {}
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        out = tmp_path / str(n)
+        argv = ["verify", "--config", VERIFY, "--paths", str(2 * CHUNK_MIN), "--out", str(out)]
+        assert main(argv) in (0, 2)
+        files[n] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(forks) == 1
+    assert len(files[1]) == 4 and files[1] == files[2]
+    assert capsys.readouterr().err == ""
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [0, 1])
+def test_an_overflow_in_either_chunk_is_one_error_line(
+    monkeypatch, tmp_path, capsys, workers, chunk
+):
+    """An ExponentOverflow raised by chunk 0 or chunk 1 of verify.json's pass (at an odd path
+    count, so the chunks differ in size) ends `cbre2 verify` with one error line, exit 1 and
+    no output directory, and leaves no child."""
+    paths = -(-CHUNK_MIN // 6)
+    paths += 1 - paths % 2
+    bad = (paths + 1) // 2 if chunk == 0 else paths // 2
+    stream = verify.scenario_stream
+
+    def failing(scenario, n, rng, **kw):
+        if n == bad:
+            raise ExponentOverflow(f"chunk {chunk} overflows")
+        return stream(scenario, n, rng, **kw)
+
+    monkeypatch.setattr(verify, "scenario_stream", failing)
+    _workers(monkeypatch, workers)
+    rc = main(["verify", "--config", VERIFY, "--paths", str(paths), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and err == f"error: ExponentOverflow: chunk {chunk} overflows\n"
+    assert not (tmp_path / "o").exists()
+    _no_child_left()

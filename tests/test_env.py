@@ -61,6 +61,19 @@ def test_truncation_restores_finiteness():
     assert levy_exponent(spec, 2, clip=4.0) < math.inf
 
 
+@pytest.mark.parametrize("x0", [1e-160, 1e-200])
+def test_pareto_tail_with_a_tiny_cutoff_is_a_tiny_exponent(x0):
+    """beta(1) of a Pareto tail (mass 0.1, a = 2, clip 5) is x0^2 (0.1 log(1/x0) + K) for a
+    small cutoff x0, so 1e-160 gives about 3.8e-319 and 1e-200 underflows to 0; neither is an
+    overflow.  K comes from x0 = 1e-100, and the subnormal result keeps about 3 digits."""
+    def beta(x0):
+        return levy_exponent(LevyEnvSpec(nu=JumpMeasure1D(tails=[Tail1D("pareto", 0.1, 2.0, x0)])),
+                             1, clip=5.0)
+
+    k = beta(1e-100) / 1e-200 - 0.1 * math.log(1e100)
+    assert beta(x0) == pytest.approx(x0 * (0.1 * math.log(1 / x0) + k) * x0, rel=1e-2, abs=1e-322)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a=st.floats(-1.5, 1.5),

@@ -26,7 +26,9 @@ operation, the change's two calls over the parent's two, and one `job_s`
 ratio, the change's calls of every operation over the parent's.  The
 script prints each median ratio with its distribution-free 95% confidence
 interval (sign-test order statistics; none below 6 rounds), and then each
-worker's peak resident set size (`ru_maxrss`, in MB).
+worker's peak resident set size (`ru_maxrss`, in MB) beside the largest of
+its children's (`RUSAGE_CHILDREN`), so that memory a forked chunk uses is
+not lost from the comparison.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ else:
 reply = sys.stdout
 for line in sys.stdin:
     kind, arg = json.loads(line)
-    if kind in ("names", "rss"):  # rss: this process's peak resident set so far, in MB
+    if kind in ("names", "rss"):  # rss: the peak resident set so far of this process and of
+        # its largest reaped child (a forked chunk), in MB
         answer = ([op.name for op in ops] if kind == "names"
-                  else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+                  else [resource.getrusage(who).ru_maxrss / 1024
+                        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)])
         reply.write(json.dumps(answer) + "\n")
         reply.flush()
         continue
@@ -106,8 +110,9 @@ class Worker:
     def op_names(self) -> list[str]:
         return self._ask("names", None)
 
-    def peak_rss_mb(self) -> float:
-        """The worker's peak resident set size so far (`ru_maxrss`), in MB."""
+    def peak_rss_mb(self) -> list[float]:
+        """The peak resident set size so far (`ru_maxrss`) of the worker and of its largest
+        reaped child, in MB."""
         return self._ask("rss", None)
 
     def op(self, i: int) -> list:
@@ -217,8 +222,9 @@ def main(argv=None) -> int:
                    for tree, side in ((args.parent, "parent"), (args.change, "change"))]
         try:
             run(args, workers, title)
-            parent_mb, change_mb = (w.peak_rss_mb() for w in workers)
-            print(f"  worker peak RSS: parent {parent_mb:.1f} MB, change {change_mb:.1f} MB")
+            (parent_mb, parent_kids), (change_mb, change_kids) = (w.peak_rss_mb() for w in workers)
+            print(f"  worker peak RSS: parent {parent_mb:.1f} MB (children {parent_kids:.1f} MB), "
+                  f"change {change_mb:.1f} MB (children {change_kids:.1f} MB)")
         finally:
             for w in workers:
                 w.close()
