@@ -32,7 +32,8 @@ class InvalidStep(Cbre2Error):
 
 
 class MassOverflow(Cbre2Error):
-    """Expected event count exceeds the configured safety cap."""
+    """Expected event count exceeds the configured safety cap, or a jump moment of a
+    measure's atoms leaves the float range."""
 
 
 class FixedPointDivergence(Cbre2Error):

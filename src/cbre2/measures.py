@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentCrossMoment, ExponentOverflow
+from .errors import DivergentCrossMoment, ExponentOverflow, MassOverflow
 from .truncation import KEEP_ALL, BranchingRule
 
 EXPONENTIAL = "exponential"
@@ -514,7 +514,8 @@ class JumpMeasure(_Measure):
         """Mixed moment: integral of z1^r z2^s over the region `rule` keeps.
 
         Returns math.inf when a tail component diverges at that order;
-        divergence is a value here, not an error.
+        divergence is a value here, not an error.  Atoms whose finite
+        moment leaves the float range raise MassOverflow.
         """
         if r < 0 or s < 0 or r + s < 1:
             raise ValueError("moment orders must be nonnegative with r+s >= 1")
@@ -524,9 +525,14 @@ class JumpMeasure(_Measure):
             atoms = self._table.reshape(-1, 2)[: len(self.atoms)]  # (0, 2) with no component
             kept = self._kept[key] = rule.keep(atoms).tolist()
         total = 0.0
-        for a, k in zip(self.atoms, kept):
-            if k:
-                total += a.mass * a.z1**r * a.z2**s
+        try:
+            for a, k in zip(self.atoms, kept):
+                if k:
+                    total += a.mass * a.z1**r * a.z2**s
+        except OverflowError:  # a power out of range raises; a product out of range is inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise MassOverflow(f"the atoms' jump moment z1^{r} z2^{s} leaves the float range")
         for t in self.tails:
             other = s if t.axis == 1 else r
             if other >= 1:

@@ -144,8 +144,16 @@ class MomentTable:
 
 
 def initial_moment_vector(gen: MomentGenerator, x0) -> np.ndarray:
+    """x1^p x2^q for each monomial of the basis; ExponentOverflow out of the float range."""
     x1, x2 = float(x0[0]), float(x0[1])
-    return np.array([x1**p * x2**q for p, q in gen.basis])
+    try:
+        m0 = np.array([x1**p * x2**q for p, q in gen.basis])
+        if np.isfinite(m0).all():
+            return m0
+    except OverflowError:  # a power out of range raises; a product out of range is inf
+        pass
+    raise ExponentOverflow(f"degree-{gen.degree} moments of x0 = ({x1:g}, {x2:g}) leave "
+                           "the float range")
 
 
 def solve_moment_ode(gen: MomentGenerator, x0, t_grid) -> MomentTable:

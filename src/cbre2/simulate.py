@@ -38,6 +38,17 @@ and event-driven:
   paths, and reductions such as the coupling report consume the stream
   without a full-grid record.
 
+Two computations that share no generator can run on two cores as a
+pair: `run_pair(first, second)` returns `(first(), second())` and runs
+`second` in a child made by `os.fork` when at least two CPUs are usable
+(`os.sched_getaffinity`) and no other Python thread is alive, with the
+two processes pinned to two distinct CPUs while it runs (a cpuset that
+does not balance load leaves a forked child on its parent's CPU);
+otherwise `second` runs after `first`, here, and the bytes are the same.
+Its users are the chunks of a large pass and `cbre2 laplace`, whose
+annealed solve and direct Monte Carlo check run as a pair below
+`CHUNK_MIN` paths.
+
 Large passes run as two chunks (`run_chunks`):
 
 - a pass of V variants and n paths with V * n >= `CHUNK_MIN` (20 000
@@ -46,12 +57,8 @@ Large passes run as two chunks (`run_chunks`):
   `spawn`ed child (independent substreams, L'Ecuyer et al. 2017); the
   callers merge the chunks' results in chunk order, and a pass below
   `CHUNK_MIN` is one chunk on the pass's generator;
-- chunk 1 runs in a child made by `os.fork` when at least two CPUs are
-  usable (`os.sched_getaffinity`) and no other Python thread is alive,
-  with the two processes pinned to two distinct CPUs while it runs (a
-  cpuset that does not balance load leaves a forked child on its
-  parent's CPU); otherwise both chunks run here, one after the other,
-  and the bytes are the same.
+- the two chunks are one `run_pair`, so chunk 1 runs in a forked child
+  where two CPUs are usable, and the bytes do not depend on it.
 
 In law this is the splitting scheme with per-step thinning and per-step
 Poisson counts; only the order of the random stream differs.
@@ -309,35 +316,28 @@ def _usable_cpus() -> list:
     return sorted(os.sched_getaffinity(0))
 
 
-def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
-    """`task(n, rng)` on the chunks of a pass, and its results in chunk order.
+def run_pair(first, second) -> tuple:
+    """`(first(), second())`, with `second` in a forked child when that can help.
 
-    A pass of `n_variants` variants below `CHUNK_MIN` path-variants is one
-    chunk, `task(n_paths, default_rng(seed))`.  From `CHUNK_MIN` on it is
-    two: ceil(n/2) paths on the pass's own generator and floor(n/2) on its
-    first spawned child.  Chunk 1 runs in a forked child when two CPUs are
-    usable and no other Python thread is alive, else after chunk 0 in this
-    process; its result or its exception comes back pickled over a pipe,
-    so the results do not depend on the worker count.  While the child
-    runs, it and this process are pinned to two distinct CPUs.  The child
-    is always reaped, and killed first if chunk 0 raises.
+    `second` runs in a child made by `os.fork` when two CPUs are usable and
+    no other Python thread is alive, else after `first` in this process.
+    While the child runs, it and this process are pinned to two distinct
+    CPUs, and its result or its exception comes back pickled over a pipe,
+    so the results do not depend on where `second` ran.  An exception of
+    `first` wins over one of `second`: the child is killed if `first`
+    raises, and it is always reaped.
     """
-    rng = np.random.default_rng(seed)
-    if n_variants * n_paths < CHUNK_MIN or n_paths < 2:
-        return [task(n_paths, rng)]
-    sizes = (n_paths + 1) // 2, n_paths // 2
-    rest = rng.spawn(1)[0]
     cpus = _usable_cpus()
     if len(cpus) < 2 or threading.active_count() > 1:
-        return [task(sizes[0], rng), task(sizes[1], rest)]
+        return first(), second()
     r, w = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child: chunk 1, its reply, and an exit that runs no cleanup
+    if pid == 0:  # the child: `second`, its reply, and an exit that runs no cleanup
         try:
             os.sched_setaffinity(0, cpus[1:2])
             os.close(r)
             try:
-                reply = True, task(sizes[1], rest)
+                reply = True, second()
             except BaseException as e:
                 reply = False, e
             with os.fdopen(w, "wb") as f:
@@ -348,11 +348,11 @@ def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
     try:
         with os.fdopen(r, "rb") as f:
             os.sched_setaffinity(0, cpus[:1])
-            first = task(sizes[0], rng)
+            one = first()
             try:
-                ok, second = pickle.load(f)
+                ok, two = pickle.load(f)
             except EOFError:  # killed before it replied
-                raise Cbre2Error("a pass's second chunk ended without a result") from None
+                raise Cbre2Error("a forked computation ended without a result") from None
     except BaseException:
         import signal
 
@@ -362,8 +362,24 @@ def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
         os.waitpid(pid, 0)
         os.sched_setaffinity(0, cpus)
     if not ok:
-        raise second
-    return [first, second]
+        raise two
+    return one, two
+
+
+def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
+    """`task(n, rng)` on the chunks of a pass, and its results in chunk order.
+
+    A pass of `n_variants` variants below `CHUNK_MIN` path-variants is one
+    chunk, `task(n_paths, default_rng(seed))`.  From `CHUNK_MIN` on it is
+    two, run as a `run_pair`: ceil(n/2) paths on the pass's own generator,
+    and floor(n/2) on its first spawned child, in a forked process when
+    two CPUs are usable.
+    """
+    rng = np.random.default_rng(seed)
+    if n_variants * n_paths < CHUNK_MIN or n_paths < 2:
+        return [task(n_paths, rng)]
+    rest = rng.spawn(1)[0]
+    return list(run_pair(lambda: task((n_paths + 1) // 2, rng), lambda: task(n_paths // 2, rest)))
 
 
 def scenario_states(

@@ -164,7 +164,8 @@ class _Coupling:
     def feed(self, t, states) -> None:
         lo, hi = states
         self.t = t
-        self.gap = lo - hi  # (paths, 2); ordering wants <= 0
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and the run then fails
+            self.gap = lo - hi  # (paths, 2); ordering wants <= 0
         if self.pure_jump:
             top = float(self.gap.max())  # NaN when a gap is, and then the count runs
             violations = 0 if top <= 1e-12 else int((self.gap > 1e-12).sum())

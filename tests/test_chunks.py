@@ -1,18 +1,21 @@
-"""The chunk runner: a pass of at least CHUNK_MIN path-variants runs as two chunks."""
+"""The pair runner, and its two users: a pass of at least CHUNK_MIN path-variants runs as
+two chunks, and `cbre2 laplace` runs its annealed solve and its direct check as a pair."""
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from cbre2 import simulate, verify
+from cbre2 import cli, simulate, verify
 from cbre2.cli import main
-from cbre2.errors import ExponentOverflow
-from cbre2.simulate import CHUNK_MIN, run_chunks
+from cbre2.errors import ExponentOverflow, MassOverflow
+from cbre2.simulate import CHUNK_MIN, run_chunks, run_pair
 from tests.conftest import SCENARIO_DIR
 
 VERIFY = os.path.join(SCENARIO_DIR, "verify.json")  # six variants in its one pass
+LAPLACE = os.path.join(SCENARIO_DIR, "laplace.json")
 
 
 def _workers(monkeypatch, n):
@@ -103,5 +106,111 @@ def test_an_overflow_in_either_chunk_is_one_error_line(
     rc = main(["verify", "--config", VERIFY, "--paths", str(paths), "--out", str(tmp_path / "o")])
     out, err = capsys.readouterr()
     assert rc == 1 and out == "" and err == f"error: ExponentOverflow: chunk {chunk} overflows\n"
+    assert not (tmp_path / "o").exists()
+    _no_child_left()
+
+
+def _raise(error):
+    def half(*args, **kwargs):
+        raise error
+    return half
+
+
+def test_a_pair_runs_its_second_half_in_a_child(monkeypatch):
+    _workers(monkeypatch, 2)
+    here = os.getpid()
+    first, second = run_pair(os.getpid, os.getpid)
+    assert first == here and second != here
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_half_s_error_wins(monkeypatch, workers):
+    _workers(monkeypatch, workers)
+    with pytest.raises(ExponentOverflow, match="first"):
+        run_pair(_raise(ExponentOverflow("first")), _raise(MassOverflow("second")))
+    with pytest.raises(MassOverflow, match="second"):
+        run_pair(lambda: 1, _raise(MassOverflow("second")))
+    _no_child_left()
+
+
+def test_a_child_is_killed_and_reaped_when_the_first_half_raises(monkeypatch):
+    _workers(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(ExponentOverflow):
+        run_pair(_raise(ExponentOverflow("first")), lambda: time.sleep(30))
+    assert time.perf_counter() - t0 < 10
+    _no_child_left()
+
+
+def test_a_pair_runs_here_while_another_thread_is_alive(monkeypatch):
+    def fork():
+        raise AssertionError("forked with a second thread alive")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_pair(os.getpid, os.getpid) == (os.getpid(), os.getpid())
+    finally:
+        stop.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("name, paths, pairs", [
+    pytest.param("laplace.json", 1000, 1, id="laplace"),
+    pytest.param("feller.json", 1000, 1, id="feller"),
+    pytest.param("feller.json", CHUNK_MIN, 0, id="feller-chunked"),
+])
+def test_laplace_has_the_same_bytes_with_one_and_two_workers(
+    monkeypatch, tmp_path, capsys, name, paths, pairs
+):
+    """`cbre2 laplace` pairs its annealed solve with its direct check below CHUNK_MIN paths,
+    where the check is one chunk, and runs them in turn from there on, where the check forks
+    its own second chunk; its file and its summary line are the same with one worker and
+    with two, and no child is left."""
+    forks, fork = [], os.fork
+    calls, pair = [], run_pair
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def counted_pair(first, second):
+        calls.append(1)
+        return pair(first, second)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "run_pair", counted_pair)
+    files, outs = {}, {}
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        out = tmp_path / str(n)
+        argv = ["laplace", "--config", os.path.join(SCENARIO_DIR, name), "--paths", str(paths),
+                "--out", str(out)]
+        assert main(argv) == 0
+        files[n] = (out / "laplace.csv").read_bytes()
+        outs[n] = capsys.readouterr()
+    assert len(forks) == 1 and len(calls) == 2 * pairs
+    assert files[1] == files[2] and outs[1] == outs[2] and outs[1].err == ""
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("half", ["annealed", "direct"])
+def test_an_overflow_in_either_half_of_laplace_is_one_error_line(
+    monkeypatch, tmp_path, capsys, workers, half
+):
+    """An ExponentOverflow raised by the annealed solve (this process's half) or by the
+    direct check (the child's half) ends `cbre2 laplace` with one error line, exit 1 and no
+    output directory, and leaves no child."""
+    target = "annealed_laplace_mc" if half == "annealed" else "scenario_states"
+    monkeypatch.setattr(cli, target, _raise(ExponentOverflow(f"the {half} half overflows")))
+    _workers(monkeypatch, workers)
+    rc = main(["laplace", "--config", LAPLACE, "--paths", "200", "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and err == f"error: ExponentOverflow: the {half} half overflows\n"
     assert not (tmp_path / "o").exists()
     _no_child_left()

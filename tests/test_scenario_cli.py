@@ -688,12 +688,18 @@ def test_cli_bounded_pareto_moment_beyond_the_float_range(tmp_path, capsys, comm
       for b11 in (1500.0, 800.0)),
     pytest.param("verify", "mixed.json", lambda d: d["environment"].__setitem__("a", -1000.0),
                  "ExponentOverflow", id="martingale-env-drift"),
+    pytest.param("recursion-check", "coupling.json", lambda d: d.__setitem__("x0", [1e300, 1.2]),
+                 "ExponentOverflow", id="x0-moments-1e300"),
+    pytest.param("verify", "branching_only.json", lambda d: d["branching"]["m1"][0].__setitem__(
+        "z", [1.7e308, 0.2]), "MassOverflow", id="atom-moment-1.7e308"),
 ])
 def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error):
     """No feasible moment degree, tail jumps of at least 1e200, an environment drift whose
     beta(2) leaves the float range, a supercritical drift flow that lifts a state past the
-    float range in an environment that never moves, or martingale factors past the float
-    range (in cosh, in exp or in a product): exit 1 with one error line.
+    float range in an environment that never moves, martingale factors past the float
+    range (in cosh, in exp or in a product), an initial state whose moments leave the float
+    range, or an atom whose second jump moment does: exit 1 with one error line, no
+    traceback and no output directory.
 
     The run is a subprocess with a timeout, so a run that does not finish fails the test.
     """
@@ -704,6 +710,21 @@ def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error)
                           text=True, timeout=30)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"error: {error}: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and not (tmp_path / "o").exists()
+
+
+def test_cli_couple_on_an_overflowing_environment_warns_nothing(tmp_path):
+    """An environment atom at z = 5e149 makes both coupled variants inf, and their gap
+    inf - inf; `couple` (two chunks, the second in a forked child where two CPUs are usable)
+    ends with one ExponentOverflow line and no numpy warning."""
+    config = _edited_config(tmp_path, "fmoment_power3_pareto.json", lambda d: d["environment"][
+        "nu"][0].__setitem__("z", 5e149))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-m", "cbre2", "couple", "--config", config, "--out",
+                           str(tmp_path / "o")], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ExponentOverflow: ") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name, z, cause", [
