@@ -112,35 +112,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def expm2(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a real 2x2 matrix, in closed form.
-
-    Splits A = tau*I + B with tr(B) = 0, so B^2 = mu^2 * I and
-    exp(A) = e^tau * (cosh(mu) I + sinh(mu)/mu B).  The mu -> 0 limit
-    (defective / equal-eigenvalue case) is taken by series.  A's off-diagonal
-    product must be >= 0 (A essentially nonnegative, or its negative), so
-    mu^2 >= 0 and the eigenvalues are real; a NaN entry gives a NaN result.
-    Out of the float range it is non-finite, silently (all inf if cosh, sinh or exp overflows).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError("expm2 expects a 2x2 matrix")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau = 0.5 * (a[0, 0] + a[1, 1])
-        b = a - tau * np.eye(2)
-        mu2 = b[0, 0] * b[0, 0] + b[0, 1] * b[1, 0]  # = -det(B)
-        try:
-            if abs(mu2) < 1e-14:
-                # sinh(mu)/mu ~ 1 + mu^2/6, cosh(mu) ~ 1 + mu^2/2
-                c, s = 1.0 + mu2 / 2.0, 1.0 + mu2 / 6.0
-            else:
-                mu = math.sqrt(mu2)
-                c, s = math.cosh(mu), math.sinh(mu) / mu
-            return math.exp(tau) * (c * np.eye(2) + s * b)
-        except OverflowError:
-            return np.full((2, 2), math.inf)
-
-
 def fsum_mean_se(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a 1-d sample via compensated summation.
 

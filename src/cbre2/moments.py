@@ -21,7 +21,7 @@ from .env import EnvPath, LevyEnvSpec, _base_grid, env_increments, levy_exponent
 from .errors import DivergentCoefficient, ExponentOverflow, FixedPointDivergence, HypothesisViolated
 from .fmoment import FINITE, classify_branching_tail, classify_env_tail, power
 from .truncation import IDENTITY, TruncationPredicate
-from ._util import expm, expm2, fsum_mean_se
+from ._util import expm, fsum_mean_se
 
 
 def monomial_basis(degree: int) -> tuple[tuple[int, int], ...]:
@@ -213,7 +213,7 @@ def moment_table(
 def first_moment_closed_form(
     env: LevyEnvSpec, spec: BranchingSpec, x0, t: float, truncation: TruncationPredicate = IDENTITY
 ) -> np.ndarray:
-    """E X(t) = e^{beta~ t} exp(-t b~^T) x0 (2x2 closed form); ExponentOverflow out of range."""
+    """E X(t) = e^{beta~ t} exp(-t b~^T) x0 in closed form; ExponentOverflow out of range."""
     bt = levy_exponent(env, 1, truncation.env_clip)
     return _scaled_flow(t, bt * t, -t * effective_drift_matrix(spec, truncation).T, x0)
 
@@ -233,13 +233,11 @@ def martingale_factors(
 
 
 def _scaled_flow(t: float, x: float, a: np.ndarray, x0=None) -> np.ndarray:
-    """e^x expm2(a), times x0 if given; ExponentOverflow naming t out of the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            flow = expm2(a)
-            out = math.exp(x) * (flow if x0 is None else flow @ np.asarray(x0, dtype=float))
-        except OverflowError:  # from math.exp
-            out = np.array(math.inf)
+    """expm(a + x I) = e^x exp(a), times x0 if given; ExponentOverflow naming t out of range."""
+    out = expm(a + np.diag((x, x)))
+    if x0 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0; checked below
+            out = out @ np.asarray(x0, dtype=float)
     if not np.isfinite(out).all():
         raise ExponentOverflow(f"exp(+-t (beta~ I - b~^T)) leaves the float range at t = {t:g}")
     return out

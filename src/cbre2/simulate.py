@@ -83,7 +83,7 @@ from .env import LevyEnvSpec, _base_grid, env_increments
 from .errors import Cbre2Error, ConfigError, ExponentOverflow, MassOverflow
 from .scenario import ScenarioConfig
 from .truncation import IDENTITY, KeepMask, TruncationPredicate
-from ._util import expm2
+from ._util import expm
 
 DEFAULT_EVENTS_CAP = 1_000_000  # branching events per path per unit time
 CHUNK_MIN = 20_000  # path-variants (V * n_paths) from which a pass runs as two chunks
@@ -99,13 +99,19 @@ class StatePath:
 
 
 def _drift_flows(bspec: BranchingSpec, predicate: TruncationPredicate, steps) -> list:
-    """exp(-(b^T + diag(mu)) h) for each step h, mu the own-coordinate kept jump means."""
-    mu = np.diag(kept_jump_means(bspec, predicate))
-    a = -(bspec.b.T + np.diag(mu))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        flows = [expm2(a * h) for h in steps]
-    if not all(np.isfinite(d).all() for d in flows):
-        raise ExponentOverflow(f"the drift flow leaves the float range (kept jump means {mu})")
+    """exp(-(b^T + diag(mu)) h) for each step h, mu the own-coordinate kept jump means.
+
+    Past mu h = log(float max), e^(-mu h) wipes out the state that the compensated
+    jumps put back: ExponentOverflow then, as when a flow leaves the float range.
+    """
+    mu, h = np.diag(kept_jump_means(bspec, predicate)), steps.max(initial=0.0)
+    if mu.max() * h > math.log(sys.float_info.max):
+        raise ExponentOverflow(f"the kept jump mean times the step, {mu.max():.6g} * {h:g}, "
+                               "leaves the compensator's float range")
+    flows = [expm(-(bspec.b.T + np.diag(mu)) * step) for step in steps]
+    for step, d in zip(steps, flows):
+        if not np.isfinite(d).all():
+            raise ExponentOverflow(f"the drift matrix flow leaves the float range at step h = {step:g}")
     return flows
 
 

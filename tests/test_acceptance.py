@@ -175,7 +175,8 @@ def test_criterion_08_polynomial_degree():
                 got = sum(c * x1**p * x2**q for (p, q), c in poly.items())
                 want = moment_table(env, spec, (x1, x2), [0.7], k).entry(*target, 0.7)
                 worst_rel = max(worst_rel, abs(got - want) / abs(want))
-    # k = 1 independently: column j of e^{beta~ t} expm2(-t b~^T) is E X(t) from the unit state e_j
+    # k = 1 independently: column j of expm(beta~ t I - t b~^T) is E X(t) from the unit state
+    # e_j; expm itself is checked against a 30-digit reference in tests/test_util.py
     closed = np.column_stack([first_moment_closed_form(env, spec, e, 0.7) for e in np.eye(2)])
     worst_cf = max(
         abs(moment_polynomial(env, spec, 1, ti, 0.7)[pq] - closed[ti - 1, j])

@@ -116,9 +116,19 @@ def test_first_moment_closed_form_trivia():
     )
 
 
+@pytest.mark.parametrize("t", [0.9, 1.0])
+def test_first_moment_closed_form_of_a_strongly_subcritical_type_is_finite(t):
+    """exp(-t b~^T) with b11 = 1500 has e^(-1350) and e^(-1500) on its diagonal, which
+    underflow to 0: E X(t) is (0, 1), finite and nonnegative, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = first_moment_closed_form(LevyEnvSpec(), BranchingSpec(b11=1500.0), (1.0, 1.0), t)
+    assert np.array_equal(got, [0.0, 1.0])
+
+
 @pytest.mark.parametrize("a, b11, times, bad", [
-    (0.0, 1500.0, [0.2, 0.4, 0.6], "0.6"),  # the factor's exp(t b~^T) overflows in its cosh
-    (0.0, 800.0, [0.5, 1.0], "1"),  # in its product with e^(tau)
+    (0.0, 1500.0, [0.2, 0.4, 0.6], "0.6"),  # the factor's exp(t b~^T) overflows
+    (0.0, 800.0, [0.5, 1.0], "1"),
     (-1000.0, 0.3, [0.5, 1.0], "1"),  # e^(-beta~ t) overflows
 ])
 def test_martingale_factors_beyond_the_float_range_name_the_time(a, b11, times, bad):

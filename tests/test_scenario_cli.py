@@ -640,10 +640,11 @@ def test_cli_laplace_z_with_zero_standard_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("rate, command", [
     (1e-200, "moments"), (1e-200, "verify"), (1e-200, "recursion-check"), (1e-200, "simulate"),
-    (1e-120, "simulate"), (1e-120, "verify"),
+    (1e-120, "simulate"), (1e-120, "verify"), (1.25e-6, "simulate"), (1.25e-6, "verify"),
 ])
 def test_cli_extreme_exponential_tail_is_an_error(tmp_path, capsys, rate, command):
-    """A jump moment or drift flow beyond the float range exits 1 with one error line, no warning."""
+    """A jump moment beyond the float range, or a kept jump mean times the step past
+    log(float max) (4e5 * 0.002 = 800 at rate 1.25e-6), exits 1 with one error line, no warning."""
     tail = {"kind": "exponential", "axis": 1, "mass": 0.5, "rate": rate}
     config = _edited_config(tmp_path, "mixed.json", lambda d: d["branching"].__setitem__("m1", [tail]))
     with warnings.catch_warnings():
@@ -651,6 +652,30 @@ def test_cli_extreme_exponential_tail_is_an_error(tmp_path, capsys, rate, comman
         rc = main([command, "--config", config, "--paths", "20", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: ExponentOverflow: ") and err.count("\n") == 1
+
+
+def test_cli_simulates_a_drift_flow_below_the_float_range(tmp_path, capsys):
+    """feller.json with b11 = 2e6: the flow per step of 0.001 is diag(e^-2000, 1), which
+    is diag(0, 1) in floats, so the run ends with finite means."""
+    config = _edited_config(tmp_path, "feller.json", lambda d: d["branching"].__setitem__(
+        "b", [[2e6, 0.0], [0.0, 0.0]]))
+    assert main(["simulate", "--config", config, "--paths", "20", "--out", str(tmp_path / "o")]) == 0
+    means = re.search(r"mean X\(1\) = \((\S+), (\S+)\)", capsys.readouterr().out).groups()
+    assert all(math.isfinite(float(m)) for m in means)
+
+
+@pytest.mark.parametrize("name, edit, cause", [
+    pytest.param("feller.json", lambda d: d["branching"].__setitem__("b", [[-1e6, 0.0], [0.0, 0.0]]),
+                 "the drift matrix flow leaves the float range at step h = 0.001", id="b11"),
+    pytest.param("mixed.json", lambda d: d["branching"].__setitem__("m1", [
+        {"kind": "exponential", "axis": 1, "mass": 0.5, "rate": 1.25e-6}]),
+        "the kept jump mean times the step, 400000 * 0.002, ", id="compensator"),
+])
+def test_cli_drift_flow_error_names_its_cause(tmp_path, capsys, name, edit, cause):
+    """A drift flow out of the float range, or a compensator past it, says which."""
+    config = _edited_config(tmp_path, name, edit)
+    assert main(["simulate", "--config", config, "--paths", "20", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: ExponentOverflow: {cause}")
 
 
 @pytest.mark.parametrize("command, n, code", [
@@ -697,7 +722,7 @@ def test_cli_edge_config_is_one_error_line(tmp_path, command, name, edit, error)
     """No feasible moment degree, tail jumps of at least 1e200, an environment drift whose
     beta(2) leaves the float range, a supercritical drift flow that lifts a state past the
     float range in an environment that never moves, martingale factors past the float
-    range (in cosh, in exp or in a product), an initial state whose moments leave the float
+    range (in exp(t b~^T) or in e^(-beta~ t)), an initial state whose moments leave the float
     range, or an atom whose second jump moment does: exit 1 with one error line, no
     traceback and no output directory.
 

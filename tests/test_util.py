@@ -6,7 +6,7 @@ import pytest
 
 from cbre2 import moments
 from cbre2.moments import build_moment_generator, moment_table, recursion_check, recursion_checks
-from cbre2._util import expm, expm2, format_float
+from cbre2._util import expm, format_float
 from tests.conftest import bundled_scenario
 
 
@@ -23,6 +23,9 @@ def test_expm_of_a_diagonal_generator_is_exact():
     assert not (g - np.diag(np.diag(g))).any()
     for t in (0.001, 0.5, 1.0):
         assert np.array_equal(expm(g * t), np.diag(np.exp(np.diag(g) * t)))
+    # an entry whose exponential underflows gives exactly 0, never a negative entry
+    for a in (np.diag([-1350.0, 0.0]), np.diag([-2e197, 0.0])):
+        assert np.array_equal(expm(a), np.diag([0.0, 1.0]))
 
 
 def test_expm_of_a_small_matrix_keeps_the_identity_exactly():
@@ -81,6 +84,9 @@ def test_expm_balances_a_huge_coupling_entry():
     pytest.param(np.full((2, 2), 1e308), id="norm-overflows"),
     pytest.param(np.array([[1e300, 1e300], [0.0, 1e300]]), id="result-overflows"),
     pytest.param(np.diag([1e300, 1.0]), id="diagonal"),
+    pytest.param(np.diag([1500.0, 0.0]), id="cosh-overflows"),
+    pytest.param(np.diag([800.0, 0.0]), id="product-overflows"),
+    pytest.param(np.diag([1500.0, 1500.0]), id="exp-overflows"),
 ])
 def test_expm_of_a_huge_norm_is_non_finite(a):
     """As scipy's expm did, so that the callers' ExponentOverflow checks run; no
@@ -89,20 +95,6 @@ def test_expm_of_a_huge_norm_is_non_finite(a):
         warnings.simplefilter("error")
         got = expm(a)
     assert got.shape == a.shape and not np.isfinite(got).all()
-
-
-@pytest.mark.parametrize("a", [
-    pytest.param(np.diag([1500.0, 0.0]), id="cosh-overflows"),
-    pytest.param(np.diag([800.0, 0.0]), id="product-overflows"),
-    pytest.param(np.diag([1500.0, 1500.0]), id="exp-overflows"),
-    pytest.param(np.diag([-2e197, 0.0]), id="mu2-overflows"),
-])
-def test_expm2_beyond_the_float_range_is_non_finite(a):
-    """expm2 has expm's contract: no OverflowError and no warning, a non-finite result."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = expm2(a)
-    assert got.shape == (2, 2) and not np.isfinite(got).all()
 
 
 def test_recursion_checks_make_one_expm_per_time(monkeypatch):
