@@ -23,9 +23,20 @@ def test_expm_of_a_diagonal_generator_is_exact():
     assert not (g - np.diag(np.diag(g))).any()
     for t in (0.001, 0.5, 1.0):
         assert np.array_equal(expm(g * t), np.diag(np.exp(np.diag(g) * t)))
-    # an entry whose exponential underflows gives exactly 0, never a negative entry
-    for a in (np.diag([-1350.0, 0.0]), np.diag([-2e197, 0.0])):
-        assert np.array_equal(expm(a), np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(np.diag([-1350.0, 0.0]), id="exp-underflows"),
+    # the input on which the deleted 2x2 closed form overflowed in mu^2
+    pytest.param(np.diag([-2e197, 0.0]), id="mu2-overflows"),
+])
+def test_expm_of_an_underflowing_diagonal_entry_is_zero(a):
+    """An entry whose exponential underflows gives exactly 0, never a negative entry;
+    no OverflowError and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm(a)
+    assert np.array_equal(got, np.diag([0.0, 1.0]))
 
 
 def test_expm_of_a_small_matrix_keeps_the_identity_exactly():
