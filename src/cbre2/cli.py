@@ -27,7 +27,7 @@ from .errors import Cbre2Error, ConfigError
 from .fmoment import f_moment_verdict
 from .moments import annealed_laplace_mc, moment_table, monomial_basis, recursion_checks
 from .scenario import ScenarioConfig, dump_scenario, load_scenario
-from .simulate import CHUNK_MIN, run_chunks, run_pair, scenario_states, scenario_stream
+from .simulate import PathDump, is_chunked, run_pair, run_pass, scenario_states
 from ._util import csv_lines, fsum_mean_se, z_score
 
 
@@ -71,21 +71,15 @@ Outputs = tuple[int, dict[str, list[str]], str]
 
 def _cmd_simulate(sc: ScenarioConfig) -> Outputs:
     n_dump = min(sc.output.dump_paths, sc.n_paths)
-
-    def chunk(n, rng):  # the final states, and (t, X1, X2, xi) of the first rows at each grid time
-        heads = []
-        for t, (x,), xi in scenario_stream(sc, n, rng, record_times=[sc.horizon]):
-            heads.append(np.column_stack((np.full(min(n_dump, n), t), x[:n_dump], xi[:n_dump])))
-        return x, np.stack(heads, axis=1)
-
-    finals, heads = zip(*run_chunks(chunk, sc.n_paths, sc.seed, 1))
-    x = np.concatenate(finals)
+    kept, (dump,) = run_pass(sc, sc.n_paths, sc.seed, {sc.horizon: [sc.truncation]},
+                             [PathDump(n_dump, sc.truncation)])
+    x = kept[sc.truncation, sc.horizon]
     summary = verify_mod.EstimateReport("simulate")
     for i in (0, 1):
         summary.add(sc.horizon, f"mean_X{i + 1}", *fsum_mean_se(x[:, i]))
     files = {"simulate_summary.csv": summary.csv_lines()}
     m1, m2 = (r.estimate for r in summary.rows)
-    for k, rows in enumerate(np.concatenate(heads)[:n_dump]):
+    for k, rows in enumerate(dump.paths()):
         files[f"path_{k:03d}.csv"] = csv_lines("t,X1,X2,xi", rows.tolist())
     return 0, files, (
         f"{sc.n_paths} paths to t={sc.horizon:g}; mean X({sc.horizon:g}) = ({m1:.6g}, {m2:.6g}); "
@@ -152,7 +146,7 @@ def _cmd_laplace(sc: ScenarioConfig) -> Outputs:
     # the halves share no generator, so pairing them moves no byte; a direct pass of two
     # chunks forks its own second chunk, which a paired child would run serially (feller.json
     # at 20 000 paths: 1.5x the time of the halves in turn)
-    if sc.n_paths >= CHUNK_MIN:
+    if is_chunked(sc.n_paths, 1):
         halves = annealed(), direct_check()
     else:
         halves = run_pair(annealed, direct_check)

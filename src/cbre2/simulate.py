@@ -33,10 +33,10 @@ and event-driven:
   adds its own slice;
 - records are streamed: `scenario_stream`, the one engine generator,
   yields the live states and the one xi of the pass at every grid time
-  (record times only add grid points), `scenario_states` stacks the
-  states at its record times, `simulate_paths` collects a few full
-  paths, and reductions such as the coupling report consume the stream
-  without a full-grid record.
+  (record times only add grid points); `run_pass`, its one consumer,
+  keeps a copy of each state its caller reads at a record time and feeds
+  every grid time to reducers (the coupling report, `PathDump`), so no
+  caller holds a full-grid record it does not read.
 
 Two computations that share no generator can run on two cores as a
 pair: `run_pair(first, second)` returns `(first(), second())` and runs
@@ -49,14 +49,13 @@ Its users are the chunks of a large pass and `cbre2 laplace`, whose
 annealed solve and direct Monte Carlo check run as a pair below
 `CHUNK_MIN` paths.
 
-Large passes run as two chunks (`run_chunks`):
+Large passes run as two chunks (`run_chunks`, called by `run_pass` alone):
 
 - a pass of V variants and n paths with V * n >= `CHUNK_MIN` (20 000
-  path-variants) runs chunk 0, ceil(n/2) paths on the pass's own
-  generator, and chunk 1, floor(n/2) paths on that generator's first
-  `spawn`ed child (independent substreams, L'Ecuyer et al. 2017); the
-  callers merge the chunks' results in chunk order, and a pass below
-  `CHUNK_MIN` is one chunk on the pass's generator;
+  path-variants, `is_chunked`) runs chunk 0, ceil(n/2) paths on the pass's
+  own generator, and chunk 1, floor(n/2) paths on that generator's first
+  `spawn`ed child (independent substreams, L'Ecuyer et al. 2017), joined in
+  chunk order; a pass below `CHUNK_MIN` is one chunk on the pass's generator;
 - the two chunks are one `run_pair`, so chunk 1 runs in a forked child
   where two CPUs are usable, and the bytes do not depend on it.
 
@@ -69,6 +68,7 @@ with diffusion on, ordering holds in expectation only.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import pickle
@@ -135,11 +135,6 @@ def _batch_grid(horizon: float, step: float, record_times) -> tuple[np.ndarray, 
     near = np.minimum(inner - bracket[up - 1], bracket[up] - inner) <= 1e-9 * max(1.0, horizon)
     grid = np.union1d(np.delete(base, 1 + np.flatnonzero(near)), rec)
     return grid, np.searchsorted(grid, rec)
-
-
-def _check_n_paths(n_paths) -> None:
-    if n_paths < 1:
-        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
 
 
 def _runaway(t: float, xi: np.ndarray, path=None) -> Cbre2Error:
@@ -210,7 +205,8 @@ def scenario_stream(
     predicates = (scenario.truncation,) if predicates is None else tuple(predicates)
     env, bspec, x0 = scenario.environment, scenario.branching, scenario.x0
     horizon, step = scenario.horizon, scenario.step
-    _check_n_paths(n_paths)
+    if n_paths < 1:
+        raise ConfigError(f"n_paths: expected an integer >= 1, got {n_paths!r}")
     clip = predicates[0].env_clip
     if any(pred.env_clip != clip for pred in predicates):
         raise ValueError("the predicates of one pass must share one env_clip")
@@ -372,20 +368,77 @@ def run_pair(first, second) -> tuple:
     return one, two
 
 
+def is_chunked(n_paths: int, n_variants: int) -> bool:
+    """Whether a pass of `n_variants` variants and `n_paths` paths runs as two chunks."""
+    return n_variants * n_paths >= CHUNK_MIN and n_paths >= 2
+
+
 def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
     """`task(n, rng)` on the chunks of a pass, and its results in chunk order.
 
-    A pass of `n_variants` variants below `CHUNK_MIN` path-variants is one
-    chunk, `task(n_paths, default_rng(seed))`.  From `CHUNK_MIN` on it is
-    two, run as a `run_pair`: ceil(n/2) paths on the pass's own generator,
-    and floor(n/2) on its first spawned child, in a forked process when
-    two CPUs are usable.
+    A pass that is not `is_chunked` is one chunk, `task(n_paths,
+    default_rng(seed))`.  A chunked pass is two, run as a `run_pair`:
+    ceil(n/2) paths on the pass's own generator, and floor(n/2) on its
+    first spawned child, in a forked process when two CPUs are usable.
     """
     rng = np.random.default_rng(seed)
-    if n_variants * n_paths < CHUNK_MIN or n_paths < 2:
+    if not is_chunked(n_paths, n_variants):
         return [task(n_paths, rng)]
     rest = rng.spawn(1)[0]
     return list(run_pair(lambda: task((n_paths + 1) // 2, rng), lambda: task(n_paths // 2, rest)))
+
+
+class PathDump:
+    """A `run_pass` reducer: the (t, X1, X2, xi) rows of the first `n` paths of one variant."""
+
+    def __init__(self, n: int, predicate: TruncationPredicate):
+        self.n, self.predicates, self.rows = n, (predicate,), []  # a (paths, 4) per grid time
+
+    def feed(self, t, states, xi) -> None:
+        k = min(self.n, len(xi))
+        self.rows.append(np.column_stack((np.full(k, t), states[0][:k], xi[:k])))
+
+    def merge(self, other) -> None:
+        self.rows = [np.concatenate((a, b))[: self.n] for a, b in zip(self.rows, other.rows)]
+
+    def paths(self) -> np.ndarray:
+        """The dumped paths, (paths, grid times, 4)."""
+        return np.stack(self.rows, axis=1)
+
+
+def run_pass(scenario, n_paths: int, seed, keep, reducers=()) -> tuple[dict, list]:
+    """One engine pass on `scenario`, its chunks joined: (kept states, fed reducers).
+
+    `keep` maps each record time t to the variants p read there, and the pass keeps
+    each (n_paths, 2) state under (p, t), copied in the live view's memory order (so
+    a matmul on it gives the view's bits).  A reducer names its variants
+    (`predicates`), takes `feed(t, states, xi)` at every grid time with those
+    variants in that order, and `merge(other)` of a copy fed by the next chunk; fed
+    copies are returned.  The pass runs the union of the variants, kept ones first
+    and deduplicated by equality, on one random stream and one environment path per
+    chunk (`run_chunks`), and joins the chunks in chunk order.
+    """
+    preds = list(dict.fromkeys([p for ps in keep.values() for p in ps]
+                               + [p for r in reducers for p in r.predicates]))
+    reads = {t: {p: preds.index(p) for p in ps} for t, ps in keep.items()}
+    slots = [[preds.index(p) for p in r.predicates] for r in reducers]
+
+    def chunk(n, rng):
+        kept, fed = {}, copy.deepcopy(reducers)
+        for t, states, xi in scenario_stream(scenario, n, rng, record_times=list(keep), predicates=preds):
+            for p, i in reads.get(t, {}).items():
+                kept[p, t] = states[i].copy(order="K")
+            for r, slot in zip(fed, slots):
+                r.feed(t, [states[i] for i in slot], xi)
+        return kept, fed
+
+    (kept, fed), *rest = run_chunks(chunk, n_paths, seed, len(preds))
+    for more, more_fed in rest:
+        for key in kept:  # each of the next chunk's arrays is dropped once joined
+            kept[key] = np.concatenate((kept[key], more.pop(key)))
+        for r, other in zip(fed, more_fed):
+            r.merge(other)
+    return kept, fed
 
 
 def scenario_states(
@@ -395,7 +448,7 @@ def scenario_states(
     record_times=None,
     predicates=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack what `scenario_stream` yields at the record times: (record_times, states).
+    """Stack what `run_pass` keeps at the record times: (record_times, states).
 
     `states` is shaped (n_variants, n_paths, n_records, 2), with the
     record times sorted and distinct (default: every grid time).
@@ -403,21 +456,11 @@ def scenario_states(
     points is exact); shared draws across variants implement the monotone
     coupling.
     """
-    _check_n_paths(n_paths)
-    predicates = (scenario.truncation,) if predicates is None else predicates
+    predicates = (scenario.truncation,) if predicates is None else tuple(predicates)
     grid, rec_idx = _batch_grid(scenario.horizon, scenario.step, record_times)
-    slot = {m: r for r, m in enumerate(rec_idx.tolist())}
-
-    def chunk(n, rng):
-        out = np.empty((len(predicates), n, len(rec_idx), 2))
-        stream = scenario_stream(scenario, n, rng, record_times, predicates)
-        for m, (_, states, _) in enumerate(stream):
-            if m in slot:
-                out[:, :, slot[m]] = states
-        return out
-
-    chunks = run_chunks(chunk, n_paths, seed, len(predicates))
-    return grid[rec_idx], chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    times = grid[rec_idx].tolist()
+    kept, _ = run_pass(scenario, n_paths, seed, dict.fromkeys(times, predicates))
+    return grid[rec_idx], np.stack([np.stack([kept[p, t] for t in times], axis=1) for p in predicates])
 
 
 def simulate_states(
@@ -437,24 +480,12 @@ def simulate_states(
     )
 
 
-def simulate_paths(
-    scenario,
-    n_paths: int,
-    rng_seed: int,
-) -> list[StatePath]:
-    """Full paths on the base grid: one batch run of `n_paths` paths.
+def simulate_paths(scenario, n_paths: int, rng_seed: int) -> list[StatePath]:
+    """Full paths on the base grid: every path of one pass, through a `PathDump`.
 
     Path i is row i of `scenario_states(scenario, n_paths, rng_seed,
     record_times=None)`, so it depends on the seed and on `n_paths`; the
-    scenario's truncation applies.  Memory is O(n_paths * grid points);
-    use `scenario_stream` for many paths.
+    scenario's truncation applies.  Memory is O(n_paths * grid points).
     """
-    _check_n_paths(n_paths)
-    grid = _base_grid(scenario.horizon, scenario.step)
-    states = np.empty((n_paths, len(grid), 2))
-    xi = np.empty((n_paths, len(grid)))
-    stream = scenario_stream(scenario, n_paths, rng_seed)
-    for r, (_, (x,), xi_t) in enumerate(stream):
-        states[:, r] = x
-        xi[:, r] = xi_t
-    return [StatePath(grid, states[i], xi[i]) for i in range(n_paths)]
+    _, (dump,) = run_pass(scenario, n_paths, rng_seed, {}, [PathDump(n_paths, scenario.truncation)])
+    return [StatePath(rows[:, 0], rows[:, 1:3], rows[:, 3]) for rows in dump.paths()]

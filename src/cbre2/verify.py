@@ -6,17 +6,18 @@ byte-identical reports.  A row passes within `SE_MULTIPLE` standard
 errors of its target plus a discretization-bias allowance: moment rows
 allow `BIAS_COEFF * step * |target|`, martingale rows allow none.
 
-Reports come from engine passes.  `verify_reports` runs the engine once
-for every report of `cbre2 verify`: the union of the truncation variants
-they read, on one random stream at one seed, each report reducing only
-its own variants at its own times.  `estimate_moments`, `martingale_test`,
+Reports come from engine passes (`simulate.run_pass`).  `verify_reports`
+runs the engine once for every report of `cbre2 verify`: the union of the
+truncation variants they read, on one random stream at one seed.  The
+moment, martingale and convergence reports read the states the pass keeps
+at their times, each kept once; the coupling report is the pass's one
+reducer, fed at every grid time.  `estimate_moments`, `martingale_test`,
 `coupling_monotonicity_report` and `truncation_convergence_report` are the
 one-report case of the same pass.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +30,7 @@ from .moments import (
     moment_table,
     monomial_basis,
 )
-from .simulate import run_chunks, scenario_stream
+from .simulate import run_pass
 from .truncation import NORM_CAP, BranchingRule, TruncationPredicate
 from ._util import csv_lines, fsum_mean_se, z_score
 
@@ -87,16 +88,8 @@ class _Moments:
             scenario.environment, scenario.branching, scenario.x0, self.times, n,
             scenario.truncation,
         )
-        self.states = []  # (t, (paths, 2) copy) at each report time
 
-    def feed(self, t, states) -> None:
-        self.states.append((t, states[0].copy()))
-
-    def merge(self, other) -> None:
-        self.states = [(t, np.concatenate((x, y)))
-                       for (t, x), (_, y) in zip(self.states, other.states)]
-
-    def report(self) -> EstimateReport:
+    def report(self, kept) -> EstimateReport:
         sc, n = self.scenario, self.n
         report = EstimateReport(f"moments_n{n}")
         if not hypotheses_hold(sc.environment, sc.branching, 2 * n, sc.truncation):
@@ -104,7 +97,8 @@ class _Moments:
         for p, q in monomial_basis(n):
             if not self.table.finite.get((p, q), False):
                 continue
-            for t, x in self.states:
+            for t in self.times.tolist():
+                x = kept[sc.truncation, t]
                 est, se = fsum_mean_se(x[:, 0] ** p * x[:, 1] ** q)
                 target = self.table.entry(p, q, t)
                 report.add(
@@ -129,17 +123,11 @@ class _Martingale:
         )
         self.factors = dict(zip(self.times.tolist(), factors))
         self.x0 = np.asarray(scenario.x0, dtype=float)
-        self.m = []  # (t, M(t) on each path)
 
-    def feed(self, t, states) -> None:
-        self.m.append((t, states[0] @ self.factors[t].T))
-
-    def merge(self, other) -> None:
-        self.m = [(t, np.concatenate((x, y))) for (t, x), (_, y) in zip(self.m, other.m)]
-
-    def report(self) -> EstimateReport:
+    def report(self, kept) -> EstimateReport:
         report = EstimateReport("martingale")
-        for t, m in self.m:
+        for t, f in self.factors.items():
+            m = kept[self.predicates[0], t] @ f.T  # M(t) on each path
             for i in (0, 1):
                 est, se = fsum_mean_se(m[:, i])
                 report.add(t, f"M{i + 1}", est, se, self.x0[i])
@@ -147,9 +135,7 @@ class _Martingale:
 
 
 class _Coupling:
-    """Ordering X^(k1) <= X^(k2) of two norm-cap variants at every grid time."""
-
-    times = None  # every grid time
+    """Ordering X^(k1) <= X^(k2) of two norm-cap variants at every grid time (a reducer)."""
 
     def __init__(self, scenario, k1: float, k2: float):
         if k1 > k2:
@@ -161,7 +147,7 @@ class _Coupling:
         self.name = f"coupling_k{k1:g}_k{k2:g}"
         self.checks = []  # pure jump: (t, largest gap, violations) at each grid time
 
-    def feed(self, t, states) -> None:
+    def feed(self, t, states, xi) -> None:
         lo, hi = states
         self.t = t
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, and the run then fails
@@ -207,17 +193,11 @@ class _Convergence:
         self.epsilon = 0.05 * float(np.linalg.norm(first_moment_closed_form(
             scenario.environment, scenario.branching, scenario.x0, self.t, base)))
 
-    def feed(self, t, states) -> None:
-        self.states = [x.copy() for x in states]
-
-    def merge(self, other) -> None:
-        self.states = [np.concatenate((x, y)) for x, y in zip(self.states, other.states)]
-
-    def report(self) -> EstimateReport:
-        t, full = self.t, self.states[-1]
-        report = EstimateReport("trunc_convergence")
+    def report(self, kept) -> EstimateReport:
+        t, report = self.t, EstimateReport("trunc_convergence")
+        *states, full = [kept[p, t] for p in self.predicates]
         ests, ses = [], []
-        for x, k in zip(self.states, self.k_list):
+        for x, k in zip(states, self.k_list):
             gap = np.hypot(full[:, 0] - x[:, 0], full[:, 1] - x[:, 1])
             est, se = fsum_mean_se(gap)
             ests.append(est)
@@ -236,33 +216,18 @@ class _Convergence:
 def _one_pass(scenario, parts, paths: int, seed: int) -> list[EstimateReport]:
     """Run the engine once for `parts` and return their reports, in order.
 
-    Each part names the truncation variants it reads (`predicates`), the
-    times it reads (`times`, None for every grid time), keeps what it is
-    fed (`feed(t, states)`, its own variants in its own order), folds in
-    what a copy of it kept from the next chunk (`merge(other)`), and
-    reduces the whole into `report()`.  The pass runs the union of the
-    variants, deduplicated by equality, on one random stream and one
-    environment path per chunk (`run_chunks`); the parts' times join the
-    grid, and each part is fed the grid times it reads.
+    Each part names the truncation variants it reads (`predicates`).  A
+    reducer (a part with `feed`, the coupling report) is fed by the pass
+    and reports on its own; every other part names its `times` and reports
+    on the states the pass keeps there, `report(kept)`.
     """
-    preds = list(dict.fromkeys(p for part in parts for p in part.predicates))
-    times = [t for part in parts if part.times is not None for t in part.times]
-    slots = [[preds.index(p) for p in part.predicates] for part in parts]
-    reads = [None if part.times is None else set(part.times.tolist()) for part in parts]
-
-    def chunk(n, rng):
-        fed = copy.deepcopy(parts)
-        for t, states, _ in scenario_stream(scenario, n, rng, record_times=times, predicates=preds):
-            for part, slot, at in zip(fed, slots, reads):
-                if at is None or t in at:
-                    part.feed(t, [states[i] for i in slot])
-        return fed
-
-    first, *rest = run_chunks(chunk, paths, seed, len(preds))
-    for fed in rest:
-        for part in first:
-            part.merge(fed.pop(0))  # each copy is dropped once merged, to keep the peak low
-    return [part.report() for part in first]
+    keep, reducers = {}, [part for part in parts if hasattr(part, "feed")]
+    for part in parts:
+        if part not in reducers:
+            for t in part.times.tolist():
+                keep.setdefault(t, []).extend(part.predicates)
+    kept, fed = run_pass(scenario, paths, seed, keep, reducers)
+    return [fed.pop(0).report() if part in reducers else part.report(kept) for part in parts]
 
 
 def verify_reports(scenario, n: int, paths: int, seed: int) -> dict[str, EstimateReport]:

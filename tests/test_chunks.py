@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from cbre2 import cli, simulate, verify
+from cbre2 import cli, simulate
 from cbre2.cli import main
 from cbre2.errors import ExponentOverflow, MassOverflow
-from cbre2.simulate import CHUNK_MIN, run_chunks, run_pair
-from tests.conftest import SCENARIO_DIR
+from cbre2.simulate import CHUNK_MIN, PathDump, run_chunks, run_pair, run_pass
+from tests.conftest import SCENARIO_DIR, bundled_scenario
 
 VERIFY = os.path.join(SCENARIO_DIR, "verify.json")  # six variants in its one pass
 LAPLACE = os.path.join(SCENARIO_DIR, "laplace.json")
@@ -83,6 +83,30 @@ def test_a_chunked_pass_has_the_same_bytes_with_one_and_two_workers(monkeypatch,
     _no_child_left()
 
 
+def test_a_path_dump_crosses_into_chunk_1(monkeypatch):
+    """`run_pass` at CHUNK_MIN paths, with a `PathDump` of ceil(n/2) + 3 paths, gives the same
+    heads with one worker and with two: every path of chunk 0, then the first 3 of chunk 1, as
+    `scenario_stream` runs each chunk on its own generator; no child is left."""
+    sc = bundled_scenario("mixed", CHUNK_MIN, 0.2)  # five steps to t = 1
+    n_dump = (CHUNK_MIN + 1) // 2 + 3
+    heads = {}
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        _, (dump,) = run_pass(sc, CHUNK_MIN, 5, {}, [PathDump(n_dump, sc.truncation)])
+        heads[n] = dump.paths()
+    assert heads[1].shape == (n_dump, 6, 4) and np.array_equal(heads[1], heads[2])
+
+    def rows(n, rng):  # (t, X1, X2, xi) of every path of the chunk at each grid time
+        stream = simulate.scenario_stream(sc, n, rng)
+        return np.stack([np.column_stack((np.full(n, t), x, xi)) for t, (x,), xi in stream], axis=1)
+
+    # through the module, so that a patched `run_chunks` (tools/seed_census.py) sees both passes
+    chunk0, chunk1 = simulate.run_chunks(rows, CHUNK_MIN, 5, 1)
+    assert len(chunk0) == n_dump - 3
+    assert np.array_equal(heads[1], np.concatenate((chunk0, chunk1[:3])))
+    _no_child_left()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk", [0, 1])
 def test_an_overflow_in_either_chunk_is_one_error_line(
@@ -94,14 +118,14 @@ def test_an_overflow_in_either_chunk_is_one_error_line(
     paths = -(-CHUNK_MIN // 6)
     paths += 1 - paths % 2
     bad = (paths + 1) // 2 if chunk == 0 else paths // 2
-    stream = verify.scenario_stream
+    stream = simulate.scenario_stream
 
     def failing(scenario, n, rng, **kw):
         if n == bad:
             raise ExponentOverflow(f"chunk {chunk} overflows")
         return stream(scenario, n, rng, **kw)
 
-    monkeypatch.setattr(verify, "scenario_stream", failing)
+    monkeypatch.setattr(simulate, "scenario_stream", failing)
     _workers(monkeypatch, workers)
     rc = main(["verify", "--config", VERIFY, "--paths", str(paths), "--out", str(tmp_path / "o")])
     out, err = capsys.readouterr()

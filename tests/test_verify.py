@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cbre2.verify as verify_mod
+from cbre2 import simulate
 from cbre2.verify import (
     EstimateReport,
     coupling_monotonicity_report,
@@ -118,8 +119,8 @@ def test_truncation_convergence_verdict_on_fed_states(caps, nonincreasing):
     (ones): a gap that rises by more than its band fails `nonincreasing` and the report."""
     sc = bundled_scenario("verify", 100, 1e-2)
     conv = verify_mod._Convergence(sc, [2.0, 4.0, 8.0])
-    conv.feed(sc.horizon, [np.full((10, 2), float(c)) for c in caps] + [np.ones((10, 2))])
-    rep = conv.report()
+    states = [np.full((10, 2), float(c)) for c in caps] + [np.ones((10, 2))]
+    rep = conv.report({(pred, sc.horizon): x for pred, x in zip(conv.predicates, states)})
     rows = {r.statistic: r for r in rep.rows}
     assert rows["nonincreasing"].ok is nonincreasing and rows["final_gap_below_eps"].ok
     assert rep.passed is nonincreasing
@@ -136,13 +137,13 @@ def test_truncation_convergence_keeps_the_scenario_env_clip():
 
 def test_coupling_variants_keep_the_scenario_env_clip(monkeypatch):
     seen = []
-    stream = verify_mod.scenario_stream
+    stream = simulate.scenario_stream
 
     def spy(scenario, paths, seed, record_times, predicates):
         seen.extend(predicates)
         return stream(scenario, paths, seed, record_times, predicates)
 
-    monkeypatch.setattr(verify_mod, "scenario_stream", spy)
+    monkeypatch.setattr(simulate, "scenario_stream", spy)
     clipped = TruncationPredicate(env_clip=1.0)
     sc = replace(bundled_scenario("coupling", 10_000, 0.01), truncation=clipped)
     coupling_monotonicity_report(sc, 2.0, 5.0, 50, 0)

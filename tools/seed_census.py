@@ -15,10 +15,11 @@ first + k in place of its own (the i-th distinct seed that one test
 passes gets first + k + 7919 i), and every other pass keeps its seed.
 It prints, for each test, on how many of the fresh seeds it failed.
 
-A pass is seen where it starts: at `run_chunks` in a tree that has it,
-else at `scenario_stream`.  The tests, their seeds and their sizes are
-not changed.  Each pytest session runs in this process, so a run takes
-about the suite's time plus K times that of the listed tests.
+A pass is seen where it starts, at `run_chunks`, which the tree must
+have: every engine pass calls it, through `simulate.run_pass` or, in
+older trees, from its callers' modules.  The tests, their seeds and their
+sizes are not changed.  Each pytest session runs in this process, so a
+run takes about the suite's time plus K times that of the listed tests.
 """
 
 from __future__ import annotations
@@ -48,20 +49,13 @@ class Census:
     def pytest_sessionstart(self, session):
         from cbre2 import cli, simulate, verify
 
-        name = "run_chunks" if hasattr(simulate, "run_chunks") else "scenario_stream"
-        original = getattr(simulate, name)
+        name, original = "run_chunks", simulate.run_chunks
         if self.w is None:
             self.w = simulate.CHUNK_MIN
 
         def entry(*args, **kw):
-            if name == "run_chunks":
-                task, n_paths, seed, n_variants = args
-                large = n_variants * n_paths >= self.w
-            else:
-                scenario, n_paths, seed, *rest = args
-                predicates = rest[1] if len(rest) > 1 else kw.get("predicates")
-                large = (1 if predicates is None else len(predicates)) * n_paths >= self.w
-            if large:
+            task, n_paths, seed, n_variants = args
+            if n_variants * n_paths >= self.w:
                 self.large.add(self.where)
                 if self.fresh is not None:
                     key = seed if isinstance(seed, int) else id(seed)
