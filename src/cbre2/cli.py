@@ -71,9 +71,8 @@ Outputs = tuple[int, dict[str, list[str]], str]
 
 def _cmd_simulate(sc: ScenarioConfig) -> Outputs:
     n_dump = min(sc.output.dump_paths, sc.n_paths)
-    kept, (dump,) = run_pass(sc, sc.n_paths, sc.seed, {sc.horizon: [sc.truncation]},
+    (x,), (dump,) = run_pass(sc, sc.n_paths, sc.seed, [(sc.truncation, sc.horizon)],
                              [PathDump(n_dump, sc.truncation)])
-    x = kept[sc.truncation, sc.horizon]
     summary = verify_mod.EstimateReport("simulate")
     for i in (0, 1):
         summary.add(sc.horizon, f"mean_X{i + 1}", *fsum_mean_se(x[:, i]))

@@ -34,9 +34,9 @@ and event-driven:
 - records are streamed: `scenario_stream`, the one engine generator,
   yields the live states and the one xi of the pass at every grid time
   (record times only add grid points); `run_pass`, its one consumer,
-  keeps a copy of each state its caller reads at a record time and feeds
-  every grid time to reducers (the coupling report, `PathDump`), so no
-  caller holds a full-grid record it does not read.
+  writes the (variant, record time) states its caller reads into one
+  array per chunk and feeds every grid time to reducers (the coupling
+  report, `PathDump`), so no caller holds a record it does not read.
 
 Two computations that share no generator can run on two cores as a
 pair: `run_pair(first, second)` returns `(first(), second())` and runs
@@ -406,39 +406,39 @@ class PathDump:
         return np.stack(self.rows, axis=1)
 
 
-def run_pass(scenario, n_paths: int, seed, keep, reducers=()) -> tuple[dict, list]:
+def run_pass(scenario, n_paths: int, seed, keep, reducers=()) -> tuple[np.ndarray, list]:
     """One engine pass on `scenario`, its chunks joined: (kept states, fed reducers).
 
-    `keep` maps each record time t to the variants p read there, and the pass keeps
-    each (n_paths, 2) state under (p, t), copied in the live view's memory order (so
-    a matmul on it gives the view's bits).  A reducer names its variants
-    (`predicates`), takes `feed(t, states, xi)` at every grid time with those
-    variants in that order, and `merge(other)` of a copy fed by the next chunk; fed
-    copies are returned.  The pass runs the union of the variants, kept ones first
-    and deduplicated by equality, on one random stream and one environment path per
-    chunk (`run_chunks`), and joins the chunks in chunk order.
+    `keep` lists (variant, record time) pairs; each chunk writes pair j's state into row
+    j of one (len(keep), 2, n) record, and the kept states are the joined records'
+    (len(keep), n_paths, 2) transpose, whose rows keep the live view's memory order (so
+    a matmul on one gives the view's bits).  A reducer names its variants (`predicates`),
+    takes `feed(t, states, xi)` at every grid time with those variants in that order,
+    and `merge(other)` of a copy fed by the next chunk; fed copies are returned.  The
+    pass runs the union of the variants, kept ones first and deduplicated by equality,
+    on one random stream and one environment path per chunk (`run_chunks`).
     """
-    preds = list(dict.fromkeys([p for ps in keep.values() for p in ps]
-                               + [p for r in reducers for p in r.predicates]))
-    reads = {t: {p: preds.index(p) for p in ps} for t, ps in keep.items()}
+    preds = list(dict.fromkeys([p for p, _ in keep] + [p for r in reducers for p in r.predicates]))
+    rows = {}  # record time: (row of `keep`, index of its variant in the pass)
+    for j, (p, t) in enumerate(keep):
+        rows.setdefault(t, []).append((j, preds.index(p)))
     slots = [[preds.index(p) for p in r.predicates] for r in reducers]
 
     def chunk(n, rng):
-        kept, fed = {}, copy.deepcopy(reducers)
-        for t, states, xi in scenario_stream(scenario, n, rng, record_times=list(keep), predicates=preds):
-            for p, i in reads.get(t, {}).items():
-                kept[p, t] = states[i].copy(order="K")
+        kept, fed = np.empty((len(keep), 2, max(n, 0))), copy.deepcopy(reducers)  # n < 1: the stream raises
+        for t, states, xi in scenario_stream(scenario, n, rng, record_times=list(rows), predicates=preds):
+            for j, i in rows.get(t, ()):
+                kept[j] = states[i].T
             for r, slot in zip(fed, slots):
                 r.feed(t, [states[i] for i in slot], xi)
         return kept, fed
 
     (kept, fed), *rest = run_chunks(chunk, n_paths, seed, len(preds))
-    for more, more_fed in rest:
-        for key in kept:  # each of the next chunk's arrays is dropped once joined
-            kept[key] = np.concatenate((kept[key], more.pop(key)))
+    for more, more_fed in rest:  # one more chunk at most, so one concatenate
+        kept = np.concatenate((kept, more), axis=2)
         for r, other in zip(fed, more_fed):
             r.merge(other)
-    return kept, fed
+    return kept.transpose(0, 2, 1), fed
 
 
 def scenario_states(
@@ -448,19 +448,19 @@ def scenario_states(
     record_times=None,
     predicates=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack what `run_pass` keeps at the record times: (record_times, states).
+    """What `run_pass` keeps at the record times, as a view: (record_times, states).
 
     `states` is shaped (n_variants, n_paths, n_records, 2), with the
-    record times sorted and distinct (default: every grid time).
-    Environment jumps are aggregated per grid interval (their law at grid
-    points is exact); shared draws across variants implement the monotone
-    coupling.
+    record times sorted and distinct (default: every grid time): a view
+    of the pass's one record, whose path axis is contiguous.  Environment
+    jumps are aggregated per grid interval (their law at grid points is
+    exact); shared draws across variants implement the monotone coupling.
     """
     predicates = (scenario.truncation,) if predicates is None else tuple(predicates)
     grid, rec_idx = _batch_grid(scenario.horizon, scenario.step, record_times)
-    times = grid[rec_idx].tolist()
-    kept, _ = run_pass(scenario, n_paths, seed, dict.fromkeys(times, predicates))
-    return grid[rec_idx], np.stack([np.stack([kept[p, t] for t in times], axis=1) for p in predicates])
+    times = grid[rec_idx]
+    kept, _ = run_pass(scenario, n_paths, seed, [(p, t) for p in predicates for t in times.tolist()])
+    return times, kept.reshape(len(predicates), len(times), n_paths, 2).transpose(0, 2, 1, 3)
 
 
 def simulate_states(
@@ -487,5 +487,5 @@ def simulate_paths(scenario, n_paths: int, rng_seed: int) -> list[StatePath]:
     record_times=None)`, so it depends on the seed and on `n_paths`; the
     scenario's truncation applies.  Memory is O(n_paths * grid points).
     """
-    _, (dump,) = run_pass(scenario, n_paths, rng_seed, {}, [PathDump(n_paths, scenario.truncation)])
+    _, (dump,) = run_pass(scenario, n_paths, rng_seed, [], [PathDump(n_paths, scenario.truncation)])
     return [StatePath(rows[:, 0], rows[:, 1:3], rows[:, 3]) for rows in dump.paths()]

@@ -10,10 +10,10 @@ Reports come from engine passes (`simulate.run_pass`).  `verify_reports`
 runs the engine once for every report of `cbre2 verify`: the union of the
 truncation variants they read, on one random stream at one seed.  The
 moment, martingale and convergence reports read the states the pass keeps
-at their times, each kept once; the coupling report is the pass's one
-reducer, fed at every grid time.  `estimate_moments`, `martingale_test`,
-`coupling_monotonicity_report` and `truncation_convergence_report` are the
-one-report case of the same pass.
+in its one record, a row per distinct (variant, time) pair they read; the
+coupling report is the pass's one reducer, fed at every grid time.
+`estimate_moments`, `martingale_test`, `coupling_monotonicity_report` and
+`truncation_convergence_report` are the one-report case of the same pass.
 """
 
 from __future__ import annotations
@@ -219,14 +219,13 @@ def _one_pass(scenario, parts, paths: int, seed: int) -> list[EstimateReport]:
     Each part names the truncation variants it reads (`predicates`).  A
     reducer (a part with `feed`, the coupling report) is fed by the pass
     and reports on its own; every other part names its `times` and reports
-    on the states the pass keeps there, `report(kept)`.
+    on the states the pass keeps there, `report(kept)`, keyed by (variant, time).
     """
-    keep, reducers = {}, [part for part in parts if hasattr(part, "feed")]
-    for part in parts:
-        if part not in reducers:
-            for t in part.times.tolist():
-                keep.setdefault(t, []).extend(part.predicates)
-    kept, fed = run_pass(scenario, paths, seed, keep, reducers)
+    reducers = [part for part in parts if hasattr(part, "feed")]
+    keep = list(dict.fromkeys((p, t) for part in parts if part not in reducers
+                              for t in part.times.tolist() for p in part.predicates))
+    states, fed = run_pass(scenario, paths, seed, keep, reducers)
+    kept = dict(zip(keep, states))
     return [fed.pop(0).report() if part in reducers else part.report(kept) for part in parts]
 
 

@@ -11,7 +11,8 @@ import pytest
 from cbre2 import cli, simulate
 from cbre2.cli import main
 from cbre2.errors import ExponentOverflow, MassOverflow
-from cbre2.simulate import CHUNK_MIN, PathDump, run_chunks, run_pair, run_pass
+from cbre2.simulate import CHUNK_MIN, PathDump, run_chunks, run_pair, run_pass, scenario_states
+from cbre2.truncation import IDENTITY, norm_cap
 from tests.conftest import SCENARIO_DIR, bundled_scenario
 
 VERIFY = os.path.join(SCENARIO_DIR, "verify.json")  # six variants in its one pass
@@ -104,6 +105,29 @@ def test_a_path_dump_crosses_into_chunk_1(monkeypatch):
     chunk0, chunk1 = simulate.run_chunks(rows, CHUNK_MIN, 5, 1)
     assert len(chunk0) == n_dump - 3
     assert np.array_equal(heads[1], np.concatenate((chunk0, chunk1[:3])))
+    _no_child_left()
+
+
+def test_a_chunked_record_is_joined_once_in_chunk_order(monkeypatch):
+    """`scenario_states` at CHUNK_MIN paths and two variants (a chunked pass) gives the same
+    array with one worker and with two: chunk 0's paths, then chunk 1's, each as
+    `scenario_stream` runs the chunk on its own generator; no child is left."""
+    sc = bundled_scenario("mixed", CHUNK_MIN, 0.2)  # five steps to t = 1
+    preds = (norm_cap(2.0), IDENTITY)
+    states = {}
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        _, states[n] = scenario_states(sc, CHUNK_MIN, 5, predicates=preds)
+    assert states[1].shape == (2, CHUNK_MIN, 6, 2) and np.array_equal(states[1], states[2])
+
+    def rows(n, rng):  # (variants, paths, grid times, 2): every state of the chunk
+        stream = simulate.scenario_stream(sc, n, rng, predicates=preds)
+        return np.stack([np.stack(xs) for _, xs, _ in stream], axis=2)
+
+    # through the module, so that a patched `run_chunks` (tools/seed_census.py) sees both passes
+    chunk0, chunk1 = simulate.run_chunks(rows, CHUNK_MIN, 5, len(preds))
+    assert chunk0.shape[1] == chunk1.shape[1] == CHUNK_MIN // 2
+    assert np.array_equal(states[1], np.concatenate((chunk0, chunk1), axis=1))
     _no_child_left()
 
 

@@ -3,16 +3,23 @@
 From the repository root:  python -m pytest -q -p tools.linetrace
 
 It traces with `sys.settrace`, which slows the suite down (by about 40%).
-Code run in a subprocess (the demos, some CLI tests) is not seen, and
-lines marked `pragma: no cover` are not listed.
+A forked child (a chunk of a large engine pass, a half of `cbre2 laplace`)
+inherits the trace; the session wraps `os._exit` so that a child writes
+its hits to a file in a session temporary directory before it exits, and
+the summary merges them.  Code run in a subprocess that is started anew
+(the demos, some CLI tests) is not seen, and lines marked
+`pragma: no cover` are not listed.
 """
 
 import functools
 import os
+import shutil
 import sys
+import tempfile
 
 SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "src", "cbre2"))
 hits = set()
+session = {}  # the session's pid, its temporary directory and the unwrapped os._exit
 
 
 @functools.cache
@@ -43,12 +50,29 @@ def _statements(path):
     return lines - skip
 
 
+def _exit(status):
+    """os._exit, after a forked child has written its hits to the session directory."""
+    try:
+        if os.getpid() != session["pid"]:
+            with open(os.path.join(session["dir"], f"{os.getpid()}.hits"), "w") as f:
+                f.writelines(f"{path}\t{line}\n" for path, line in hits)
+    finally:  # a child never returns into the session
+        session["exit"](status)
+
+
 def pytest_load_initial_conftests(early_config, parser, args):
+    session.update(pid=os.getpid(), dir=tempfile.mkdtemp(prefix="linetrace-"), exit=os._exit)
+    os._exit = _exit
     sys.settrace(_call)
 
 
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
+    os._exit = session["exit"]
+    for name in os.listdir(session["dir"]):
+        with open(os.path.join(session["dir"], name)) as f:
+            hits.update((path, int(line)) for path, line in (row.rstrip("\n").split("\t") for row in f))
+    shutil.rmtree(session["dir"])
     terminalreporter.section("statements no test executed")
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
