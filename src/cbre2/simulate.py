@@ -34,8 +34,8 @@ and event-driven:
 - records are streamed: `scenario_stream`, the one engine generator,
   yields the live states and the one xi of the pass at every grid time
   (record times only add grid points); `run_pass`, its one consumer,
-  writes the (variant, record time) states its caller reads into one
-  array per chunk and feeds every grid time to reducers (the coupling
+  writes the (variant, record time) states its caller reads into the
+  pass's one record and feeds every grid time to reducers (the coupling
   report, `PathDump`), so no caller holds a record it does not read.
 
 Two computations that share no generator can run on two cores as a
@@ -50,14 +50,12 @@ annealed solve and direct Monte Carlo check run as a pair below
 `CHUNK_MIN` paths.
 
 Large passes run as two chunks (`run_chunks`, called by `run_pass` alone):
-
-- a pass of V variants and n paths with V * n >= `CHUNK_MIN` (20 000
-  path-variants, `is_chunked`) runs chunk 0, ceil(n/2) paths on the pass's
-  own generator, and chunk 1, floor(n/2) paths on that generator's first
-  `spawn`ed child (independent substreams, L'Ecuyer et al. 2017), joined in
-  chunk order; a pass below `CHUNK_MIN` is one chunk on the pass's generator;
-- the two chunks are one `run_pair`, so chunk 1 runs in a forked child
-  where two CPUs are usable, and the bytes do not depend on it.
+a pass of V variants and n paths with V * n >= `CHUNK_MIN` (20 000
+path-variants, `is_chunked`) runs chunk 0, paths 0..ceil(n/2) on the pass's
+generator, and chunk 1, the rest on its first `spawn`ed child (independent
+substreams, L'Ecuyer et al. 2017), as one `run_pair`; each chunk writes its
+own columns of the pass's one record, and a forked chunk 1 sends its columns
+back as one copy.  A pass below `CHUNK_MIN` is one chunk on its generator.
 
 In law this is the splitting scheme with per-step thinning and per-step
 Poisson counts; only the order of the random stream differs.
@@ -374,18 +372,17 @@ def is_chunked(n_paths: int, n_variants: int) -> bool:
 
 
 def run_chunks(task, n_paths: int, seed, n_variants: int) -> list:
-    """`task(n, rng)` on the chunks of a pass, and its results in chunk order.
+    """`task(lo, hi, rng)` on the path ranges of a pass's chunks, and its results in chunk order.
 
-    A pass that is not `is_chunked` is one chunk, `task(n_paths,
-    default_rng(seed))`.  A chunked pass is two, run as a `run_pair`:
-    ceil(n/2) paths on the pass's own generator, and floor(n/2) on its
-    first spawned child, in a forked process when two CPUs are usable.
+    A pass that is not `is_chunked` is one chunk, `task(0, n_paths, default_rng(seed))`.  A
+    chunked pass is two, run as a `run_pair`: paths 0..ceil(n/2) on the pass's own generator,
+    and the rest on its first spawned child, in a forked process when two CPUs are usable.
     """
     rng = np.random.default_rng(seed)
     if not is_chunked(n_paths, n_variants):
-        return [task(n_paths, rng)]
-    rest = rng.spawn(1)[0]
-    return list(run_pair(lambda: task((n_paths + 1) // 2, rng), lambda: task(n_paths // 2, rest)))
+        return [task(0, n_paths, rng)]
+    rest, mid = rng.spawn(1)[0], (n_paths + 1) // 2
+    return list(run_pair(lambda: task(0, mid, rng), lambda: task(mid, n_paths, rest)))
 
 
 class PathDump:
@@ -407,35 +404,37 @@ class PathDump:
 
 
 def run_pass(scenario, n_paths: int, seed, keep, reducers=()) -> tuple[np.ndarray, list]:
-    """One engine pass on `scenario`, its chunks joined: (kept states, fed reducers).
+    """One engine pass on `scenario` into one record: (kept states, fed reducers).
 
-    `keep` lists (variant, record time) pairs; each chunk writes pair j's state into row
-    j of one (len(keep), 2, n) record, and the kept states are the joined records'
-    (len(keep), n_paths, 2) transpose, whose rows keep the live view's memory order (so
-    a matmul on one gives the view's bits).  A reducer names its variants (`predicates`),
-    takes `feed(t, states, xi)` at every grid time with those variants in that order,
-    and `merge(other)` of a copy fed by the next chunk; fed copies are returned.  The
-    pass runs the union of the variants, kept ones first and deduplicated by equality,
-    on one random stream and one environment path per chunk (`run_chunks`).
+    `keep` lists (variant, record time) pairs; each chunk writes pair j's state at its paths
+    lo:hi into row j of the pass's (len(keep), 2, n_paths) record, returned as its (len(keep),
+    n_paths, 2) transpose, whose rows keep the live view's memory order (a matmul on one gives
+    the view's bits).  A reducer names its variants (`predicates`), takes `feed(t, states,
+    xi)` at every grid time with those variants in that order, and `merge(other)` of a copy
+    fed by the next chunk; fed copies are returned.  The pass runs the union of the variants
+    (else the scenario's own), kept ones first and deduplicated by equality, on one random
+    stream and one environment path per chunk (`run_chunks`).
     """
     preds = list(dict.fromkeys([p for p, _ in keep] + [p for r in reducers for p in r.predicates]))
+    preds = preds or [scenario.truncation]  # nothing is read, but the inputs are checked
     rows = {}  # record time: (row of `keep`, index of its variant in the pass)
     for j, (p, t) in enumerate(keep):
         rows.setdefault(t, []).append((j, preds.index(p)))
     slots = [[preds.index(p) for p in r.predicates] for r in reducers]
+    kept = np.empty((len(keep), 2, max(n_paths, 0)))  # n_paths < 1: the stream raises
 
-    def chunk(n, rng):
-        kept, fed = np.empty((len(keep), 2, max(n, 0))), copy.deepcopy(reducers)  # n < 1: the stream raises
-        for t, states, xi in scenario_stream(scenario, n, rng, record_times=list(rows), predicates=preds):
+    def chunk(lo, hi, rng):
+        part, fed = kept[:, :, lo:hi], copy.deepcopy(reducers)
+        for t, states, xi in scenario_stream(scenario, hi - lo, rng, record_times=list(rows), predicates=preds):
             for j, i in rows.get(t, ()):
-                kept[j] = states[i].T
+                part[j] = states[i].T
             for r, slot in zip(fed, slots):
                 r.feed(t, [states[i] for i in slot], xi)
-        return kept, fed
+        return part, fed
 
-    (kept, fed), *rest = run_chunks(chunk, n_paths, seed, len(preds))
-    for more, more_fed in rest:  # one more chunk at most, so one concatenate
-        kept = np.concatenate((kept, more), axis=2)
+    (_, fed), *rest = run_chunks(chunk, n_paths, seed, len(preds))
+    for part, more_fed in rest:  # chunk 1, the last: a copy where a forked child ran it
+        kept[:, :, n_paths - part.shape[2]:] = part  # else its own columns: no copy
         for r, other in zip(fed, more_fed):
             r.merge(other)
     return kept.transpose(0, 2, 1), fed

@@ -10,7 +10,7 @@ import pytest
 
 from cbre2 import cli, simulate
 from cbre2.cli import main
-from cbre2.errors import ExponentOverflow, MassOverflow
+from cbre2.errors import Cbre2Error, ExponentOverflow, MassOverflow
 from cbre2.simulate import CHUNK_MIN, PathDump, run_chunks, run_pair, run_pass, scenario_states
 from cbre2.truncation import IDENTITY, norm_cap
 from tests.conftest import SCENARIO_DIR, bundled_scenario
@@ -33,14 +33,14 @@ def _no_child_left():
 
 def test_the_chunk_rule():
     """Below CHUNK_MIN one chunk on the pass's generator; from it on, ceil(n/2) paths on that
-    generator and floor(n/2) on its first spawned child."""
-    def task(n, rng):
-        return n, rng.random()
+    generator and floor(n/2) on its first spawned child: paths 0..3 and 3..5 at n = 5."""
+    def task(lo, hi, rng):
+        return lo, hi, rng.random()
 
     below = run_chunks(task, 5, 3, (CHUNK_MIN - 1) // 5)
-    assert below == [(5, np.random.default_rng(3).random())]
+    assert below == [(0, 5, np.random.default_rng(3).random())]
     rng = np.random.default_rng(3)
-    chunks = [(3, rng.random()), (2, rng.spawn(1)[0].random())]
+    chunks = [(0, 3, rng.random()), (3, 5, rng.spawn(1)[0].random())]
     assert run_chunks(task, 5, 3, CHUNK_MIN // 5) == chunks
 
 
@@ -54,11 +54,11 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        chunks = run_chunks(lambda n, rng: n, 5, 3, CHUNK_MIN)
+        chunks = run_chunks(lambda lo, hi, rng: (lo, hi), 5, 3, CHUNK_MIN)
     finally:
         stop.set()
         thread.join()
-    assert chunks == [3, 2]
+    assert chunks == [(0, 3), (3, 5)]
 
 
 def test_a_chunked_pass_has_the_same_bytes_with_one_and_two_workers(monkeypatch, tmp_path, capsys):
@@ -97,9 +97,9 @@ def test_a_path_dump_crosses_into_chunk_1(monkeypatch):
         heads[n] = dump.paths()
     assert heads[1].shape == (n_dump, 6, 4) and np.array_equal(heads[1], heads[2])
 
-    def rows(n, rng):  # (t, X1, X2, xi) of every path of the chunk at each grid time
-        stream = simulate.scenario_stream(sc, n, rng)
-        return np.stack([np.column_stack((np.full(n, t), x, xi)) for t, (x,), xi in stream], axis=1)
+    def rows(lo, hi, rng):  # (t, X1, X2, xi) of every path of the chunk at each grid time
+        stream = simulate.scenario_stream(sc, hi - lo, rng)
+        return np.stack([np.column_stack((np.full(hi - lo, t), x, xi)) for t, (x,), xi in stream], axis=1)
 
     # through the module, so that a patched `run_chunks` (tools/seed_census.py) sees both passes
     chunk0, chunk1 = simulate.run_chunks(rows, CHUNK_MIN, 5, 1)
@@ -110,8 +110,9 @@ def test_a_path_dump_crosses_into_chunk_1(monkeypatch):
 
 def test_a_chunked_record_is_joined_once_in_chunk_order(monkeypatch):
     """`scenario_states` at CHUNK_MIN paths and two variants (a chunked pass) gives the same
-    array with one worker and with two: chunk 0's paths, then chunk 1's, each as
-    `scenario_stream` runs the chunk on its own generator; no child is left."""
+    array with one worker and with two: chunk 0's paths, then chunk 1's, each written into
+    its columns of the one record as `scenario_stream` runs the chunk on its own generator;
+    no child is left."""
     sc = bundled_scenario("mixed", CHUNK_MIN, 0.2)  # five steps to t = 1
     preds = (norm_cap(2.0), IDENTITY)
     states = {}
@@ -120,8 +121,8 @@ def test_a_chunked_record_is_joined_once_in_chunk_order(monkeypatch):
         _, states[n] = scenario_states(sc, CHUNK_MIN, 5, predicates=preds)
     assert states[1].shape == (2, CHUNK_MIN, 6, 2) and np.array_equal(states[1], states[2])
 
-    def rows(n, rng):  # (variants, paths, grid times, 2): every state of the chunk
-        stream = simulate.scenario_stream(sc, n, rng, predicates=preds)
+    def rows(lo, hi, rng):  # (variants, paths, grid times, 2): every state of the chunk
+        stream = simulate.scenario_stream(sc, hi - lo, rng, predicates=preds)
         return np.stack([np.stack(xs) for _, xs, _ in stream], axis=2)
 
     # through the module, so that a patched `run_chunks` (tools/seed_census.py) sees both passes
@@ -188,6 +189,13 @@ def test_a_child_is_killed_and_reaped_when_the_first_half_raises(monkeypatch):
     with pytest.raises(ExponentOverflow):
         run_pair(_raise(ExponentOverflow("first")), lambda: time.sleep(30))
     assert time.perf_counter() - t0 < 10
+    _no_child_left()
+
+
+def test_a_child_that_ends_without_a_reply_is_an_error(monkeypatch):
+    _workers(monkeypatch, 2)  # with one worker `second` would end this process
+    with pytest.raises(Cbre2Error, match="a forked computation ended without a result"):
+        run_pair(lambda: 1, lambda: os._exit(3))
     _no_child_left()
 
 

@@ -18,6 +18,7 @@ from cbre2.measures import Atom1D, JumpMeasure, JumpMeasure1D
 from cbre2.moments import first_moment_closed_form
 from cbre2.scenario import ScenarioConfig, dump_scenario, load_scenario
 from cbre2.simulate import (
+    CHUNK_MIN,
     scenario_states,
     scenario_stream,
     simulate_states,
@@ -33,6 +34,7 @@ from cbre2.truncation import (
 )
 from tests.conftest import SCENARIO_DIR, bundled_scenario
 from tests.test_branching import ATOMS, TAILS
+from tests.test_chunks import _workers
 from tests.test_measures import ENV_ATOMS, ENV_TAILS
 
 
@@ -78,6 +80,16 @@ def test_a_record_time_next_to_a_base_point_replaces_it():
     grid = [t for t, _, _ in scenario_stream(sc, 2, 0, record_times=[0.6])]
     assert len(grid) == 11 and 0.6 in grid and (grid[0], grid[-1]) == (0.0, 1.0)
     assert np.diff(grid).min() > 1e-9
+
+
+def test_no_record_time_keeps_an_empty_record():
+    """record_times=[] reads nothing: no times and a (variants, paths, 0, 2) record, and a
+    bad path count is still a ConfigError."""
+    sc = bundled_scenario("mixed", 5, 0.1)
+    times, states = scenario_states(sc, 5, 3, record_times=[], predicates=(norm_cap(2.0), IDENTITY))
+    assert times.shape == (0,) and states.shape == (2, 5, 0, 2)
+    with pytest.raises(ConfigError):
+        scenario_states(sc, 0, 3, record_times=[])
 
 
 def test_environment_factorization_exact():
@@ -375,6 +387,25 @@ def test_scenario_states_allocates_little_beyond_its_result():
     finally:
         tracemalloc.stop()
     assert states.shape == (1, 2000, 501, 2) and peak <= 1.5 * states.nbytes
+
+
+@pytest.mark.parametrize("workers, bound", [(1, 1.2), (2, 1.6)])
+@pytest.mark.parametrize("n_variants", [1, 2])
+def test_a_chunked_pass_allocates_little_beyond_its_result(monkeypatch, workers, bound, n_variants):
+    """Both chunks of a pass write into its one record: on mixed.json at step 0.02, CHUNK_MIN
+    paths and every grid time, the traced peak in this process is at most 1.2x the result
+    with one worker, where both chunks run here, and 1.6x with two, where a forked chunk 1's
+    columns come back as one copy."""
+    sc = bundled_scenario("mixed", CHUNK_MIN, 0.02)
+    preds = (sc.truncation, norm_cap(2.0))[:n_variants]
+    _workers(monkeypatch, workers)
+    tracemalloc.start()
+    try:
+        _, states = scenario_states(sc, CHUNK_MIN, sc.seed, predicates=preds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (n_variants, CHUNK_MIN, 51, 2) and peak <= bound * states.nbytes
 
 
 
